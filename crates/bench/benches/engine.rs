@@ -22,12 +22,11 @@
 //! 6. patch-apply materialization: `state_routes_warm` (read the
 //!    patch-maintained candidates) vs `per_monitor_routes_warm` (full
 //!    selection from scratch);
-//! 7. update encoding: `archive_delta` (delta-fed `encode_updates`
-//!    from `SelChange` lists) vs `archive_full_recompute` (merge-join
-//!    over two full per-peer states), both single-threaded.
+//! 7. update encoding: `archive_delta` (update files encoded straight
+//!    from `SelChange` lists), single-threaded.
 
 use bgpsim::engine::RenderEngine;
-use bgpsim::observe::{monitor_ases, render_day, render_days_with_threads, VisibilityModel};
+use bgpsim::observe::{monitor_ases, render_days_with_threads, VisibilityModel};
 use bgpsim::scenario::LeaseWorld;
 use bgpsim::updates::{ArchiveV2Config, CollectorArchiveV2};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -65,7 +64,10 @@ fn bench_render_day(c: &mut Criterion) {
     });
     // The legacy per-call shape: everything recomputed per day.
     c.bench_function("engine/render_day_oneshot", |b| {
-        b.iter(|| black_box(render_day(&world, &model, day)))
+        b.iter(|| {
+            let engine = RenderEngine::new(&world, &model);
+            black_box(engine.render_day(&mut engine.scratch(), day))
+        })
     });
 }
 
@@ -164,26 +166,15 @@ fn bench_patch_apply_vs_full(c: &mut Criterion) {
     // from-scratch selection this replaces.
 }
 
-fn bench_archive_delta_vs_full(c: &mut Criterion) {
+fn bench_archive_delta(c: &mut Criterion) {
     let (world, model) = setup();
     let cfg = ArchiveV2Config::default();
-    // Delta-fed update encoding straight from `SelChange` lists…
+    // Delta-fed update encoding straight from `SelChange` lists.
     c.bench_function("engine/archive_delta", |b| {
         b.iter(|| {
             black_box(
                 CollectorArchiveV2::generate_with_threads(&world, &model, world.span, &cfg, 1)
                     .expect("archive encodes"),
-            )
-        })
-    });
-    // …vs the merge-join over two full per-peer states per day.
-    c.bench_function("engine/archive_full_recompute", |b| {
-        b.iter(|| {
-            black_box(
-                CollectorArchiveV2::generate_full_recompute_with_threads(
-                    &world, &model, world.span, &cfg, 1,
-                )
-                .expect("archive encodes"),
             )
         })
     });
@@ -198,6 +189,6 @@ criterion_group!(
     bench_valley_free_path,
     bench_delta_advance,
     bench_patch_apply_vs_full,
-    bench_archive_delta_vs_full,
+    bench_archive_delta,
 );
 criterion_main!(benches);

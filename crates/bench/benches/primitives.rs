@@ -1,9 +1,9 @@
 //! Micro-benchmarks of the data-plane primitives everything else is
-//! built on: prefix arithmetic, trie LPM, prefix sets, the MRT-like
-//! codec, and valley-free path computation.
+//! built on: prefix arithmetic, trie LPM, prefix sets, the BGP and
+//! RFC 6396 codecs, and valley-free path computation.
 
-use bgpsim::mrt::{decode_day, encode_day};
-use bgpsim::observe::{render_day, VisibilityModel};
+use bgpsim::engine::RenderEngine;
+use bgpsim::observe::VisibilityModel;
 use bgpsim::scenario::LeaseWorld;
 use bgpsim::topology::{Tier, Topology, TopologyConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -66,19 +66,6 @@ fn bench_prefix_set(c: &mut Criterion) {
     let b2: PrefixSet = prefixes[5000..].iter().copied().collect();
     c.bench_function("primitives/prefix_set_intersection", |b| {
         b.iter(|| black_box(a.intersection_size(&b2)))
-    });
-}
-
-fn bench_mrt(c: &mut Criterion) {
-    let world = LeaseWorld::generate(&bench::bench_config().world);
-    let model = VisibilityModel::default();
-    let day = render_day(&world, &model, date("2018-02-01"));
-    let bytes = encode_day(&day).unwrap();
-    c.bench_function("primitives/mrt_encode_day", |b| {
-        b.iter(|| black_box(encode_day(&day).unwrap()))
-    });
-    c.bench_function("primitives/mrt_decode_day", |b| {
-        b.iter(|| black_box(decode_day(&bytes).unwrap()))
     });
 }
 
@@ -146,7 +133,10 @@ fn bench_render(c: &mut Criterion) {
     let world = LeaseWorld::generate(&bench::bench_config().world);
     let model = VisibilityModel::default();
     c.bench_function("primitives/render_observation_day", |b| {
-        b.iter(|| black_box(render_day(&world, &model, date("2018-02-01"))))
+        b.iter(|| {
+            let engine = RenderEngine::new(&world, &model);
+            black_box(engine.render_day(&mut engine.scratch(), date("2018-02-01")))
+        })
     });
 }
 
@@ -154,7 +144,6 @@ criterion_group!(
     benches,
     bench_trie,
     bench_prefix_set,
-    bench_mrt,
     bench_bgp_wire,
     bench_mrt_archive,
     bench_paths,

@@ -703,7 +703,7 @@ fn cmd_query(args: &[String]) -> ExitCode {
         }
     };
     if files.is_empty() {
-        eprintln!("no archive files (rib-*.mrt / updates-*.mrt / day-*.mrtd) in {}", dir.display());
+        eprintln!("no archive files (rib-*.mrt / updates-*.mrt) in {}", dir.display());
         return ExitCode::FAILURE;
     }
     match bgpsim::query::run_query(&files, &opts) {

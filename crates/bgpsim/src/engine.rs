@@ -912,7 +912,7 @@ impl<'w> RenderEngine<'w> {
             }
             let origin_changed = match (old, new) {
                 (Some(o), Some(n)) => {
-                    self.entities[o as usize].origin != self.entities[n as usize].origin
+                    self.entities[o].origin != self.entities[n].origin
                 }
                 _ => true,
             };
@@ -937,7 +937,7 @@ impl<'w> RenderEngine<'w> {
                         continue;
                     }
                     last = Some(p);
-                    routes.push((p, self.entities[ei as usize].origin.clone()));
+                    routes.push((p, self.entities[ei].origin.clone()));
                 }
                 routes
             })

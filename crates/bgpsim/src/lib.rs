@@ -17,11 +17,12 @@
 //!   more-specific hijacks and scrubbing services),
 //! * [`observe`] — renders a world into per-day route observations at
 //!   a configurable set of monitors, with per-monitor visibility loss,
-//! * [`mrt`] — a compact MRT-like binary codec for daily RIB snapshots
-//!   and update files,
-//! * [`collector`] — an in-process collector archive with the paper's
-//!   "if an update file is missing, use the next available RIB"
-//!   fallback behaviour.
+//! * [`mrt2`] — the RFC 6396 codec (`TABLE_DUMP_V2` RIBs, `BGP4MP`
+//!   update messages) the archive is stored in,
+//! * [`updates`] — the collector archive: daily RIB and update files
+//!   with the paper's "if an update file is missing, use the next
+//!   available RIB" fallback behaviour,
+//! * [`query`] — a filtered per-prefix element scan over archive files.
 //!
 //! Everything is seeded and deterministic; generating ~2.4 years of
 //! daily observations for a few thousand prefixes takes well under a
@@ -31,9 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod bgp;
-pub mod collector;
 pub mod engine;
-pub mod mrt;
 pub mod mrt2;
 pub mod observe;
 pub mod par;
@@ -42,7 +41,6 @@ pub mod scenario;
 pub mod topology;
 pub mod updates;
 
-pub use collector::{CollectorArchive, DayData};
 pub use observe::{ObservationDay, RouteObservation, VisibilityModel};
 pub use scenario::{Lease, LeaseWorld, WorldConfig};
 pub use topology::{AsNode, Tier, Topology, TopologyConfig};

@@ -46,8 +46,7 @@ pub enum Mrt2Error {
     /// An embedded BGP message failed to decode.
     Bgp(bgp::BgpError),
     /// Encode-side: a value does not fit its wire-format length field.
-    /// Refusing beats silently truncating and corrupting the archive
-    /// (the same contract as `mrt::MrtError::TooLong`).
+    /// Refusing beats silently truncating and corrupting the archive.
     TooLong {
         /// Which field overflowed.
         field: &'static str,

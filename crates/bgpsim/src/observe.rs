@@ -2,7 +2,7 @@
 //!
 //! The paper's pipeline consumes "the set of all prefix-origin pairs"
 //! seen at the BGP monitors of RIPE RIS, Route Views and Isolario,
-//! aggregated daily. [`render_day`] produces exactly that surface: for
+//! aggregated daily. [`render_days`] produces exactly that surface: for
 //! every route announced in the world on a day, how many (and which)
 //! monitors observed it, together with a representative AS path.
 //!
@@ -14,10 +14,9 @@
 //! The heavy lifting lives in [`crate::engine`]: day-invariant work
 //! (event interval index, stable-visibility bitsets, path interning,
 //! monitor fleet selection) is hoisted into a [`RenderEngine`] built
-//! once per render run. The free functions here are thin wrappers that
-//! construct a single-use engine; batch callers go through
-//! [`render_days_with_threads`], which shares one engine across the
-//! worker pool.
+//! once per render run. [`render_days_with_threads`] shares one engine
+//! across the worker pool; callers that want single days or the
+//! per-monitor view build an engine and call it directly.
 
 use crate::engine::RenderEngine;
 use crate::scenario::{LeaseWorld, RouteClass};
@@ -91,27 +90,6 @@ pub(crate) fn unit_f64(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// The per-monitor view of one day: each monitor holds at most one
-/// route per prefix (BGP best-path semantics), so MOAS conflicts
-/// manifest *across* monitors, as they do at real collectors.
-///
-/// This is the input surface for the MRT archive layer
-/// ([`crate::updates`]): RIB dumps and update diffs are derived from
-/// these per-peer sets, and they use the same deterministic
-/// visibility draws as [`render_day`].
-///
-/// One-shot convenience wrapper; batch callers should build a
-/// [`RenderEngine`] once and reuse it (as [`crate::updates`] does).
-pub fn per_monitor_routes(
-    world: &LeaseWorld,
-    model: &VisibilityModel,
-    day: Date,
-) -> Vec<Vec<(Prefix, Origin)>> {
-    let engine = RenderEngine::new(world, model);
-    let mut scratch = engine.scratch();
-    engine.per_monitor_routes(&mut scratch, day)
-}
-
 /// The visibility-hash key for an origin (AS_SET origins get a
 /// distinct key space).
 pub(crate) fn origin_key(origin: &Origin) -> u32 {
@@ -138,17 +116,6 @@ pub fn monitor_ases(world: &LeaseWorld, model: &VisibilityModel) -> Vec<Asn> {
         out.push(pick);
     }
     out
-}
-
-/// Render one day of the world into monitor observations.
-///
-/// One-shot convenience wrapper: builds a single-use [`RenderEngine`].
-/// Rendering many days? Use [`render_days_with_threads`] (or an
-/// explicit engine) so the day-invariant precomputation is paid once.
-pub fn render_day(world: &LeaseWorld, model: &VisibilityModel, day: Date) -> ObservationDay {
-    let engine = RenderEngine::new(world, model);
-    let mut scratch = engine.scratch();
-    engine.render_day(&mut scratch, day)
 }
 
 /// Render every day of `span` on `threads` workers.
@@ -192,6 +159,11 @@ mod tests {
     use crate::scenario::{LeaseWorld, WorldConfig};
     use crate::topology::TopologyConfig;
     use nettypes::date::{date, DateRange};
+
+    fn render_day(w: &LeaseWorld, model: &VisibilityModel, day: Date) -> ObservationDay {
+        let engine = RenderEngine::new(w, model);
+        engine.render_day(&mut engine.scratch(), day)
+    }
 
     fn world() -> LeaseWorld {
         LeaseWorld::generate(&WorldConfig {

@@ -1,12 +1,12 @@
 //! The archive query engine: a flattened per-prefix element stream
-//! over both MRT codecs, a composable filter language, and a
+//! over RFC 6396 archive files, a composable filter language, and a
 //! deterministic parallel scan.
 //!
 //! Real-world analogues (`bgpkit-parser`, `bgpdump`) flatten MRT's
 //! nested records — peer tables, per-peer RIB entries, multi-NLRI
 //! UPDATEs — into one element per `(prefix, peer)`: the shape every
-//! downstream analysis wants. [`BgpElem`] is that flattening for both
-//! archive formats here:
+//! downstream analysis wants. [`BgpElem`] is that flattening for the
+//! archive's two file kinds:
 //!
 //! * RFC 6396 RIB files ([`crate::mrt2`]): each `RIB_IPV4_UNICAST`
 //!   entry becomes one [`ElemKind::Rib`] element, with the peer
@@ -14,10 +14,7 @@
 //!   pulled from the entry's BGP attributes,
 //! * RFC 6396 update files: each announced NLRI becomes an
 //!   [`ElemKind::Announce`], each withdrawn prefix an
-//!   [`ElemKind::Withdraw`],
-//! * compact day files ([`crate::mrt`]): each route observation
-//!   becomes an [`ElemKind::Observation`] (no peer — the compact
-//!   format aggregates monitors).
+//!   [`ElemKind::Withdraw`].
 //!
 //! Scans run in one of two parse modes. *Strict* fails the query on
 //! the first structural error. *Lossy* skips damaged records and
@@ -27,8 +24,6 @@
 //! scan. Multi-file scans fan out through [`crate::par`] and merge in
 //! file-index order, so output is byte-identical at any worker count.
 
-use crate::collector::CollectorArchive;
-use crate::mrt::{DayReader, MrtError};
 use crate::mrt2::{self, LossyStats, MrtRecord, RecordReader};
 use crate::updates::CollectorArchiveV2;
 use crate::{bgp, par};
@@ -49,17 +44,10 @@ pub enum ElemKind {
     Announce,
     /// A withdrawn prefix from a BGP UPDATE.
     Withdraw,
-    /// A route observation from a compact day file.
-    Observation,
 }
 
 impl ElemKind {
-    const ALL: [ElemKind; 4] = [
-        ElemKind::Rib,
-        ElemKind::Announce,
-        ElemKind::Withdraw,
-        ElemKind::Observation,
-    ];
+    const ALL: [ElemKind; 3] = [ElemKind::Rib, ElemKind::Announce, ElemKind::Withdraw];
 
     /// The lowercase wire name used in filters and output rows.
     pub fn name(&self) -> &'static str {
@@ -67,7 +55,6 @@ impl ElemKind {
             ElemKind::Rib => "rib",
             ElemKind::Announce => "announce",
             ElemKind::Withdraw => "withdraw",
-            ElemKind::Observation => "obs",
         }
     }
 }
@@ -95,7 +82,7 @@ impl std::str::FromStr for ElemKind {
 pub struct BgpElem {
     /// The archive day the element came from.
     pub day: Date,
-    /// Record timestamp (Unix seconds; midnight for compact files).
+    /// Record timestamp (Unix seconds).
     pub timestamp: u32,
     /// Record kind.
     pub kind: ElemKind,
@@ -103,8 +90,7 @@ pub struct BgpElem {
     pub prefix: Prefix,
     /// Origin AS (or AS_SET); absent for withdrawals.
     pub origin: Option<Origin>,
-    /// The collector peer that contributed the element; absent for
-    /// compact observations (monitor-aggregated).
+    /// The collector peer that contributed the element.
     pub peer: Option<Asn>,
     /// The AS path, flattened (empty for withdrawals).
     pub path: Vec<Asn>,
@@ -454,15 +440,13 @@ impl fmt::Display for Filter {
 
 // --- scanning ---------------------------------------------------------
 
-/// Which codec a query input file speaks.
+/// Which archive file kind a query input file is.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FileKind {
     /// RFC 6396 `TABLE_DUMP_V2` RIB file.
     Rib,
     /// RFC 6396 `BGP4MP` update file.
     Updates,
-    /// Compact day file ([`crate::mrt`]).
-    CompactDay,
 }
 
 /// One input file for a query: a day's worth of archive bytes.
@@ -470,7 +454,7 @@ pub enum FileKind {
 pub struct QueryFile {
     /// The day the file covers.
     pub day: Date,
-    /// Which codec to decode it with.
+    /// Whether it is a RIB or an update file.
     pub kind: FileKind,
     /// The file's bytes (refcounted; cloning is cheap).
     pub bytes: Bytes,
@@ -789,7 +773,7 @@ fn mrt2_record_elems(
     Ok(())
 }
 
-fn scan_mrt2_file(
+fn scan_file(
     file: &QueryFile,
     filter: &Filter,
     format: OutputFormat,
@@ -818,86 +802,6 @@ fn scan_mrt2_file(
         }
     }
     Ok(scan)
-}
-
-fn scan_compact_file(
-    file: &QueryFile,
-    filter: &Filter,
-    format: OutputFormat,
-    lossy: bool,
-) -> Result<FileScan, QueryError> {
-    let mut scan = FileScan {
-        rows: String::new(),
-        nrows: 0,
-        elems: 0,
-        lossy: LossyStats::default(),
-    };
-    let mut reader = match DayReader::new(&file.bytes) {
-        Ok(r) => r,
-        Err(e) if lossy => {
-            // An unreadable header leaves the whole file unexamined.
-            scan.lossy.aborted = true;
-            scan.lossy.bytes_unscanned = file.bytes.len();
-            let _ = e;
-            scan.lossy.emit();
-            return Ok(scan);
-        }
-        Err(e) => return Err(decode_error(file.day, e)),
-    };
-    let day = reader.date();
-    let midnight = u32::try_from(day.days_since_epoch().max(0) as u64 * 86_400)
-        .unwrap_or(u32::MAX);
-    for item in reader.by_ref() {
-        match item {
-            Ok(r) => {
-                scan.elems += 1;
-                scan.lossy.decoded += usize::from(lossy);
-                let elem = BgpElem {
-                    day: file.day,
-                    timestamp: midnight,
-                    kind: ElemKind::Observation,
-                    prefix: r.prefix,
-                    origin: Some(r.origin),
-                    peer: None,
-                    path: r.path.to_vec(),
-                };
-                if filter.matches(&elem) {
-                    write_row(&mut scan.rows, format, &elem);
-                    scan.nrows += 1;
-                }
-            }
-            Err(e) if lossy => {
-                // The compact format has no per-record framing to
-                // resync on, so the first damaged record abandons the
-                // rest of the file — but with full accounting.
-                match e {
-                    MrtError::Truncated => scan.lossy.skipped_truncated += 1,
-                    _ => scan.lossy.skipped_malformed += 1,
-                }
-                scan.lossy.aborted = true;
-                scan.lossy.bytes_unscanned = reader.remaining();
-                break;
-            }
-            Err(e) => return Err(decode_error(file.day, e)),
-        }
-    }
-    if lossy {
-        scan.lossy.bytes_scanned = file.bytes.len() - scan.lossy.bytes_unscanned;
-        scan.lossy.emit();
-    }
-    Ok(scan)
-}
-
-fn scan_file(
-    file: &QueryFile,
-    filter: &Filter,
-    format: OutputFormat,
-    lossy: bool,
-) -> Result<FileScan, QueryError> {
-    match file.kind {
-        FileKind::Rib | FileKind::Updates => scan_mrt2_file(file, filter, format, lossy),
-        FileKind::CompactDay => scan_compact_file(file, filter, format, lossy),
-    }
 }
 
 /// Run a query over `files`: prune by day, fan the survivors out over
@@ -980,45 +884,38 @@ pub fn files_from_archive_v2(archive: &CollectorArchiveV2) -> Vec<QueryFile> {
     files
 }
 
+/// The kind and day of an archive file named `rib-YYYY-MM-DD.mrt` or
+/// `updates-YYYY-MM-DD.mrt`; `None` for any other name.
+pub(crate) fn parse_file_name(name: &str) -> Option<(FileKind, Date)> {
+    let (kind, rest) = match name.strip_prefix("rib-") {
+        Some(rest) => (FileKind::Rib, rest),
+        None => (FileKind::Updates, name.strip_prefix("updates-")?),
+    };
+    let day = rest.strip_suffix(".mrt")?.parse::<Date>().ok()?;
+    Some((kind, day))
+}
+
 /// Read an on-disk archive directory written by
-/// [`CollectorArchiveV2::write_dir`] (plus optional compact
-/// `day-YYYY-MM-DD.mrtd` files) into query input files. Unrecognized
-/// file names are ignored; the result is ordered RIBs → updates →
-/// compact days, each by date, independent of directory iteration
-/// order.
+/// [`CollectorArchiveV2::write_dir`] into query input files.
+/// Unrecognized file names are ignored; the result is ordered RIBs →
+/// updates, each by date, independent of directory iteration order.
 pub fn files_from_dir(dir: &std::path::Path) -> std::io::Result<Vec<QueryFile>> {
     let mut ribs: Vec<(Date, std::path::PathBuf)> = Vec::new();
     let mut updates: Vec<(Date, std::path::PathBuf)> = Vec::new();
-    let mut compact: Vec<(Date, std::path::PathBuf)> = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let parsed = name
-            .strip_prefix("rib-")
-            .and_then(|r| r.strip_suffix(".mrt"))
-            .map(|d| (&mut ribs, d))
-            .or_else(|| {
-                name.strip_prefix("updates-")
-                    .and_then(|r| r.strip_suffix(".mrt"))
-                    .map(|d| (&mut updates, d))
-            })
-            .or_else(|| {
-                name.strip_prefix("day-")
-                    .and_then(|r| r.strip_suffix(".mrtd"))
-                    .map(|d| (&mut compact, d))
-            });
-        if let Some((bucket, datestr)) = parsed {
-            if let Ok(d) = datestr.parse::<Date>() {
-                bucket.push((d, entry.path()));
-            }
+        match parse_file_name(name) {
+            Some((FileKind::Rib, d)) => ribs.push((d, entry.path())),
+            Some((FileKind::Updates, d)) => updates.push((d, entry.path())),
+            None => {}
         }
     }
     let mut files = Vec::new();
     for (bucket, kind) in [
         (&mut ribs, FileKind::Rib),
         (&mut updates, FileKind::Updates),
-        (&mut compact, FileKind::CompactDay),
     ] {
         bucket.sort_by_key(|(d, _)| *d);
         for (day, path) in bucket.iter() {
@@ -1030,20 +927,6 @@ pub fn files_from_dir(dir: &std::path::Path) -> std::io::Result<Vec<QueryFile>> 
         }
     }
     Ok(files)
-}
-
-/// A compact collector archive as query input files, in date order.
-pub fn files_from_compact(archive: &CollectorArchive) -> Vec<QueryFile> {
-    archive
-        .dates()
-        .filter_map(|d| {
-            archive.raw(d).map(|bytes| QueryFile {
-                day: d,
-                kind: FileKind::CompactDay,
-                bytes: bytes.clone(),
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1313,55 +1196,6 @@ mod tests {
         assert!(out.stats.lossy.aborted);
         assert!(out.stats.lossy.bytes_unscanned > 0);
         assert_eq!(out.stats.rows_emitted, 1); // the RIB row survives
-    }
-
-    #[test]
-    fn lossy_compact_scan_accounts_for_abandoned_tail() {
-        use crate::mrt::encode_day;
-        use crate::observe::ObservationDay;
-        use crate::observe::RouteObservation;
-        let day = ObservationDay {
-            date: date("2018-01-01"),
-            num_monitors: 3,
-            routes: vec![
-                RouteObservation {
-                    prefix: pfx("10.0.0.0/16"),
-                    origin: Origin::Single(asn(64500)),
-                    monitors_seen: 3,
-                    path: vec![asn(3333), asn(64500)].into(),
-                    class: None,
-                },
-                RouteObservation {
-                    prefix: pfx("10.1.0.0/16"),
-                    origin: Origin::Single(asn(64501)),
-                    monitors_seen: 2,
-                    path: vec![].into(),
-                    class: None,
-                },
-            ],
-        };
-        let bytes = encode_day(&day).expect("encodes");
-        let cut = bytes.len() - 3;
-        let files = vec![QueryFile {
-            day: day.date,
-            kind: FileKind::CompactDay,
-            bytes: Bytes::from(bytes[..cut].to_vec()),
-        }];
-        let opts = QueryOptions {
-            lossy: true,
-            ..QueryOptions::default()
-        };
-        let out = run_query(&files, &opts).expect("lossy query runs");
-        assert_eq!(out.stats.rows_emitted, 1);
-        assert!(out.stats.lossy.aborted);
-        assert_eq!(out.stats.lossy.skipped_truncated, 1);
-        assert_eq!(
-            out.stats.lossy.bytes_scanned + out.stats.lossy.bytes_unscanned,
-            cut
-        );
-        // Strict mode refuses the same file.
-        let strict = run_query(&files, &QueryOptions::default());
-        assert!(matches!(strict, Err(QueryError::Decode { .. })));
     }
 
     #[test]

@@ -440,16 +440,16 @@ impl Topology {
         }
 
         let mut out: Vec<Option<Vec<Asn>>> = Vec::with_capacity(n);
-        for ti in 0..n {
+        for (ti, &first_state) in first.iter().enumerate() {
             if ti == fi {
                 out.push(Some(vec![from]));
                 continue;
             }
-            if first[ti] == usize::MAX {
+            if first_state == usize::MAX {
                 out.push(None);
                 continue;
             }
-            let mut state = first[ti];
+            let mut state = first_state;
             let mut path = vec![self.nodes[state / 3].asn];
             while state != start {
                 state = parent[state];

@@ -20,6 +20,7 @@ use crate::mrt2::{
 };
 use crate::engine::{RenderEngine, SelChange};
 use crate::observe::{ObservationDay, RouteObservation, VisibilityModel};
+use crate::query::{parse_file_name, FileKind};
 use crate::scenario::LeaseWorld;
 use crate::topology::Topology;
 use bytes::Bytes;
@@ -303,8 +304,7 @@ impl CollectorArchiveV2 {
     /// state; update files are encoded straight from the per-monitor
     /// [`SelChange`] lists instead of merge-joining two full states.
     /// Chunk results merge in date order, so the archive bytes are
-    /// identical for any thread count — and to the full-recompute
-    /// oracle ([`CollectorArchiveV2::generate_full_recompute_with_threads`]).
+    /// identical for any thread count.
     pub fn generate_with_threads(
         world: &LeaseWorld,
         model: &VisibilityModel,
@@ -388,52 +388,6 @@ impl CollectorArchiveV2 {
         Self::assemble(peers, days, encoded)
     }
 
-    /// Generate the archive by fully re-rendering every day — the
-    /// pre-incremental two-pass path, kept as the byte-identity oracle
-    /// for the delta path (and for out-of-sequence render needs).
-    pub fn generate_full_recompute_with_threads(
-        world: &LeaseWorld,
-        model: &VisibilityModel,
-        span: DateRange,
-        config: &ArchiveV2Config,
-        threads: usize,
-    ) -> Result<CollectorArchiveV2, Mrt2Error> {
-        let engine = RenderEngine::new(world, model);
-        let peers = build_peers(engine.monitors())?;
-
-        let days: Vec<Date> = span.iter().collect();
-        let n = days.len();
-        let span_obs = obs::span!("mrt_encode", days = n, threads = threads, unit = "days");
-        span_obs.add_items(n as u64);
-        let attrs = AttrTable::new(&world.topology, &peers);
-        // Pass 1: every day's per-monitor routing state, rendered by
-        // the shared engine (one sweep scratch per worker).
-        let states: Vec<Vec<Vec<(Prefix, Origin)>>> = {
-            let _pass = obs::span!("mrt_state_pass");
-            crate::par::map_indexed_local(
-                n,
-                threads,
-                || engine.scratch(),
-                |scratch, i| engine.per_monitor_routes(scratch, days[i]),
-            )
-        };
-        // Pass 2: encode RIBs and update diffs; day i's update file
-        // only needs states[i-1] and states[i], so this fans out too.
-        let rib_every = config.rib_every_days.max(1);
-        let encoded: Vec<Encoded> = {
-            let _pass = obs::span!("mrt_encode_pass");
-            crate::par::map_indexed(n, threads, |i| {
-                let rib = (i % rib_every == 0)
-                    .then(|| encode_rib(&attrs, config, &peers, days[i], &states[i]));
-                let upd = (i > 0).then(|| {
-                    encode_updates(&attrs, config, &peers, days[i], &states[i - 1], &states[i])
-                });
-                (rib, upd)
-            })
-        };
-        Self::assemble(peers, days, encoded)
-    }
-
     /// Deterministic date-ordered store; the first encode error (if
     /// any) surfaces here, after the parallel pass drains.
     fn assemble(
@@ -498,8 +452,37 @@ impl CollectorArchiveV2 {
     /// collector-style naming `rib-YYYY-MM-DD.mrt` /
     /// `updates-YYYY-MM-DD.mrt` that [`crate::query::files_from_dir`]
     /// reads back. Returns the number of files written.
+    ///
+    /// [`crate::query::files_from_dir`] reads every archive-named file
+    /// it finds, so a directory holding files of another archive would
+    /// mix two worlds. If `dir` already holds an archive-named file for
+    /// a date this archive does not write, nothing is written and the
+    /// error names the first such file (in name order).
     pub fn write_dir(&self, dir: &std::path::Path) -> std::io::Result<usize> {
         std::fs::create_dir_all(dir)?;
+        let mut stray: Vec<String> = Vec::new();
+        for entry in std::fs::read_dir(dir)? {
+            let name = entry?.file_name();
+            let Some(name) = name.to_str() else { continue };
+            let ours = match parse_file_name(name) {
+                Some((FileKind::Rib, d)) => self.ribs.contains_key(&d),
+                Some((FileKind::Updates, d)) => self.updates.contains_key(&d),
+                None => true,
+            };
+            if !ours {
+                stray.push(name.to_string());
+            }
+        }
+        if let Some(name) = stray.iter().min() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::AlreadyExists,
+                format!(
+                    "{} already holds {name}, which this archive does not write; \
+                     refusing to mix two archives in one directory",
+                    dir.display()
+                ),
+            ));
+        }
         let mut written = 0usize;
         for (d, bytes) in &self.ribs {
             std::fs::write(dir.join(format!("rib-{d}.mrt")), bytes)?;
@@ -522,9 +505,14 @@ impl CollectorArchiveV2 {
         self.ribs.remove(&d).is_some()
     }
 
-    /// Overwrite a file with corrupted bytes.
+    /// Overwrite an update file with corrupted bytes.
     pub fn corrupt_update_file(&mut self, d: Date, bytes: Bytes) {
         self.updates.insert(d, bytes);
+    }
+
+    /// Overwrite a RIB file with corrupted bytes.
+    pub fn corrupt_rib(&mut self, d: Date, bytes: Bytes) {
+        self.ribs.insert(d, bytes);
     }
 
     /// Load a RIB file into per-peer state.
@@ -1074,21 +1062,20 @@ impl PeerDiff {
         e.1.push(p);
     }
 
-    /// Emit this peer's BGP4MP records, spreading messages over the
-    /// first hours of the day.
+    /// Emit this peer's BGP4MP records, spreading messages 13 s apart
+    /// from `first_ts` on.
     fn emit(
         self,
         attrs: &AttrTable<'_>,
         config: &ArchiveV2Config,
         peer: &PeerEntry,
         pi: usize,
-        pi32: u32,
-        base_ts: u32,
+        first_ts: u32,
         records: &mut Vec<TimestampedRecord>,
     ) {
         let mut seq = 0u32;
         let mut ts = || {
-            let t = base_ts + 60 + seq * 13 + pi32;
+            let t = first_ts + seq * 13;
             seq += 1;
             t
         };
@@ -1126,68 +1113,10 @@ impl PeerDiff {
     }
 }
 
-fn encode_updates(
-    attrs: &AttrTable<'_>,
-    config: &ArchiveV2Config,
-    peers: &[PeerEntry],
-    day: Date,
-    prev: &[Vec<(Prefix, Origin)>],
-    cur: &[Vec<(Prefix, Origin)>],
-) -> Result<Bytes, Mrt2Error> {
-    let base_ts = midnight(day);
-    let mut records = Vec::new();
-    for (pi, peer) in peers.iter().enumerate() {
-        let pi32 = u32::try_from(pi).map_err(|_| Mrt2Error::TooLong {
-            field: "peer index",
-            len: pi,
-        })?;
-        // Both states are sorted by prefix with at most one route per
-        // prefix (BGP best-path semantics), so the day-over-day diff
-        // is a linear merge-join — no per-peer hash maps.
-        let (prev_routes, cur_routes) = (&prev[pi], &cur[pi]);
-        let mut diff = PeerDiff::default();
-        let (mut a, mut b) = (0, 0);
-        while a < prev_routes.len() || b < cur_routes.len() {
-            match (prev_routes.get(a), cur_routes.get(b)) {
-                (Some((pp, _)), Some((cp, _))) if pp < cp => {
-                    diff.withdrawn.push(*pp);
-                    a += 1;
-                }
-                (Some((pp, _)), Some((cp, co))) if cp < pp => {
-                    diff.announce(*cp, co);
-                    b += 1;
-                }
-                (Some((_, po)), Some((cp, co))) => {
-                    if po != co {
-                        diff.announce(*cp, co);
-                    }
-                    a += 1;
-                    b += 1;
-                }
-                (Some((pp, _)), None) => {
-                    diff.withdrawn.push(*pp);
-                    a += 1;
-                }
-                (None, Some((cp, co))) => {
-                    diff.announce(*cp, co);
-                    b += 1;
-                }
-                (None, None) => break,
-            }
-        }
-        diff.emit(attrs, config, peer, pi, pi32, base_ts, &mut records);
-    }
-    records.sort_by_key(|r| r.timestamp);
-    encode_file(&records)
-}
-
-/// Delta-fed update encoding: the per-monitor [`SelChange`] lists from
-/// one [`RenderEngine::advance_state`] call already *are* the
-/// day-over-day diff (prefix-sorted, origin-change-only), so no
-/// merge-join over two full states is needed. Byte-identical to
-/// [`encode_updates`] on the same transition: withdraws arrive in the
-/// same prefix order and announcements group under the same
-/// origin-rendering keys.
+/// Update-file encoding: the per-monitor [`SelChange`] lists from one
+/// [`RenderEngine::advance_state`] call already *are* the day-over-day
+/// diff (prefix-sorted, origin-change-only), so no merge-join over two
+/// full states is needed.
 fn encode_updates_delta(
     attrs: &AttrTable<'_>,
     engine: &RenderEngine,
@@ -1210,7 +1139,8 @@ fn encode_updates_delta(
                 None => diff.withdrawn.push(c.prefix),
             }
         }
-        diff.emit(attrs, config, peer, pi, pi32, base_ts, &mut records);
+        // Each peer's messages start a peer-index offset past 00:01.
+        diff.emit(attrs, config, peer, pi, base_ts + 60 + pi32, &mut records);
     }
     records.sort_by_key(|r| r.timestamp);
     encode_file(&records)
@@ -1219,7 +1149,6 @@ fn encode_updates_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::per_monitor_routes;
     use crate::scenario::WorldConfig;
     use crate::topology::TopologyConfig;
     use nettypes::date::date;
@@ -1265,6 +1194,15 @@ mod tests {
         )
         .expect("archive encodes");
         (w, model, archive)
+    }
+
+    fn per_monitor_routes(
+        w: &LeaseWorld,
+        model: &VisibilityModel,
+        day: Date,
+    ) -> Vec<Vec<(Prefix, Origin)>> {
+        let engine = RenderEngine::new(w, model);
+        engine.per_monitor_routes(&mut engine.scratch(), day)
     }
 
     #[test]
@@ -1445,38 +1383,6 @@ mod tests {
         }
     }
 
-    fn archives_equal(a: &CollectorArchiveV2, b: &CollectorArchiveV2) {
-        assert_eq!(a.peers(), b.peers());
-        assert_eq!(a.rib_dates().collect::<Vec<_>>(), b.rib_dates().collect::<Vec<_>>());
-        assert_eq!(
-            a.update_dates().collect::<Vec<_>>(),
-            b.update_dates().collect::<Vec<_>>()
-        );
-        for d in a.rib_dates() {
-            assert_eq!(a.rib_bytes(d), b.rib_bytes(d), "RIB bytes differ on {d}");
-        }
-        for d in a.update_dates() {
-            assert_eq!(a.update_bytes(d), b.update_bytes(d), "update bytes differ on {d}");
-        }
-    }
-
-    #[test]
-    fn delta_generation_matches_full_recompute_oracle() {
-        let (w, model, _) = setup();
-        let cfg = ArchiveV2Config {
-            rib_every_days: 7,
-            ..Default::default()
-        };
-        let oracle =
-            CollectorArchiveV2::generate_full_recompute_with_threads(&w, &model, w.span, &cfg, 1)
-                .expect("archive encodes");
-        for threads in [1, 2, 4] {
-            let delta = CollectorArchiveV2::generate_with_threads(&w, &model, w.span, &cfg, threads)
-                .expect("archive encodes");
-            archives_equal(&delta, &oracle);
-        }
-    }
-
     #[test]
     fn sweep_matches_day_view_every_day() {
         let (_, _, archive) = setup();
@@ -1581,6 +1487,44 @@ mod tests {
                 (a, b) => panic!("sweep/day_view disagree on {d}: {a:?} vs {b:?}"),
             }
         }
+    }
+
+    #[test]
+    fn write_dir_refuses_a_directory_holding_another_archive() {
+        let (w, model, _) = setup();
+        let cfg = ArchiveV2Config::default();
+        let first = |n: i64| DateRange::new(w.span.start, w.span.start + (n - 1));
+        let long = CollectorArchiveV2::generate(&w, &model, first(20), &cfg).expect("encodes");
+        let short = CollectorArchiveV2::generate(&w, &model, first(10), &cfg).expect("encodes");
+        let dir = std::env::temp_dir().join(format!("drywells-write-dir-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let listing = || -> BTreeMap<String, Vec<u8>> {
+            std::fs::read_dir(&dir)
+                .expect("dir lists")
+                .map(|e| {
+                    let e = e.expect("entry");
+                    let name = e.file_name().to_string_lossy().into_owned();
+                    (name, std::fs::read(e.path()).expect("file reads"))
+                })
+                .collect()
+        };
+
+        let written = long.write_dir(&dir).expect("empty dir accepts the archive");
+        assert_eq!(written, long.rib_dates().count() + long.update_dates().count());
+        let before = listing();
+        // Rewriting the same archive is fine: every file is its own.
+        assert_eq!(long.write_dir(&dir).expect("same archive rewrites"), written);
+
+        // Days 11–20 (RIB on day 15, updates on 11–20) are strays for
+        // the 10-day archive; the RIB name sorts first.
+        let err = short.write_dir(&dir).expect_err("stray files must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+        assert!(
+            err.to_string().contains("rib-2018-01-15.mrt"),
+            "error should name the first stray file: {err}"
+        );
+        assert_eq!(listing(), before, "a refused write must leave the directory unchanged");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -7,9 +7,7 @@ use crate::study::StudyConfig;
 use delegation::config::InferenceConfig;
 use delegation::eval::{evaluate_against_truth, TruthEvaluation};
 use delegation::metrics::{daily_metrics, summarize, DailyMetrics, SeriesSummary};
-use delegation::pipeline::{
-    run_pipeline_with_mode, DailyDelegations, PipelineInput, PipelineMode,
-};
+use delegation::pipeline::{run_pipeline, DailyDelegations, PipelineInput};
 
 /// Figure 6 output.
 pub struct Fig6 {
@@ -46,30 +44,18 @@ pub fn run_with_inputs<'a>(
     study: &BgpStudy,
     make_input: impl Fn() -> PipelineInput<'a>,
 ) -> Fig6 {
-    run_with_inputs_mode(study, make_input, PipelineMode::Incremental)
-}
-
-/// [`run_with_inputs`] with an explicit [`PipelineMode`] — the
-/// determinism suite forces [`PipelineMode::FullRecompute`] here to
-/// prove the incremental archive path changes no figure byte.
-pub fn run_with_inputs_mode<'a>(
-    study: &BgpStudy,
-    make_input: impl Fn() -> PipelineInput<'a>,
-    mode: PipelineMode,
-) -> Fig6 {
     let span = study.world.span;
     let baseline = {
         let _sp = obs::span!("fig6_baseline");
-        run_pipeline_with_mode(make_input(), span, &InferenceConfig::baseline(), None, mode)
+        run_pipeline(make_input(), span, &InferenceConfig::baseline(), None)
     };
     let extended = {
         let _sp = obs::span!("fig6_extended");
-        run_pipeline_with_mode(
+        run_pipeline(
             make_input(),
             span,
             &InferenceConfig::extended(),
             Some(&study.as2org),
-            mode,
         )
     };
     let _agg = obs::span!("study_aggregation");

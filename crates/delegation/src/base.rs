@@ -1,13 +1,12 @@
 //! Steps (i)–(iv) of the per-day inference.
 
 use crate::config::InferenceConfig;
-use bgpsim::observe::ObservationDay;
+use bgpsim::observe::{ObservationDay, RouteObservation};
 use nettypes::asn::{Asn, Origin};
 use nettypes::bogons::{route_is_clean, BogonFilter};
 use nettypes::prefix::Prefix;
 use nettypes::trie::PrefixTrie;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// An inferred delegation `P'_{S,T}`: S originates the covering P and
 /// delegates the more-specific P' to T.
@@ -31,82 +30,75 @@ impl Delegation {
     }
 }
 
+/// The step (ii) visibility threshold: the minimum number of monitors
+/// that must see a route out of `num_monitors`.
+pub(crate) fn visibility_threshold(config: &InferenceConfig, num_monitors: u16) -> u16 {
+    // lint:allow(L1): a ceil of a fraction of a u16 count fits u16
+    (config.visibility_threshold * num_monitors as f64).ceil() as u16
+}
+
 /// Sanitize and reduce a day's observations to globally-visible,
 /// single-origin prefix-origin pairs (steps i–iii plus the route
 /// sanitization from §4: no bogons, no reserved ASNs, no AS-path
-/// loops).
+/// loops), sorted by prefix.
 pub fn visible_prefix_origins(
     day: &ObservationDay,
     config: &InferenceConfig,
 ) -> Vec<(Prefix, Asn)> {
-    let threshold = (config.visibility_threshold * day.num_monitors as f64).ceil() as u16;
-    let bogons = BogonFilter::new();
-
-    // prefix → origins surviving visibility + sanitization.
-    let mut origins: HashMap<Prefix, Vec<Asn>> = HashMap::new();
-    let mut saw_as_set: HashMap<Prefix, bool> = HashMap::new();
-    for r in &day.routes {
-        if r.monitors_seen < threshold.max(1) {
-            continue; // step (ii)
-        }
-        match &r.origin {
-            Origin::Set(_) => {
-                if config.drop_as_sets {
-                    saw_as_set.insert(r.prefix, true); // step (iii), AS_SET
-                }
-            }
-            Origin::Single(asn) => {
-                if !route_is_clean(&bogons, &r.prefix, &r.path) {
-                    continue;
-                }
-                // For routes without a rendered path, still check the
-                // origin against the reserved table.
-                if r.path.is_empty() && asn.is_reserved() {
-                    continue;
-                }
-                let v = origins.entry(r.prefix).or_default();
-                if !v.contains(asn) {
-                    v.push(*asn);
-                }
-            }
-        }
-    }
-
-    origins
-        .into_iter()
-        .filter(|(p, asns)| {
-            if config.drop_as_sets && saw_as_set.get(p).copied().unwrap_or(false) {
-                return false;
-            }
-            if config.drop_moas && asns.len() > 1 {
-                return false; // step (iii), MOAS
-            }
-            !asns.is_empty()
-        })
-        .map(|(p, asns)| (p, asns[0]))
-        .collect()
+    let threshold = visibility_threshold(config, day.num_monitors);
+    let mut rows: Vec<&RouteObservation> = day.routes.iter().collect();
+    // Stable: each prefix's rows keep their day order, which decides
+    // the surviving origin when MOAS prefixes are kept.
+    rows.sort_by_key(|r| r.prefix);
+    reduce_grouped(
+        &BogonFilter::new(),
+        config,
+        threshold,
+        rows.iter().map(|r| (r.prefix, &r.origin, r.monitors_seen, &r.path[..])),
+    )
 }
 
-/// Steps (i)–(iii) for a single prefix, fed its observation rows in
-/// day-surface order (ascending origin rendering, the order archive-
-/// derived observation days list them). Returns the surviving origin,
-/// or `None` when the prefix is dropped.
+/// [`origin_for_prefix`] over rows grouped by prefix (each prefix's
+/// rows contiguous): the surviving pairs, in row order.
+pub(crate) fn reduce_grouped<'a>(
+    bogons: &BogonFilter,
+    config: &InferenceConfig,
+    threshold: u16,
+    rows: impl Iterator<Item = (Prefix, &'a Origin, u16, &'a [Asn])>,
+) -> Vec<(Prefix, Asn)> {
+    let mut rows = rows.peekable();
+    let mut out = Vec::new();
+    while let Some(&(p, ..)) = rows.peek() {
+        let group = std::iter::from_fn(|| {
+            rows.next_if(|r| r.0 == p).map(|(_, o, seen, path)| (o, seen, path))
+        });
+        if let Some(a) = origin_for_prefix(bogons, config, threshold, p, group) {
+            out.push((p, a));
+        }
+    }
+    out
+}
+
+/// Steps (i)–(iii) for a single prefix, fed its observation rows
+/// `(origin, monitors seen, AS path)` in day order. Returns the
+/// surviving origin, or `None` when the prefix is dropped.
 ///
-/// Matches [`visible_prefix_origins`] exactly for observation days
-/// without rendered paths (the archive surface carries none): the
-/// visibility threshold, AS_SET and MOAS handling, bogon-prefix
-/// sanitization, and the reserved-origin check are the same, and the
-/// first-surviving-origin MOAS pick follows the row order.
+/// Step (ii) drops rows below the visibility `threshold`; step (iii)
+/// drops the prefix if any visible row has an AS_SET origin (with
+/// `drop_as_sets`) or if visible rows disagree on the origin (with
+/// `drop_moas`, else the first origin wins). Rows failing the §4
+/// sanitization — bogon prefix, reserved ASN or loop on the path, or
+/// a reserved origin (archive rows carry no path) — are ignored.
 pub fn origin_for_prefix<'a>(
     bogons: &BogonFilter,
     config: &InferenceConfig,
     threshold: u16,
     prefix: Prefix,
-    rows: impl IntoIterator<Item = (&'a Origin, u16)>,
+    rows: impl IntoIterator<Item = (&'a Origin, u16, &'a [Asn])>,
 ) -> Option<Asn> {
     let mut asns: Vec<Asn> = Vec::new();
     let mut saw_as_set = false;
-    for (origin, seen) in rows {
+    for (origin, seen, path) in rows {
         if seen < threshold.max(1) {
             continue; // step (ii)
         }
@@ -117,10 +109,7 @@ pub fn origin_for_prefix<'a>(
                 }
             }
             Origin::Single(asn) => {
-                if !route_is_clean(bogons, &prefix, &[]) {
-                    continue;
-                }
-                if asn.is_reserved() {
+                if !route_is_clean(bogons, &prefix, path) || asn.is_reserved() {
                     continue;
                 }
                 if !asns.contains(asn) {
@@ -173,7 +162,6 @@ pub fn infer_base_delegations(day: &ObservationDay, config: &InferenceConfig) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpsim::observe::RouteObservation;
     use nettypes::date::Date;
     use nettypes::prefix::pfx;
 

@@ -115,7 +115,7 @@ mod tests {
     use super::*;
     use crate::config::InferenceConfig;
     use crate::pipeline::{run_pipeline, PipelineInput};
-    use bgpsim::observe::{render_day, ObservationDay, VisibilityModel};
+    use bgpsim::observe::{render_days, ObservationDay, VisibilityModel};
     use bgpsim::scenario::WorldConfig;
     use bgpsim::topology::TopologyConfig;
     use nettypes::date::{date, DateRange};
@@ -141,12 +141,7 @@ mod tests {
             num_scrubbing: 3,
             ..Default::default()
         });
-        let model = VisibilityModel::default();
-        let days: Vec<ObservationDay> = w
-            .span
-            .iter()
-            .map(|d| render_day(&w, &model, d))
-            .collect();
+        let days = render_days(&w, &VisibilityModel::default(), w.span);
         (w, days)
     }
 

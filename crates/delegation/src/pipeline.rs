@@ -1,22 +1,26 @@
 //! The daily inference pipeline.
 //!
 //! Drives the full §4 procedure over a date range: fetch each day's
-//! observations from a collector archive (with the paper's missing-
-//! file fallback), run steps (i)–(iv), apply extension (iv) per day
-//! and extension (v) across days.
+//! observations (from an RFC 6396 collector archive with the paper's
+//! missing-file fallback, or from pre-rendered days), run steps
+//! (i)–(iv), apply extension (iv) per day and extension (v) across
+//! days.
 //!
-//! Per-day inference is embarrassingly parallel; days are fanned out
-//! over the shared worker pool (`bgpsim::par`) before the sequential
-//! consistency fill. Results merge in day order, so parallel runs are
-//! identical to sequential ones.
+//! Both inputs go through one walk. The span is split into one
+//! contiguous day range per worker (`bgpsim::par::chunk_ranges`); each
+//! worker walks its days in order, and chunk results merge in day
+//! order before the sequential consistency fill, so any worker count
+//! produces the same result.
 
 use crate::as2org::As2OrgSeries;
-use crate::base::{infer_base_delegations, infer_from_pairs, origin_for_prefix, Delegation};
+use crate::base::{
+    infer_from_pairs, origin_for_prefix, reduce_grouped, visibility_threshold,
+    visible_prefix_origins, Delegation,
+};
 use crate::config::InferenceConfig;
 use crate::extensions::{consistency_fill, filter_intra_org};
-use bgpsim::collector::CollectorArchive;
 use bgpsim::observe::ObservationDay;
-use bgpsim::updates::{CollectorArchiveV2, Provenance};
+use bgpsim::updates::{CollectorArchiveV2, ObservationSweep, Provenance};
 use nettypes::asn::Asn;
 use nettypes::bogons::BogonFilter;
 use nettypes::date::{Date, DateRange};
@@ -25,10 +29,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Where the pipeline reads observations from.
+#[derive(Clone, Copy)]
 pub enum PipelineInput<'a> {
-    /// A collector archive (bytes on "disk", decoded per day, with
-    /// forward fallback for missing days).
-    Archive(&'a CollectorArchive),
     /// An RFC 6396 MRT archive: periodic `TABLE_DUMP_V2` RIBs plus
     /// daily `BGP4MP` update files, reconstructed per the paper's
     /// procedure (the most faithful input path).
@@ -64,16 +66,93 @@ impl DailyDelegations {
     }
 }
 
-/// How the pipeline walks an MRT archive.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PipelineMode {
-    /// Walk the span with a persistent [`bgpsim::updates::ObservationSweep`]
-    /// and re-run steps (i)–(iii) only for prefixes whose observation
-    /// surface changed since the previous day. The default.
-    Incremental,
-    /// Reconstruct every day from scratch (`day_view` per day, full
-    /// steps (i)–(iv)) — the pre-incremental oracle path.
-    FullRecompute,
+/// How one worker's days arrive: as the deltas of a persistent archive
+/// sweep, or as full re-reduces of the borrowed pre-rendered days.
+enum DayRows<'a> {
+    /// A [`bgpsim::updates::ObservationSweep`] seeded with one full
+    /// reconstruction at the chunk start, then one update-file decode
+    /// per day. The maintained `prefix → origin` pair map is
+    /// re-evaluated only for the prefixes the sweep reports changed.
+    Sweep {
+        sweep: Box<ObservationSweep<'a>>,
+        bogons: BogonFilter,
+        pairs: BTreeMap<Prefix, Asn>,
+    },
+    /// Every day reduced from scratch.
+    Days(&'a [ObservationDay]),
+}
+
+impl<'a> DayRows<'a> {
+    fn new(input: PipelineInput<'a>) -> DayRows<'a> {
+        match input {
+            PipelineInput::MrtArchive(archive) => DayRows::Sweep {
+                sweep: Box::new(archive.sweep()),
+                bogons: BogonFilter::new(),
+                pairs: BTreeMap::new(),
+            },
+            PipelineInput::Days(days) => DayRows::Days(days),
+        }
+    }
+
+    /// Steps (i)–(iii) for day `i` of the span (date `d`): the
+    /// surviving prefix-origin pairs in prefix order, and whether the
+    /// forward fallback served the day. `None` when the day has no
+    /// data.
+    fn pairs(
+        &mut self,
+        config: &InferenceConfig,
+        i: usize,
+        d: Date,
+    ) -> Option<(Vec<(Prefix, Asn)>, bool)> {
+        let (sweep, bogons, pairs) = match self {
+            DayRows::Days(days) => {
+                return days.get(i).map(|day| (visible_prefix_origins(day, config), false));
+            }
+            DayRows::Sweep {
+                sweep,
+                bogons,
+                pairs,
+            } => (sweep, bogons, pairs),
+        };
+        let delta = sweep.advance(d).ok()?;
+        // Constant while the sweep stays anchored (the peer table only
+        // changes on full rebuilds, where `changed` is None).
+        let threshold = visibility_threshold(config, sweep.num_monitors());
+        match &delta.changed {
+            // Full rebuild: re-reduce every prefix, walking the
+            // aggregated surface in its day order.
+            None => {
+                let rows = sweep
+                    .counts()
+                    .iter()
+                    .map(|((p, _), (o, seen))| (*p, o, *seen, &[][..]));
+                *pairs = reduce_grouped(bogons, config, threshold, rows)
+                    .into_iter()
+                    .collect();
+            }
+            Some(changed) => {
+                for &p in changed {
+                    let rows = sweep.routes_for(p).map(|(o, seen)| (o, seen, &[][..]));
+                    match origin_for_prefix(bogons, config, threshold, p, rows) {
+                        Some(a) => pairs.insert(p, a),
+                        None => pairs.remove(&p),
+                    };
+                }
+            }
+        }
+        let fallback = matches!(delta.provenance, Provenance::FallbackRib { .. });
+        Some((pairs.iter().map(|(&p, &a)| (p, a)).collect(), fallback))
+    }
+}
+
+/// One day's outcome inside a chunk walk.
+enum DayOutcome {
+    Missing,
+    Served {
+        delegations: Vec<Delegation>,
+        removed: usize,
+        fallback: bool,
+    },
 }
 
 /// Run the pipeline over `span`.
@@ -86,171 +165,15 @@ pub fn run_pipeline(
     config: &InferenceConfig,
     as2org: Option<&As2OrgSeries>,
 ) -> DailyDelegations {
-    run_pipeline_with_mode(input, span, config, as2org, PipelineMode::Incremental)
-}
-
-/// [`run_pipeline`] with an explicit [`PipelineMode`]. The mode only
-/// affects [`PipelineInput::MrtArchive`]; both modes produce identical
-/// results (the incremental walk is proven against the full recompute
-/// by the determinism suite).
-pub fn run_pipeline_with_mode(
-    input: PipelineInput<'_>,
-    span: DateRange,
-    config: &InferenceConfig,
-    as2org: Option<&As2OrgSeries>,
-    mode: PipelineMode,
-) -> DailyDelegations {
     assert!(
         !config.filter_intra_org || as2org.is_some(),
         "extension (iv) requires an AS-to-Org series"
     );
+    let as2org = as2org.filter(|_| config.filter_intra_org);
 
     let sp = obs::span!("delegation_inference", days = span.num_days() as u64, unit = "days");
     sp.add_items(span.num_days() as u64);
 
-    if let (PipelineInput::MrtArchive(archive), PipelineMode::Incremental) = (&input, mode) {
-        return run_mrt_incremental(archive, span, config, as2org);
-    }
-
-    let mut fallback_days = Vec::new();
-    let mut missing_days = Vec::new();
-
-    // Materialize the day observations (archive decode or borrow).
-    let fetch_sp = obs::span!("fetch_observations");
-    let mut observations: Vec<Option<ObservationDay>> =
-        Vec::with_capacity(span.num_days() as usize);
-    match input {
-        PipelineInput::Archive(archive) => {
-            for d in span.iter() {
-                match archive.fetch_day(d) {
-                    bgpsim::collector::DayData::Exact(obs) => observations.push(Some(obs)),
-                    bgpsim::collector::DayData::FallbackFrom(_, obs) => {
-                        fallback_days.push(d);
-                        observations.push(Some(obs));
-                    }
-                    bgpsim::collector::DayData::Unavailable => {
-                        missing_days.push(d);
-                        observations.push(None);
-                    }
-                }
-            }
-        }
-        PipelineInput::MrtArchive(archive) => {
-            for d in span.iter() {
-                match archive.day_view(d) {
-                    Ok(view) => {
-                        if let Provenance::FallbackRib { .. } = view.provenance {
-                            fallback_days.push(d);
-                        }
-                        observations.push(Some(view.to_observation_day()));
-                    }
-                    Err(_) => {
-                        missing_days.push(d);
-                        observations.push(None);
-                    }
-                }
-            }
-        }
-        PipelineInput::Days(days) => {
-            for (i, d) in span.iter().enumerate() {
-                match days.get(i) {
-                    Some(obs) => observations.push(Some(obs.clone())),
-                    None => {
-                        missing_days.push(d);
-                        observations.push(None);
-                    }
-                }
-            }
-        }
-    }
-
-    if !fallback_days.is_empty() {
-        obs::event!(
-            obs::Level::Warn,
-            "archive_fallback_days",
-            count = fallback_days.len(),
-        );
-    }
-    drop(fetch_sp);
-
-    // Parallel per-day inference + extension (iv), merged in day order.
-    let infer_sp = obs::span!("infer_days", unit = "routes");
-    let n = observations.len();
-    if infer_sp.is_enabled() {
-        let routes: usize = observations
-            .iter()
-            .flatten()
-            .map(|o| o.routes.len())
-            .sum();
-        infer_sp.add_items(routes as u64);
-    }
-    let per_day: Vec<(Vec<Delegation>, usize)> = bgpsim::par::par_map(n, |gi| {
-        let Some(obs) = &observations[gi] else {
-            return (Vec::new(), 0);
-        };
-        let mut delegs = infer_base_delegations(obs, config);
-        let mut removed = 0;
-        if config.filter_intra_org {
-            let date = span.start + gi as i64;
-            let (kept, r) =
-                filter_intra_org(delegs, as2org.expect("checked above"), date);
-            delegs = kept;
-            removed = r;
-        }
-        (delegs, removed)
-    });
-    let mut days: Vec<Vec<Delegation>> = Vec::with_capacity(n);
-    let mut removed_counts: Vec<usize> = Vec::with_capacity(n);
-    for (d, r) in per_day {
-        days.push(d);
-        removed_counts.push(r);
-    }
-    drop(infer_sp);
-
-    // Extension (v): sequential consistency fill across days.
-    let days = if let Some(max_gap) = config.consistency_fill_days {
-        let _fill_sp = obs::span!("consistency_fill", max_gap = max_gap as u64);
-        consistency_fill(&days, max_gap)
-    } else {
-        days
-    };
-
-    DailyDelegations {
-        start: span.start,
-        days,
-        fallback_days,
-        missing_days,
-        intra_org_removed: removed_counts.iter().sum(),
-    }
-}
-
-/// One day's outcome inside an incremental chunk walk.
-enum DayOutcome {
-    Missing,
-    Served {
-        delegations: Vec<Delegation>,
-        removed: usize,
-        fallback: bool,
-    },
-}
-
-/// The incremental MRT path: fetch and steps (i)–(iii) fused into one
-/// chunked walk.
-///
-/// The span is split into one contiguous day range per worker
-/// (`bgpsim::par::chunk_ranges`); each worker runs a persistent
-/// [`bgpsim::updates::ObservationSweep`] seeded with one full
-/// reconstruction at its chunk start, then pays one update-file decode
-/// per day. A maintained `prefix → origin` pair map is re-evaluated
-/// only for the prefixes the sweep reports changed; step (iv) and
-/// extension (iv) run per day as before, and chunk results merge in
-/// day order, so any worker count produces the full-recompute result.
-fn run_mrt_incremental(
-    archive: &CollectorArchiveV2,
-    span: DateRange,
-    config: &InferenceConfig,
-    as2org: Option<&As2OrgSeries>,
-) -> DailyDelegations {
     let days_vec: Vec<Date> = span.iter().collect();
     let n = days_vec.len();
     let sweep_sp = obs::span!("sweep_infer_days", days = n as u64, unit = "days");
@@ -258,71 +181,24 @@ fn run_mrt_incremental(
 
     let ranges = bgpsim::par::chunk_ranges(n, bgpsim::par::num_threads());
     let per_day: Vec<DayOutcome> = bgpsim::par::map_chunked_with(&ranges, |r| {
-        let mut sweep = archive.sweep();
-        let bogons = BogonFilter::new();
-        let mut pairs: BTreeMap<Prefix, Asn> = BTreeMap::new();
-        let mut out = Vec::with_capacity(r.len());
-        for i in r {
+        let mut rows = DayRows::new(input);
+        r.map(|i| {
             let d = days_vec[i];
-            let delta = match sweep.advance(d) {
-                Ok(delta) => delta,
-                Err(_) => {
-                    out.push(DayOutcome::Missing);
-                    continue;
-                }
+            let Some((pairs, fallback)) = rows.pairs(config, i, d) else {
+                return DayOutcome::Missing;
             };
-            // Constant while the sweep stays anchored (the peer table
-            // only changes on full rebuilds, where `changed` is None).
-            let threshold =
-                // lint:allow(L1): a ceil of a fraction of a u16 count fits u16
-                (config.visibility_threshold * sweep.num_monitors() as f64).ceil() as u16;
-            match &delta.changed {
-                None => {
-                    // Full rebuild: re-reduce every prefix, walking the
-                    // aggregated surface in its day order.
-                    pairs.clear();
-                    let mut rows = sweep.counts().iter().peekable();
-                    while let Some(((prefix, _), _)) = rows.peek().copied() {
-                        let p = *prefix;
-                        let group = std::iter::from_fn(|| {
-                            rows.next_if(|((q, _), _)| *q == p)
-                                .map(|(_, (o, c))| (o, *c))
-                        });
-                        if let Some(a) = origin_for_prefix(&bogons, config, threshold, p, group) {
-                            pairs.insert(p, a);
-                        }
-                    }
-                }
-                Some(changed) => {
-                    for &p in changed {
-                        match origin_for_prefix(&bogons, config, threshold, p, sweep.routes_for(p))
-                        {
-                            Some(a) => {
-                                pairs.insert(p, a);
-                            }
-                            None => {
-                                pairs.remove(&p);
-                            }
-                        }
-                    }
-                }
-            }
-            let pair_list: Vec<(Prefix, Asn)> = pairs.iter().map(|(&p, &a)| (p, a)).collect();
-            let mut delegations = infer_from_pairs(&pair_list);
+            let mut delegations = infer_from_pairs(&pairs);
             let mut removed = 0;
-            if config.filter_intra_org {
-                // lint:allow(L2): non-None asserted at pipeline entry
-                let (kept, r) = filter_intra_org(delegations, as2org.expect("checked above"), d);
-                delegations = kept;
-                removed = r;
+            if let Some(as2org) = as2org {
+                (delegations, removed) = filter_intra_org(delegations, as2org, d);
             }
-            out.push(DayOutcome::Served {
+            DayOutcome::Served {
                 delegations,
                 removed,
-                fallback: matches!(delta.provenance, Provenance::FallbackRib { .. }),
-            });
-        }
-        out
+                fallback,
+            }
+        })
+        .collect()
     });
     drop(sweep_sp);
 
@@ -357,6 +233,7 @@ fn run_mrt_incremental(
         );
     }
 
+    // Extension (v): sequential consistency fill across days.
     let days = if let Some(max_gap) = config.consistency_fill_days {
         let _fill_sp = obs::span!("consistency_fill", max_gap = max_gap as u64);
         consistency_fill(&days, max_gap)
@@ -376,9 +253,10 @@ fn run_mrt_incremental(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpsim::observe::{render_day, VisibilityModel};
+    use bgpsim::observe::{render_days, VisibilityModel};
     use bgpsim::scenario::{LeaseWorld, WorldConfig};
     use bgpsim::topology::TopologyConfig;
+    use bgpsim::updates::ArchiveV2Config;
     use nettypes::date::date;
 
     fn world_and_days() -> (LeaseWorld, Vec<ObservationDay>) {
@@ -401,13 +279,23 @@ mod tests {
             num_scrubbing: 2,
             ..Default::default()
         });
-        let model = VisibilityModel::default();
-        let days: Vec<ObservationDay> = w
-            .span
-            .iter()
-            .map(|d| render_day(&w, &model, d))
-            .collect();
+        let days = render_days(&w, &VisibilityModel::default(), w.span);
         (w, days)
+    }
+
+    /// The world's RFC 6396 archive: RIBs every 7 days from Jan 1
+    /// (Jan 8, 15, 22, 29, Feb 5, 12, 19, 26), an update file every
+    /// later day.
+    fn world_and_archive() -> (LeaseWorld, CollectorArchiveV2) {
+        let (w, _) = world_and_days();
+        let archive = CollectorArchiveV2::generate(
+            &w,
+            &VisibilityModel::default(),
+            w.span,
+            &ArchiveV2Config::default(),
+        )
+        .expect("archive encodes");
+        (w, archive)
     }
 
     #[test]
@@ -494,40 +382,46 @@ mod tests {
 
     #[test]
     fn archive_input_with_gaps_uses_fallback() {
-        let (w, days) = world_and_days();
-        let mut archive = CollectorArchive::new();
-        for d in &days {
-            archive.store(d);
-        }
-        // Punch two holes mid-window.
-        archive.drop_day(date("2018-01-15"));
-        archive.drop_day(date("2018-02-10"));
+        let (w, mut archive) = world_and_archive();
+        // Punch two holes mid-window: each day from a missing update
+        // file up to the next RIB is served by that RIB.
+        assert!(archive.drop_update_file(date("2018-01-10")));
+        assert!(archive.drop_update_file(date("2018-02-10")));
         let result = run_pipeline(
-            PipelineInput::Archive(&archive),
+            PipelineInput::MrtArchive(&archive),
             w.span,
             &InferenceConfig::baseline(),
             None,
         );
-        assert_eq!(result.fallback_days, vec![date("2018-01-15"), date("2018-02-10")]);
+        let fallback: Vec<Date> = DateRange::new(date("2018-01-10"), date("2018-01-14"))
+            .iter()
+            .chain(DateRange::new(date("2018-02-10"), date("2018-02-11")).iter())
+            .collect();
+        assert_eq!(result.fallback_days, fallback);
         assert!(result.missing_days.is_empty());
         assert_eq!(result.days.len() as i64, w.span.num_days());
     }
 
     #[test]
     fn trailing_gap_reported_missing() {
-        let (w, days) = world_and_days();
-        let mut archive = CollectorArchive::new();
-        for d in &days[..days.len() - 3] {
-            archive.store(d);
+        let (w, mut archive) = world_and_archive();
+        // No RIB and no update file for the last 3 days.
+        assert!(archive.drop_rib(date("2018-02-26")));
+        for d in DateRange::new(date("2018-02-26"), w.span.end).iter() {
+            assert!(archive.drop_update_file(d));
         }
         let result = run_pipeline(
-            PipelineInput::Archive(&archive),
+            PipelineInput::MrtArchive(&archive),
             w.span,
             &InferenceConfig::baseline(),
             None,
         );
-        assert_eq!(result.missing_days.len(), 3);
-        assert_eq!(result.missing_days[2], w.span.end);
+        assert_eq!(
+            result.missing_days,
+            vec![date("2018-02-26"), date("2018-02-27"), date("2018-02-28")]
+        );
+        assert!(result.fallback_days.is_empty());
+        assert!(result.days[result.days.len() - 3..].iter().all(Vec::is_empty));
     }
 
     #[test]

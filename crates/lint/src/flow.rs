@@ -263,8 +263,8 @@ pub fn hash_flow_findings(lexed: &Lexed<'_>, tree: &ItemTree) -> Vec<(usize, &'s
     let mut symbol_mentions: BTreeMap<String, Vec<(usize, &'static str)>> = BTreeMap::new();
     let mut import_mentions: Vec<(usize, &'static str)> = Vec::new();
     let mut symbols: BTreeSet<String> = BTreeSet::new();
-    for i in 0..toks.len() {
-        if toks[i].kind != TokenKind::Ident {
+    for (i, tok) in toks.iter().enumerate() {
+        if tok.kind != TokenKind::Ident {
             continue;
         }
         let kind: &'static str = match lexed.text(i) {
@@ -272,7 +272,7 @@ pub fn hash_flow_findings(lexed: &Lexed<'_>, tree: &ItemTree) -> Vec<(usize, &'s
             "HashSet" => "HashSet",
             _ => continue,
         };
-        let line = toks[i].line;
+        let line = tok.line;
         match classify_mention(lexed, i) {
             Mention::Import => import_mentions.push((line, kind)),
             Mention::Symbol(sym) => {
@@ -415,10 +415,9 @@ fn has_hazardous_iteration(
             && ITER_METHODS.contains(&lexed.text(i + 2))
             && i + 3 < toks.len()
             && lexed.is_punct(i + 3, b'(')
+            && statement_is_hazardous(lexed, i)
         {
-            if statement_is_hazardous(lexed, i) {
-                return true;
-            }
+            return true;
         }
     }
     false
@@ -446,8 +445,8 @@ fn for_header(lexed: &Lexed<'_>, i: usize) -> Option<(usize, usize)> {
 /// buffer/encoder method call)?
 fn range_has_sink(lexed: &Lexed<'_>, from: usize, to: usize) -> bool {
     let toks = &lexed.tokens;
-    for j in from..to {
-        if toks[j].kind != TokenKind::Ident {
+    for (j, tok) in toks.iter().enumerate().take(to).skip(from) {
+        if tok.kind != TokenKind::Ident {
             continue;
         }
         let w = lexed.text(j);

@@ -184,11 +184,9 @@ fn collect_decls(
                     }
                 }
             }
-            ItemKind::Static => {
-                if !it.name.is_empty() && static_is_lock(lx, it.line_range) {
-                    nodes.insert(it.name.clone());
-                    statics.insert(it.name.clone());
-                }
+            ItemKind::Static if !it.name.is_empty() && static_is_lock(lx, it.line_range) => {
+                nodes.insert(it.name.clone());
+                statics.insert(it.name.clone());
             }
             _ => {}
         }
@@ -573,7 +571,7 @@ impl<'a, 'src> FnWalker<'a, 'src> {
         }
         // chain[0] is the segment closest to the lock call.
         let leaf = *chain.first()?;
-        let via_self = chain.iter().any(|&w| w == "self");
+        let via_self = chain.contains(&"self");
         if via_self {
             if let Some(ty) = self.self_ty {
                 let node = format!("{ty}.{leaf}");

@@ -3,54 +3,55 @@
 //! where the paper defines a fallback — produce near-identical
 //! results.
 
-use bgpsim::collector::CollectorArchive;
-use bgpsim::mrt::{decode_day, encode_day};
+use bgpsim::mrt2::{decode_file, decode_file_lossy, Mrt2Error};
+use bgpsim::updates::{ArchiveV2Config, CollectorArchiveV2};
 use bytes::Bytes;
 use delegation::config::InferenceConfig;
 use delegation::eval::evaluate_against_truth;
 use delegation::pipeline::{run_pipeline, PipelineInput};
-use drywells::experiments::build_bgp_study;
+use drywells::experiments::{build_bgp_study, BgpStudy};
 use drywells::StudyConfig;
 use rdap::database::{DbBuildConfig, WhoisDb};
 use rdap::pipeline::{extract_delegations, PipelineConfig};
 use rdap::server::RdapServer;
 
+/// The study's RFC 6396 archive: a RIB every 7 days, an update file
+/// every day after the first.
+fn archive_of(study: &BgpStudy) -> CollectorArchiveV2 {
+    CollectorArchiveV2::generate(
+        &study.world,
+        study.visibility_model(),
+        study.world.span,
+        &ArchiveV2Config::default(),
+    )
+    .expect("archive encodes")
+}
+
 #[test]
 fn archive_gaps_barely_move_the_results() {
     let study = build_bgp_study(&StudyConfig::quick_seeded(5));
     let span = study.world.span;
+    let clean = archive_of(&study);
 
-    let mut clean = CollectorArchive::new();
-    for d in &study.days {
-        clean.store(d);
-    }
-    // Damage ~10 % of days: drop some, corrupt others.
+    // Damage ~10 % of days: drop some update files and a RIB, cut
+    // others to a third.
     let mut damaged = clean.clone();
-    let n = study.days.len();
-    for i in (3..n).step_by(17) {
-        damaged.drop_day(study.days[i].date);
+    let days: Vec<_> = span.iter().collect();
+    for i in (3..days.len()).step_by(17) {
+        assert!(damaged.drop_update_file(days[i]));
     }
-    for i in (9..n).step_by(23) {
-        let date = study.days[i].date;
-        let mut bytes = encode_day(&study.days[i]).unwrap().to_vec();
-        let cut = bytes.len() / 3;
-        bytes.truncate(cut);
-        damaged.store_raw(date, Bytes::from(bytes));
+    assert!(damaged.drop_rib(days[35]));
+    for i in (9..days.len()).step_by(23) {
+        let mut bytes = clean.update_bytes(days[i]).expect("update file").to_vec();
+        bytes.truncate(bytes.len() / 3);
+        damaged.corrupt_update_file(days[i], Bytes::from(bytes));
     }
 
     let cfg = InferenceConfig::extended();
-    let clean_run = run_pipeline(
-        PipelineInput::Archive(&clean),
-        span,
-        &cfg,
-        Some(&study.as2org),
-    );
-    let damaged_run = run_pipeline(
-        PipelineInput::Archive(&damaged),
-        span,
-        &cfg,
-        Some(&study.as2org),
-    );
+    let clean_run = run_pipeline(PipelineInput::MrtArchive(&clean), span, &cfg, Some(&study.as2org));
+    let damaged_run =
+        run_pipeline(PipelineInput::MrtArchive(&damaged), span, &cfg, Some(&study.as2org));
+    assert!(clean_run.fallback_days.is_empty());
     assert!(!damaged_run.fallback_days.is_empty());
 
     let e_clean = evaluate_against_truth(&study.world, &clean_run);
@@ -72,44 +73,74 @@ fn archive_gaps_barely_move_the_results() {
 fn fully_corrupted_archive_yields_empty_but_sane_result() {
     let study = build_bgp_study(&StudyConfig::quick_seeded(6));
     let span = study.world.span;
-    let mut archive = CollectorArchive::new();
-    for d in &study.days {
-        archive.store_raw(d.date, Bytes::from_static(b"not an mrt file"));
+    let mut archive = archive_of(&study);
+    let garbage = Bytes::from_static(b"not an mrt file");
+    for d in archive.rib_dates().collect::<Vec<_>>() {
+        archive.corrupt_rib(d, garbage.clone());
+    }
+    for d in archive.update_dates().collect::<Vec<_>>() {
+        archive.corrupt_update_file(d, garbage.clone());
     }
     let result = run_pipeline(
-        PipelineInput::Archive(&archive),
+        PipelineInput::MrtArchive(&archive),
         span,
         &InferenceConfig::baseline(),
         None,
     );
     assert_eq!(result.missing_days.len() as i64, span.num_days());
+    assert!(result.fallback_days.is_empty());
     assert!(result.days.iter().all(Vec::is_empty));
+}
+
+/// Every cut and a spread of bit flips over one file: strict decoding
+/// never panics and fails only with typed errors, and lossy decoding
+/// accounts for every byte.
+fn sweep_damage(name: &str, bytes: &[u8]) {
+    let full = decode_file(bytes).expect("undamaged file decodes");
+    // Cuts: every one in the first 600 bytes, then ~600 spread over
+    // the rest of the file.
+    let stride = (bytes.len() / 600).max(1);
+    let cuts = (0..bytes.len().min(600)).chain((600..=bytes.len()).step_by(stride));
+    for cut in cuts {
+        let part = &bytes[..cut];
+        // A file cut at a record boundary is a shorter valid file;
+        // anywhere else the strict decoder reports the truncation.
+        let (lossy, stats) = decode_file_lossy(part);
+        match decode_file(part) {
+            Ok(records) => {
+                assert_eq!(records[..], full[..records.len()], "{name}: cut at {cut}");
+                assert!(!stats.aborted, "{name}: cut at {cut}");
+            }
+            Err(e) => {
+                assert_eq!(e, Mrt2Error::Truncated, "{name}: cut at {cut}");
+                assert!(stats.aborted, "{name}: cut at {cut}");
+            }
+        }
+        assert_eq!(lossy[..], full[..lossy.len()], "{name}: cut at {cut}");
+        assert_eq!(stats.bytes_scanned + stats.bytes_unscanned, cut, "{name}: cut at {cut}");
+    }
+    // Bit flips: strict decoding either yields records or fails with a
+    // decode-side error; lossy accounting always balances.
+    let stride = (bytes.len() / 400).max(1);
+    for i in (0..bytes.len()).step_by(stride) {
+        let mut b = bytes.to_vec();
+        b[i] ^= 0x40;
+        if let Err(e) = decode_file(&b) {
+            assert!(!matches!(e, Mrt2Error::TooLong { .. }), "{name}: flip at {i}: {e:?}");
+        }
+        let (_, stats) = decode_file_lossy(&b);
+        assert_eq!(stats.bytes_scanned + stats.bytes_unscanned, b.len(), "{name}: flip at {i}");
+    }
 }
 
 #[test]
 fn mrt_bitflips_never_panic_and_roundtrip_detects() {
     let study = build_bgp_study(&StudyConfig::quick_seeded(7));
-    let day = &study.days[10];
-    let bytes = encode_day(day).unwrap();
-    // Exhaustive single-byte truncations.
-    for cut in 0..bytes.len().min(600) {
-        let _ = decode_day(&bytes[..cut]);
-    }
-    // Deterministic bit flips across the file.
-    let mut flipped = 0;
-    for i in (0..bytes.len()).step_by(7) {
-        let mut b = bytes.to_vec();
-        b[i] ^= 0x40;
-        if let Ok(decoded) = decode_day(&b) {
-            // A successful decode of a flipped file must differ OR the
-            // flip hit a byte that round-trips equivalently (e.g. a
-            // float-free field encoding the same value) — but it must
-            // never equal the original if a semantic field changed.
-            let _ = decoded;
-        }
-        flipped += 1;
-    }
-    assert!(flipped > 0);
+    let archive = archive_of(&study);
+    let day = study.world.span.start + 10;
+    let rib = archive.rib_dates().nth(1).expect("a second RIB");
+    sweep_damage("rib", archive.rib_bytes(rib).expect("RIB file"));
+    sweep_damage("updates", archive.update_bytes(day).expect("update file"));
 }
 
 #[test]

@@ -6,11 +6,10 @@
 //! rendered figures, CSV exports — may depend on the thread count.
 //! These tests pin that contract end to end.
 
-use bgpsim::mrt::encode_day;
-use bgpsim::observe::render_days_with_threads;
-use bgpsim::updates::{ArchiveV2Config, CollectorArchiveV2};
+use bgpsim::observe::{render_days_with_threads, ObservationDay};
+use bgpsim::updates::{ArchiveV2Config, CollectorArchiveV2, Provenance};
 use delegation::config::InferenceConfig;
-use delegation::pipeline::{run_pipeline, run_pipeline_with_mode, PipelineInput, PipelineMode};
+use delegation::pipeline::{run_pipeline, PipelineInput};
 use drywells::experiments::{build_bgp_study, fig6};
 use drywells::{csv, StudyConfig};
 
@@ -24,15 +23,6 @@ fn rendered_days_and_mrt_bytes_are_thread_count_invariant() {
     for threads in [2, 4] {
         let par = render_days_with_threads(&world, &config.visibility, span, threads);
         assert_eq!(par, seq, "observation days differ at {threads} threads");
-        // The encoded MRT-like archive is byte-identical.
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(
-                encode_day(a).unwrap(),
-                encode_day(b).unwrap(),
-                "archive bytes differ on {}",
-                a.date
-            );
-        }
     }
 }
 
@@ -716,14 +706,6 @@ fn engine_observation_days_match_legacy_oracle_at_every_pool_size() {
         assert_eq!(engine_days.len(), oracle.len());
         for (a, b) in engine_days.iter().zip(&oracle) {
             assert_eq!(a, b, "observation day {} differs at {threads} threads", b.date);
-            // Compact-MRT bytes are identical too (path interning must
-            // not change the encoded surface).
-            assert_eq!(
-                encode_day(a).unwrap(),
-                encode_day(b).unwrap(),
-                "compact MRT bytes differ on {} at {threads} threads",
-                b.date
-            );
         }
     }
 }
@@ -732,9 +714,11 @@ fn engine_observation_days_match_legacy_oracle_at_every_pool_size() {
 fn engine_per_monitor_state_matches_legacy_oracle() {
     let config = StudyConfig::quick_seeded(48);
     let world = bgpsim::scenario::LeaseWorld::generate(&config.world);
+    let engine = bgpsim::engine::RenderEngine::new(&world, &config.visibility);
+    let mut scratch = engine.scratch();
     for d in world.span.iter().step_by(7) {
         assert_eq!(
-            bgpsim::observe::per_monitor_routes(&world, &config.visibility, d),
+            engine.per_monitor_routes(&mut scratch, d),
             legacy_oracle::per_monitor_routes(&world, &config.visibility, d),
             "per-monitor state differs on {d}"
         );
@@ -767,6 +751,15 @@ fn engine_rfc6396_archive_bytes_match_legacy_oracle_at_every_pool_size() {
         )
         .expect("archive encodes");
         assert_eq!(archive.peers(), &peers[..]);
+        // Exactly the oracle's files: a RIB every `rib_every` days, an
+        // update file every day after the first — nothing extra.
+        let want_ribs: Vec<_> = days.iter().copied().step_by(rib_every).collect();
+        assert_eq!(archive.rib_dates().collect::<Vec<_>>(), want_ribs, "RIB dates at {threads} threads");
+        assert_eq!(
+            archive.update_dates().collect::<Vec<_>>(),
+            days[1..],
+            "update dates at {threads} threads"
+        );
         for (i, &d) in days.iter().enumerate() {
             if i % rib_every == 0 {
                 let want = legacy_oracle::encode_rib(&world, &v2cfg, &peers, d, &states[i])
@@ -824,20 +817,18 @@ fn fig6_outputs_match_legacy_oracle_rendering_at_every_pool_size() {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental-vs-full parity: the delta-fed archive encoder, the
-// persistent observation sweep, and the incremental delegation
-// pipeline must be invisible — every byte identical to the retained
-// full-recompute paths, at every worker count and for any chunking.
+// Incremental-vs-full parity: the chunked archive encoder, the
+// persistent observation sweep, and the sweep-fed delegation pipeline
+// must be invisible — every byte identical to a from-scratch
+// reconstruction, at every worker count and for any chunking.
 // ---------------------------------------------------------------------------
 
-/// Every RIB and update file of two archives, for whole-archive
-/// equality checks (dates and bytes both directions).
-fn archive_files(
-    a: &CollectorArchiveV2,
-) -> (
-    Vec<(nettypes::date::Date, bytes::Bytes)>,
-    Vec<(nettypes::date::Date, bytes::Bytes)>,
-) {
+/// One kind of archive file, by date.
+type DatedFiles = Vec<(nettypes::date::Date, bytes::Bytes)>;
+
+/// Every RIB and update file of an archive, for whole-archive equality
+/// checks (dates and bytes both directions).
+fn archive_files(a: &CollectorArchiveV2) -> (DatedFiles, DatedFiles) {
     (
         a.rib_dates()
             .map(|d| (d, a.rib_bytes(d).expect("listed rib").clone()))
@@ -846,37 +837,6 @@ fn archive_files(
             .map(|d| (d, a.update_bytes(d).expect("listed update").clone()))
             .collect(),
     )
-}
-
-#[test]
-fn delta_archive_matches_full_recompute_oracle_at_every_pool_size() {
-    let config = StudyConfig::quick_seeded(47);
-    let world = bgpsim::scenario::LeaseWorld::generate(&config.world);
-    let v2cfg = ArchiveV2Config::default();
-
-    let oracle = CollectorArchiveV2::generate_full_recompute_with_threads(
-        &world,
-        &config.visibility,
-        world.span,
-        &v2cfg,
-        1,
-    )
-    .expect("oracle encodes");
-    for threads in [1, 2, 4] {
-        let delta = CollectorArchiveV2::generate_with_threads(
-            &world,
-            &config.visibility,
-            world.span,
-            &v2cfg,
-            threads,
-        )
-        .expect("delta path encodes");
-        assert_eq!(
-            archive_files(&delta),
-            archive_files(&oracle),
-            "delta archive differs from the full-recompute oracle at {threads} threads"
-        );
-    }
 }
 
 #[test]
@@ -914,6 +874,25 @@ fn sweep_observation_days_match_day_view_across_faults() {
     }
 }
 
+/// The pipeline oracle for an archive: every day reconstructed from
+/// scratch through `day_view`, as pre-rendered days, plus the days the
+/// forward fallback served.
+fn day_view_oracle(
+    archive: &CollectorArchiveV2,
+    span: nettypes::date::DateRange,
+) -> (Vec<ObservationDay>, Vec<nettypes::date::Date>) {
+    let mut days = Vec::new();
+    let mut fallback = Vec::new();
+    for d in span.iter() {
+        let view = archive.day_view(d).expect("every oracle day reconstructs");
+        if let Provenance::FallbackRib { .. } = view.provenance {
+            fallback.push(d);
+        }
+        days.push(view.to_observation_day());
+    }
+    (days, fallback)
+}
+
 #[test]
 fn incremental_pipeline_matches_full_recompute_at_every_pool_size() {
     let config = StudyConfig::quick_seeded(49);
@@ -930,24 +909,14 @@ fn incremental_pipeline_matches_full_recompute_at_every_pool_size() {
     archive.drop_update_file(days[days.len() / 3]);
 
     let cfg = InferenceConfig::baseline();
-    let oracle = run_pipeline_with_mode(
-        PipelineInput::MrtArchive(&archive),
-        world.span,
-        &cfg,
-        None,
-        PipelineMode::FullRecompute,
-    );
+    let (oracle_days, oracle_fallback) = day_view_oracle(&archive, world.span);
+    assert!(!oracle_fallback.is_empty(), "the dropped file must cause fallback days");
+    let oracle = run_pipeline(PipelineInput::Days(&oracle_days), world.span, &cfg, None);
     for threads in ["1", "2", "4"] {
         std::env::set_var("DRYWELLS_THREADS", threads);
-        let inc = run_pipeline_with_mode(
-            PipelineInput::MrtArchive(&archive),
-            world.span,
-            &cfg,
-            None,
-            PipelineMode::Incremental,
-        );
+        let inc = run_pipeline(PipelineInput::MrtArchive(&archive), world.span, &cfg, None);
         assert_eq!(inc.days, oracle.days, "delegations differ at {threads} threads");
-        assert_eq!(inc.fallback_days, oracle.fallback_days);
+        assert_eq!(inc.fallback_days, oracle_fallback);
         assert_eq!(inc.missing_days, oracle.missing_days);
         assert_eq!(inc.intra_org_removed, oracle.intra_org_removed);
     }
@@ -957,8 +926,8 @@ fn incremental_pipeline_matches_full_recompute_at_every_pool_size() {
 #[test]
 fn fig6_csv_identical_between_incremental_and_full_recompute() {
     // End to end over the decoded-archive surface: figure text and CSV
-    // from the incremental pipeline must match the forced
-    // full-recompute oracle byte for byte.
+    // from the sweep-fed pipeline must match the per-day `day_view`
+    // reconstruction byte for byte.
     let config = StudyConfig::quick_seeded(51);
     let study = build_bgp_study(&config);
     let archive = CollectorArchiveV2::generate(
@@ -969,22 +938,15 @@ fn fig6_csv_identical_between_incremental_and_full_recompute() {
     )
     .expect("archive encodes");
 
-    let full = fig6::run_with_inputs_mode(
-        &study,
-        || PipelineInput::MrtArchive(&archive),
-        PipelineMode::FullRecompute,
-    );
-    let inc = fig6::run_with_inputs_mode(
-        &study,
-        || PipelineInput::MrtArchive(&archive),
-        PipelineMode::Incremental,
-    );
+    let (oracle_days, _) = day_view_oracle(&archive, study.world.span);
+    let full = fig6::run_with_inputs(&study, || PipelineInput::Days(&oracle_days));
+    let inc = fig6::run_with_inputs(&study, || PipelineInput::MrtArchive(&archive));
     assert_eq!(inc.rendered, full.rendered, "figure text differs");
     assert_eq!(csv::fig6_csv(&inc), csv::fig6_csv(&full), "fig6 CSV differs");
 }
 
-/// World + oracle archive shared across the chunk-boundary property's
-/// generated cases (the world build dominates; the property varies
+/// World + single-chunk archive shared across the chunk-boundary
+/// property's generated cases (the world build dominates; the property varies
 /// only the chunking).
 fn chunk_fixture() -> &'static (StudyConfig, bgpsim::scenario::LeaseWorld, CollectorArchiveV2) {
     use std::sync::OnceLock;
