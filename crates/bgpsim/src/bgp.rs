@@ -7,9 +7,15 @@
 //! simulation produces are modelled richly — everything else is
 //! preserved as [`PathAttribute::Unknown`] so decode→encode is
 //! lossless for third-party attributes.
+//!
+//! Decoding goes through borrowed views: [`parse_message`] checks a
+//! message and returns a [`MessageView`], [`attributes()`] frames an
+//! attribute blob without interpreting it, and [`AsPathView`] reads an
+//! AS_PATH's ASNs and origin without allocating. The owned decoders
+//! convert those views.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use nettypes::asn::Asn;
+use bytes::{BufMut, Bytes, BytesMut};
+use nettypes::asn::{Asn, Origin};
 use nettypes::prefix::Prefix;
 
 /// BGP message types (RFC 4271 §4.1).
@@ -305,15 +311,6 @@ pub fn encode_attributes(attrs: &[PathAttribute]) -> Bytes {
     buf.freeze()
 }
 
-/// Decode a bare path-attribute blob.
-pub fn decode_attributes(mut buf: &[u8]) -> Result<Vec<PathAttribute>, BgpError> {
-    let mut out = Vec::new();
-    while buf.has_remaining() {
-        out.push(decode_attribute(&mut buf)?);
-    }
-    Ok(out)
-}
-
 /// Encode a message with the standard 19-byte header.
 pub fn encode_message(msg: &BgpMessage) -> Bytes {
     let mut body = BytesMut::new();
@@ -354,26 +351,65 @@ pub fn encode_message(msg: &BgpMessage) -> Bytes {
     out.freeze()
 }
 
-// --- decoding ---------------------------------------------------------
+// --- decoding (one parser: the views; see the module docs) ------------
 
-fn get_wire_prefix(buf: &mut &[u8]) -> Result<Prefix, BgpError> {
-    if buf.remaining() < 1 {
-        return Err(BgpError::Truncated);
-    }
-    let len = buf.get_u8();
+/// Split `n` bytes off the front of `buf`; `None` when fewer remain.
+pub(crate) fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, rest) = buf.split_at_checked(n)?;
+    *buf = rest;
+    Some(head)
+}
+
+/// Split a fixed-size array off the front of `buf`.
+pub(crate) fn take_array<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    take(buf, N)?.try_into().ok()
+}
+
+pub(crate) fn take_u8(buf: &mut &[u8]) -> Option<u8> {
+    take_array::<1>(buf).map(|[b]| b)
+}
+
+pub(crate) fn take_u16(buf: &mut &[u8]) -> Option<u16> {
+    take_array(buf).map(u16::from_be_bytes)
+}
+
+pub(crate) fn take_u32(buf: &mut &[u8]) -> Option<u32> {
+    take_array(buf).map(u32::from_be_bytes)
+}
+
+/// One wire-format prefix: a length byte, then the fewest network
+/// bytes that hold it. Trailing host bits are masked silently (senders
+/// may leave them set).
+pub(crate) fn get_wire_prefix(buf: &mut &[u8]) -> Result<Prefix, BgpError> {
+    let len = take_u8(buf).ok_or(BgpError::Truncated)?;
     if len > 32 {
         return Err(BgpError::BadPrefixLen(len));
     }
-    let nbytes = len.div_ceil(8) as usize;
-    if buf.remaining() < nbytes {
-        return Err(BgpError::Truncated);
-    }
+    let net = take(buf, usize::from(len.div_ceil(8))).ok_or(BgpError::Truncated)?;
     let mut net_bytes = [0u8; 4];
-    for b in net_bytes.iter_mut().take(nbytes) {
-        *b = buf.get_u8();
+    for (b, n) in net_bytes.iter_mut().zip(net) {
+        *b = *n;
     }
-    // Mask silently: senders may leave trailing bits set.
     Ok(Prefix::new_unchecked_masked(u32::from_be_bytes(net_bytes), len))
+}
+
+/// Check that `buf` is a whole number of wire-format prefixes.
+fn check_prefixes(mut buf: &[u8]) -> Result<(), BgpError> {
+    while !buf.is_empty() {
+        get_wire_prefix(&mut buf)?;
+    }
+    Ok(())
+}
+
+/// The prefixes of a checked withdrawn-routes or NLRI section.
+fn prefixes(mut buf: &[u8]) -> impl Iterator<Item = Prefix> + Clone + '_ {
+    std::iter::from_fn(move || {
+        if buf.is_empty() {
+            return None;
+        }
+        // A checked section never fails here; a failure ends the walk.
+        get_wire_prefix(&mut buf).ok()
+    })
 }
 
 /// A big-endian u32 from an attribute value, `None` unless it is
@@ -383,158 +419,337 @@ fn be_u32(value: &[u8]) -> Option<u32> {
     Some(u32::from_be_bytes(value.try_into().ok()?))
 }
 
-fn decode_attribute(buf: &mut &[u8]) -> Result<PathAttribute, BgpError> {
-    if buf.remaining() < 2 {
-        return Err(BgpError::Truncated);
-    }
-    let flags = buf.get_u8();
-    let type_code = buf.get_u8();
-    let extended = flags & 0x10 != 0;
-    let len = if extended {
-        if buf.remaining() < 2 {
-            return Err(BgpError::Truncated);
-        }
-        buf.get_u16() as usize
-    } else {
-        if buf.remaining() < 1 {
-            return Err(BgpError::Truncated);
-        }
-        buf.get_u8() as usize
-    };
-    if buf.remaining() < len {
-        return Err(BgpError::Truncated);
-    }
-    let mut value = &buf[..len];
-    buf.advance(len);
+/// One path attribute, framed but not interpreted.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RawAttribute<'a> {
+    /// Attribute flags byte, as on the wire.
+    pub flags: u8,
+    /// Attribute type code.
+    pub type_code: u8,
+    /// The value bytes.
+    pub value: &'a [u8],
+}
 
-    let parsed = match type_code {
-        1 if value.len() == 1 => OriginType::from_code(value[0]).map(PathAttribute::Origin),
-        2 => {
-            // AS_PATH with 4-octet ASNs.
-            let mut segs = Vec::new();
-            let v = &mut value;
-            let mut ok = true;
-            while v.remaining() >= 2 {
-                let seg_type = v.get_u8();
-                let count = v.get_u8() as usize;
-                if v.remaining() < count * 4 {
-                    ok = false;
-                    break;
-                }
-                let mut asns = Vec::with_capacity(count);
-                for _ in 0..count {
-                    asns.push(Asn(v.get_u32()));
-                }
-                match seg_type {
-                    1 => segs.push(AsPathSegment::Set(asns)),
-                    2 => segs.push(AsPathSegment::Sequence(asns)),
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok && !v.has_remaining() {
-                Some(PathAttribute::AsPath(segs))
-            } else {
-                None
-            }
-        }
-        3 => be_u32(value).map(PathAttribute::NextHop),
-        4 => be_u32(value).map(PathAttribute::Med),
-        5 => be_u32(value).map(PathAttribute::LocalPref),
-        8 if value.len().is_multiple_of(4) => {
-            let mut cs = Vec::with_capacity(value.len() / 4);
-            let v = &mut value;
-            while v.has_remaining() {
-                cs.push(v.get_u32());
-            }
-            Some(PathAttribute::Communities(cs))
-        }
-        _ => None,
-    };
-    Ok(parsed.unwrap_or_else(|| PathAttribute::Unknown {
-        flags: flags & !0x10,
+impl RawAttribute<'_> {
+    /// The owned attribute. A value a known type cannot hold (wrong
+    /// width, malformed AS_PATH) becomes [`PathAttribute::Unknown`].
+    pub fn to_attribute(self) -> PathAttribute {
+        let value = self.value;
+        let parsed = match self.type_code {
+            1 => match value {
+                [code] => OriginType::from_code(*code).map(PathAttribute::Origin),
+                _ => None,
+            },
+            2 => AsPathView::parse(value).map(|p| PathAttribute::AsPath(p.to_segments())),
+            3 => be_u32(value).map(PathAttribute::NextHop),
+            4 => be_u32(value).map(PathAttribute::Med),
+            5 => be_u32(value).map(PathAttribute::LocalPref),
+            8 if value.len().is_multiple_of(4) => Some(PathAttribute::Communities(
+                value.chunks_exact(4).filter_map(be_u32).collect(),
+            )),
+            _ => None,
+        };
+        parsed.unwrap_or_else(|| PathAttribute::Unknown {
+            flags: self.flags & !0x10,
+            type_code: self.type_code,
+            value: Bytes::copy_from_slice(value),
+        })
+    }
+}
+
+/// Frame the next attribute off the front of `buf`.
+fn next_attribute<'a>(buf: &mut &'a [u8]) -> Result<RawAttribute<'a>, BgpError> {
+    let flags = take_u8(buf).ok_or(BgpError::Truncated)?;
+    let type_code = take_u8(buf).ok_or(BgpError::Truncated)?;
+    let len = if flags & 0x10 != 0 {
+        take_u16(buf).map(usize::from)
+    } else {
+        take_u8(buf).map(usize::from)
+    }
+    .ok_or(BgpError::Truncated)?;
+    let value = take(buf, len).ok_or(BgpError::Truncated)?;
+    Ok(RawAttribute {
+        flags,
         type_code,
-        value: Bytes::copy_from_slice(value),
-    }))
+        value,
+    })
+}
+
+/// Walk the attributes of a bare path-attribute blob (the wire form in
+/// UPDATEs and in `TABLE_DUMP_V2` RIB entries): each attribute in
+/// order, framed but not interpreted, or the framing error that ends
+/// the walk.
+pub fn attributes(
+    mut buf: &[u8],
+) -> impl Iterator<Item = Result<RawAttribute<'_>, BgpError>> + Clone {
+    std::iter::from_fn(move || {
+        if buf.is_empty() {
+            return None;
+        }
+        let a = next_attribute(&mut buf);
+        if a.is_err() {
+            buf = &[];
+        }
+        Some(a)
+    })
+}
+
+/// Decode a bare path-attribute blob.
+pub fn decode_attributes(buf: &[u8]) -> Result<Vec<PathAttribute>, BgpError> {
+    attributes(buf)
+        .map(|a| a.map(RawAttribute::to_attribute))
+        .collect()
+}
+
+/// Check the framing of a whole path-attribute blob.
+pub fn check_attributes(buf: &[u8]) -> Result<(), BgpError> {
+    attributes(buf).try_for_each(|a| a.map(drop))
+}
+
+/// The AS_PATH of a path-attribute blob after checking the framing of
+/// the whole blob: the first well-formed type-2 attribute (a malformed
+/// one is skipped, as [`decode_attributes`] turns it into
+/// [`PathAttribute::Unknown`]), or the empty path when there is none.
+pub fn as_path(buf: &[u8]) -> Result<AsPathView<'_>, BgpError> {
+    let mut found = None;
+    for a in attributes(buf) {
+        let a = a?;
+        if found.is_none() && a.type_code == 2 {
+            found = AsPathView::parse(a.value);
+        }
+    }
+    Ok(found.unwrap_or_default())
+}
+
+/// One AS_PATH segment, borrowed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SegmentView<'a> {
+    /// An AS_SET (type 1) rather than an AS_SEQUENCE (type 2).
+    pub set: bool,
+    asns: &'a [u8],
+}
+
+impl<'a> SegmentView<'a> {
+    /// The segment's ASNs in wire order.
+    pub fn asns(self) -> impl Iterator<Item = Asn> + Clone + 'a {
+        self.asns.chunks_exact(4).filter_map(be_u32).map(Asn)
+    }
+}
+
+/// Split the next segment off a non-empty AS_PATH value; `None` when
+/// the value is malformed here.
+fn split_segment<'a>(v: &mut &'a [u8]) -> Option<SegmentView<'a>> {
+    let set = match take_u8(v)? {
+        1 => true,
+        2 => false,
+        _ => return None,
+    };
+    let count = take_u8(v)?;
+    let asns = take(v, 4 * usize::from(count))?;
+    Some(SegmentView { set, asns })
+}
+
+/// A well-formed AS_PATH value (4-octet ASNs), borrowed. The default is
+/// the empty path, which has no origin.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct AsPathView<'a> {
+    value: &'a [u8],
+}
+
+impl<'a> AsPathView<'a> {
+    /// The view of an AS_PATH value, `None` unless every segment is a
+    /// set or sequence whose ASNs fit and no byte is left over.
+    pub fn parse(value: &'a [u8]) -> Option<AsPathView<'a>> {
+        let mut v = value;
+        while !v.is_empty() {
+            split_segment(&mut v)?;
+        }
+        Some(AsPathView { value })
+    }
+
+    /// The segments in order.
+    pub fn segments(self) -> impl Iterator<Item = SegmentView<'a>> + Clone {
+        let mut v = self.value;
+        std::iter::from_fn(move || if v.is_empty() { None } else { split_segment(&mut v) })
+    }
+
+    /// The flattened path: sequence members in order, set members
+    /// appended where their segment sits.
+    pub fn asns(self) -> impl Iterator<Item = Asn> + Clone + 'a {
+        self.segments().flat_map(SegmentView::asns)
+    }
+
+    /// The origin: the last AS of a final sequence, or the whole final
+    /// set; `None` for the empty path or an empty final sequence.
+    pub fn origin(self) -> Option<Origin> {
+        let last = self.segments().last()?;
+        if last.set {
+            Some(Origin::Set(last.asns().collect()))
+        } else {
+            last.asns().last().map(Origin::Single)
+        }
+    }
+
+    /// The origin's ASNs without collecting them: every member of a
+    /// final set, or the last AS of a final sequence. `None` exactly
+    /// when [`AsPathView::origin`] is.
+    pub fn origin_asns(self) -> Option<impl Iterator<Item = Asn> + 'a> {
+        let last = self.segments().last()?;
+        let skip = if last.set {
+            0
+        } else {
+            (last.asns.len() / 4).checked_sub(1)?
+        };
+        Some(last.asns().skip(skip))
+    }
+
+    /// The owned segments.
+    pub fn to_segments(self) -> Vec<AsPathSegment> {
+        self.segments()
+            .map(|s| {
+                let asns = s.asns().collect();
+                if s.set {
+                    AsPathSegment::Set(asns)
+                } else {
+                    AsPathSegment::Sequence(asns)
+                }
+            })
+            .collect()
+    }
+}
+
+/// A BGP UPDATE, borrowed: its three sections, each already checked.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct UpdateView<'a> {
+    withdrawn: &'a [u8],
+    attributes: &'a [u8],
+    nlri: &'a [u8],
+}
+
+impl<'a> UpdateView<'a> {
+    /// Check an UPDATE body (after the 19-byte header): the withdrawn
+    /// prefixes, the attribute framing and the NLRI prefixes.
+    pub fn parse(mut buf: &'a [u8]) -> Result<UpdateView<'a>, BgpError> {
+        let wlen = take_u16(&mut buf).ok_or(BgpError::Truncated)?;
+        let withdrawn = take(&mut buf, usize::from(wlen))
+            .ok_or(BgpError::BadAttributes("withdrawn length"))?;
+        check_prefixes(withdrawn)?;
+        let alen = take_u16(&mut buf).ok_or(BgpError::Truncated)?;
+        let attrs = take(&mut buf, usize::from(alen))
+            .ok_or(BgpError::BadAttributes("attribute length"))?;
+        check_attributes(attrs)?;
+        check_prefixes(buf)?;
+        Ok(UpdateView {
+            withdrawn,
+            attributes: attrs,
+            nlri: buf,
+        })
+    }
+
+    /// Withdrawn prefixes.
+    pub fn withdrawn(self) -> impl Iterator<Item = Prefix> + Clone + 'a {
+        prefixes(self.withdrawn)
+    }
+
+    /// Announced prefixes.
+    pub fn nlri(self) -> impl Iterator<Item = Prefix> + Clone + 'a {
+        prefixes(self.nlri)
+    }
+
+    /// The path attributes (framing already checked).
+    pub fn attributes(self) -> impl Iterator<Item = Result<RawAttribute<'a>, BgpError>> + Clone {
+        attributes(self.attributes)
+    }
+
+    /// The AS_PATH the NLRI are announced with (see [`as_path`]).
+    pub fn as_path(self) -> AsPathView<'a> {
+        as_path(self.attributes).unwrap_or_default()
+    }
+
+    /// The owned message.
+    pub fn to_update(self) -> UpdateMessage {
+        UpdateMessage {
+            withdrawn: self.withdrawn().collect(),
+            attributes: self
+                .attributes()
+                .filter_map(Result::ok)
+                .map(RawAttribute::to_attribute)
+                .collect(),
+            nlri: self.nlri().collect(),
+        }
+    }
 }
 
 /// Decode the body of an UPDATE message (after the 19-byte header).
-pub fn decode_update_body(mut buf: &[u8]) -> Result<UpdateMessage, BgpError> {
-    if buf.remaining() < 2 {
-        return Err(BgpError::Truncated);
-    }
-    let wlen = buf.get_u16() as usize;
-    if buf.remaining() < wlen {
-        return Err(BgpError::BadAttributes("withdrawn length"));
-    }
-    let mut wbuf = &buf[..wlen];
-    buf.advance(wlen);
-    let mut withdrawn = Vec::new();
-    while wbuf.has_remaining() {
-        withdrawn.push(get_wire_prefix(&mut wbuf)?);
-    }
+pub fn decode_update_body(buf: &[u8]) -> Result<UpdateMessage, BgpError> {
+    UpdateView::parse(buf).map(UpdateView::to_update)
+}
 
-    if buf.remaining() < 2 {
-        return Err(BgpError::Truncated);
-    }
-    let alen = buf.get_u16() as usize;
-    if buf.remaining() < alen {
-        return Err(BgpError::BadAttributes("attribute length"));
-    }
-    let mut abuf = &buf[..alen];
-    buf.advance(alen);
-    let mut attributes = Vec::new();
-    while abuf.has_remaining() {
-        attributes.push(decode_attribute(&mut abuf)?);
-    }
+/// A BGP message, borrowed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MessageView<'a> {
+    /// An UPDATE.
+    Update(UpdateView<'a>),
+    /// A KEEPALIVE (no body).
+    Keepalive,
+    /// An OPEN or NOTIFICATION, body unparsed.
+    Other {
+        /// Message type byte.
+        msg_type: u8,
+        /// Raw body.
+        body: &'a [u8],
+    },
+}
 
-    let mut nlri = Vec::new();
-    while buf.has_remaining() {
-        nlri.push(get_wire_prefix(&mut buf)?);
+impl MessageView<'_> {
+    /// The owned message.
+    pub fn to_message(self) -> BgpMessage {
+        match self {
+            MessageView::Update(u) => BgpMessage::Update(u.to_update()),
+            MessageView::Keepalive => BgpMessage::Keepalive,
+            MessageView::Other { msg_type, body } => BgpMessage::Other {
+                msg_type,
+                body: Bytes::copy_from_slice(body),
+            },
+        }
     }
-    Ok(UpdateMessage {
-        withdrawn,
-        attributes,
-        nlri,
-    })
+}
+
+/// Parse one message from the front of `buf`, returning its view and
+/// the number of bytes it spans.
+pub fn parse_message(buf: &[u8]) -> Result<(MessageView<'_>, usize), BgpError> {
+    let header: [u8; 19] = buf
+        .get(..19)
+        .and_then(|h| h.try_into().ok())
+        .ok_or(BgpError::Truncated)?;
+    let [marker @ .., l0, l1, msg_type] = header;
+    if marker != [0xFF; 16] {
+        return Err(BgpError::BadMarker);
+    }
+    let total_u16 = u16::from_be_bytes([l0, l1]);
+    let total = usize::from(total_u16);
+    if !(19..=MAX_MESSAGE).contains(&total) {
+        return Err(BgpError::BadLength(total_u16));
+    }
+    let body = buf.get(19..total).ok_or(BgpError::Truncated)?;
+    let msg = match msg_type {
+        TYPE_UPDATE => MessageView::Update(UpdateView::parse(body)?),
+        TYPE_KEEPALIVE => {
+            if !body.is_empty() {
+                return Err(BgpError::BadLength(total_u16));
+            }
+            MessageView::Keepalive
+        }
+        TYPE_OPEN | TYPE_NOTIFICATION => MessageView::Other { msg_type, body },
+        other => return Err(BgpError::BadType(other)),
+    };
+    Ok((msg, total))
 }
 
 /// Decode one message from the front of `buf`, returning it and the
 /// number of bytes consumed.
 pub fn decode_message(buf: &[u8]) -> Result<(BgpMessage, usize), BgpError> {
-    if buf.len() < 19 {
-        return Err(BgpError::Truncated);
-    }
-    if buf[..16] != [0xFF; 16] {
-        return Err(BgpError::BadMarker);
-    }
-    let total_u16 = u16::from_be_bytes([buf[16], buf[17]]);
-    let total = usize::from(total_u16);
-    if !(19..=MAX_MESSAGE).contains(&total) {
-        return Err(BgpError::BadLength(total_u16));
-    }
-    if buf.len() < total {
-        return Err(BgpError::Truncated);
-    }
-    let msg_type = buf[18];
-    let body = &buf[19..total];
-    let msg = match msg_type {
-        TYPE_UPDATE => BgpMessage::Update(decode_update_body(body)?),
-        TYPE_KEEPALIVE => {
-            if !body.is_empty() {
-                return Err(BgpError::BadLength(total_u16));
-            }
-            BgpMessage::Keepalive
-        }
-        TYPE_OPEN | TYPE_NOTIFICATION => BgpMessage::Other {
-            msg_type,
-            body: Bytes::copy_from_slice(body),
-        },
-        other => return Err(BgpError::BadType(other)),
-    };
-    Ok((msg, total))
+    parse_message(buf).map(|(m, used)| (m.to_message(), used))
 }
 
 #[cfg(test)]
@@ -633,6 +848,48 @@ mod tests {
             nlri: vec![pfx("198.51.100.0/24")],
         });
         assert_eq!(roundtrip(&m), m);
+    }
+
+    #[test]
+    fn as_path_view_takes_the_first_well_formed_as_path() {
+        let malformed = PathAttribute::Unknown {
+            flags: 0x40,
+            type_code: 2,
+            value: Bytes::from_static(&[3, 1, 0, 0, 0, 9]), // segment type 3
+        };
+        let good = PathAttribute::AsPath(vec![
+            AsPathSegment::Sequence(vec![Asn(1), Asn(2)]),
+            AsPathSegment::Set(vec![Asn(7), Asn(8)]),
+        ]);
+        let later = PathAttribute::AsPath(vec![AsPathSegment::Sequence(vec![Asn(5)])]);
+        let blob = encode_attributes(&[malformed.clone(), good.clone(), later.clone()]);
+        // The owned decoder keeps the malformed one as Unknown.
+        assert_eq!(decode_attributes(&blob), Ok(vec![malformed, good, later]));
+        let path = as_path(&blob).expect("framing holds");
+        assert_eq!(path.asns().collect::<Vec<_>>(), [1, 2, 7, 8].map(Asn));
+        assert_eq!(path.origin(), Some(Origin::Set(vec![Asn(7), Asn(8)])));
+        assert_eq!(path.origin_asns().map(Iterator::collect), Some(vec![Asn(7), Asn(8)]));
+        // A framing error anywhere in the blob fails the walk.
+        let mut cut = blob.to_vec();
+        cut.pop();
+        assert_eq!(as_path(&cut), Err(BgpError::Truncated));
+        assert_eq!(check_attributes(&cut), Err(BgpError::Truncated));
+    }
+
+    #[test]
+    fn as_path_view_origins_of_empty_segments() {
+        let view = |v: &'static [u8]| AsPathView::parse(v).expect("well-formed");
+        // No AS_PATH, no segments, or an empty final sequence: no origin.
+        for v in [&[][..], &[2, 0][..], &[2, 1, 0, 0, 0, 9, 2, 0][..]] {
+            assert_eq!(view(v).origin(), None, "{v:?}");
+            assert!(view(v).origin_asns().is_none(), "{v:?}");
+        }
+        // An empty final set is an origin with no members.
+        assert_eq!(view(&[1, 0]).origin(), Some(Origin::Set(Vec::new())));
+        assert_eq!(view(&[1, 0]).origin_asns().map(Iterator::count), Some(0));
+        // A leftover byte or a short segment is malformed.
+        assert!(AsPathView::parse(&[2, 0, 2]).is_none());
+        assert!(AsPathView::parse(&[2, 2, 0, 0, 0, 1]).is_none());
     }
 
     #[test]

@@ -19,9 +19,20 @@
 //! Unknown record types are surfaced as [`MrtRecord::Unknown`] and
 //! skipped gracefully — archives in the wild interleave many record
 //! kinds.
+//!
+//! Reading has one parser. [`parse_record`] checks a record's whole
+//! structure (header, peer entries, every RIB entry's framing, the
+//! embedded BGP message — see [`crate::bgp::parse_message`]) and
+//! returns a [`RecordView`] that borrows the file bytes: RIB entries
+//! and UPDATE withdrawn/attribute/NLRI sections stay slices. Two
+//! cursors walk a file with it: [`records`] (strict, ends at the first
+//! error) and [`RecordReader`] (lossy, with [`LossyStats`]). The owned
+//! decoders — [`decode_record`], [`decode_file`], [`decode_file_lossy`]
+//! — convert the views it returns; library readers (the query engine,
+//! the collector replay) use the views directly and copy nothing.
 
 use crate::bgp::{self, BgpMessage};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use nettypes::asn::Asn;
 use nettypes::prefix::Prefix;
 
@@ -263,151 +274,292 @@ pub fn encode_file<'a>(
     Ok(out.freeze())
 }
 
-// --- decoding ---------------------------------------------------------
+// --- decoding (one parser: `parse_record`; see the module docs) -------
 
-macro_rules! need {
-    ($buf:expr, $n:expr) => {
-        if $buf.remaining() < $n {
-            return Err(Mrt2Error::Truncated);
+/// A `PEER_INDEX_TABLE`, borrowed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PeerTableView<'a> {
+    /// The collector's BGP identifier.
+    pub collector_bgp_id: u32,
+    /// Optional view name.
+    pub view_name: &'a str,
+    count: u16,
+    peers: &'a [u8],
+}
+
+fn next_peer(buf: &mut &[u8]) -> Result<PeerEntry, Mrt2Error> {
+    let ptype = bgp::take_u8(buf).ok_or(Mrt2Error::Truncated)?;
+    if ptype & 0x01 != 0 {
+        return Err(Mrt2Error::Malformed("IPv6 peers unsupported"));
+    }
+    let bgp_id = bgp::take_u32(buf).ok_or(Mrt2Error::Truncated)?;
+    let ip = bgp::take_u32(buf).ok_or(Mrt2Error::Truncated)?;
+    let asn = if ptype & 0x02 != 0 {
+        bgp::take_u32(buf)
+    } else {
+        bgp::take_u16(buf).map(u32::from)
+    }
+    .ok_or(Mrt2Error::Truncated)?;
+    Ok(PeerEntry {
+        bgp_id,
+        ip,
+        asn: Asn(asn),
+    })
+}
+
+impl<'a> PeerTableView<'a> {
+    /// The indexed peers, in index order.
+    pub fn peers(self) -> impl Iterator<Item = PeerEntry> + 'a {
+        let mut rest = self.peers;
+        (0..self.count).map_while(move |_| next_peer(&mut rest).ok())
+    }
+}
+
+/// One RIB entry, borrowed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RibEntryView<'a> {
+    /// Index into the peer table.
+    pub peer_index: u16,
+    /// When the route was received (Unix seconds).
+    pub originated_time: u32,
+    /// Raw BGP path attributes; walk them with [`bgp::attributes`].
+    pub attributes: &'a [u8],
+}
+
+fn next_rib_entry<'a>(buf: &mut &'a [u8]) -> Result<RibEntryView<'a>, Mrt2Error> {
+    let [p0, p1, t0, t1, t2, t3, l0, l1] = bgp::take_array(buf).ok_or(Mrt2Error::Truncated)?;
+    let alen = usize::from(u16::from_be_bytes([l0, l1]));
+    let attributes = bgp::take(buf, alen).ok_or(Mrt2Error::Truncated)?;
+    Ok(RibEntryView {
+        peer_index: u16::from_be_bytes([p0, p1]),
+        originated_time: u32::from_be_bytes([t0, t1, t2, t3]),
+        attributes,
+    })
+}
+
+/// A `RIB_IPV4_UNICAST` record, borrowed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RibView<'a> {
+    /// Dump-wide sequence number.
+    pub sequence: u32,
+    /// The prefix.
+    pub prefix: Prefix,
+    count: u16,
+    entries: &'a [u8],
+}
+
+impl<'a> RibView<'a> {
+    /// The per-peer entries.
+    pub fn entries(self) -> impl Iterator<Item = RibEntryView<'a>> + 'a {
+        let mut rest = self.entries;
+        (0..self.count).map_while(move |_| next_rib_entry(&mut rest).ok())
+    }
+}
+
+/// A `BGP4MP_MESSAGE_AS4` record, borrowed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Bgp4mpView<'a> {
+    /// Sender ASN.
+    pub peer_as: Asn,
+    /// Receiver (collector) ASN.
+    pub local_as: Asn,
+    /// Interface index (0 in archives).
+    pub interface: u16,
+    /// Sender IPv4 address.
+    pub peer_ip: u32,
+    /// Receiver IPv4 address.
+    pub local_ip: u32,
+    /// The embedded BGP message, already checked.
+    pub message: bgp::MessageView<'a>,
+}
+
+/// A record body, borrowed: [`MrtRecord`] without the copies.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MrtRecordView<'a> {
+    /// `TABLE_DUMP_V2` / `PEER_INDEX_TABLE`.
+    PeerIndexTable(PeerTableView<'a>),
+    /// `TABLE_DUMP_V2` / `RIB_IPV4_UNICAST`.
+    RibIpv4Unicast(RibView<'a>),
+    /// `BGP4MP` / `BGP4MP_MESSAGE_AS4`.
+    Bgp4mpMessage(Bgp4mpView<'a>),
+    /// Anything else.
+    Unknown {
+        /// MRT type.
+        mrt_type: u16,
+        /// MRT subtype.
+        mrt_subtype: u16,
+        /// Raw record body.
+        body: &'a [u8],
+    },
+}
+
+/// A checked MRT record with its header timestamp, borrowing the file
+/// bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RecordView<'a> {
+    /// Unix seconds.
+    pub timestamp: u32,
+    /// The record.
+    pub record: MrtRecordView<'a>,
+}
+
+impl RecordView<'_> {
+    /// The owned record (RIB entry attributes and unknown bodies are
+    /// copied out).
+    pub fn to_record(self) -> TimestampedRecord {
+        let record = match self.record {
+            MrtRecordView::PeerIndexTable(t) => MrtRecord::PeerIndexTable(PeerIndexTable {
+                collector_bgp_id: t.collector_bgp_id,
+                view_name: t.view_name.to_string(),
+                peers: t.peers().collect(),
+            }),
+            MrtRecordView::RibIpv4Unicast(r) => MrtRecord::RibIpv4Unicast(RibIpv4Unicast {
+                sequence: r.sequence,
+                prefix: r.prefix,
+                entries: r
+                    .entries()
+                    .map(|e| RibEntry {
+                        peer_index: e.peer_index,
+                        originated_time: e.originated_time,
+                        attributes: Bytes::copy_from_slice(e.attributes),
+                    })
+                    .collect(),
+            }),
+            MrtRecordView::Bgp4mpMessage(m) => MrtRecord::Bgp4mpMessage(Bgp4mpMessage {
+                peer_as: m.peer_as,
+                local_as: m.local_as,
+                interface: m.interface,
+                peer_ip: m.peer_ip,
+                local_ip: m.local_ip,
+                message: m.message.to_message(),
+            }),
+            MrtRecordView::Unknown {
+                mrt_type,
+                mrt_subtype,
+                body,
+            } => MrtRecord::Unknown {
+                mrt_type,
+                mrt_subtype,
+                body: Bytes::copy_from_slice(body),
+            },
+        };
+        TimestampedRecord {
+            timestamp: self.timestamp,
+            record,
         }
-    };
+    }
 }
 
-fn get_wire_prefix(buf: &mut &[u8]) -> Result<Prefix, Mrt2Error> {
-    need!(buf, 1);
-    let len = buf.get_u8();
-    if len > 32 {
-        return Err(Mrt2Error::Malformed("prefix length"));
-    }
-    let nbytes = len.div_ceil(8) as usize;
-    need!(buf, nbytes);
-    let mut net = [0u8; 4];
-    for b in net.iter_mut().take(nbytes) {
-        *b = buf.get_u8();
-    }
-    Ok(Prefix::new_unchecked_masked(u32::from_be_bytes(net), len))
-}
-
-fn decode_body(t: u16, st: u16, mut body: &[u8]) -> Result<MrtRecord, Mrt2Error> {
+fn parse_body(t: u16, st: u16, mut body: &[u8]) -> Result<MrtRecordView<'_>, Mrt2Error> {
+    let b = &mut body;
     match (t, st) {
         (TYPE_TABLE_DUMP_V2, SUBTYPE_PEER_INDEX_TABLE) => {
-            need!(body, 4 + 2);
-            let collector_bgp_id = body.get_u32();
-            let name_len = body.get_u16() as usize;
-            need!(body, name_len);
-            let view_name = String::from_utf8(body[..name_len].to_vec())
+            let collector_bgp_id = bgp::take_u32(b).ok_or(Mrt2Error::Truncated)?;
+            let name_len = bgp::take_u16(b).ok_or(Mrt2Error::Truncated)?;
+            let name = bgp::take(b, usize::from(name_len)).ok_or(Mrt2Error::Truncated)?;
+            let view_name = std::str::from_utf8(name)
                 .map_err(|_| Mrt2Error::Malformed("view name utf8"))?;
-            body.advance(name_len);
-            need!(body, 2);
-            let count = body.get_u16() as usize;
-            let mut peers = Vec::with_capacity(count.min(1 << 16));
+            let count = bgp::take_u16(b).ok_or(Mrt2Error::Truncated)?;
+            let peers = *b;
             for _ in 0..count {
-                need!(body, 1);
-                let ptype = body.get_u8();
-                if ptype & 0x01 != 0 {
-                    return Err(Mrt2Error::Malformed("IPv6 peers unsupported"));
-                }
-                need!(body, 4 + 4);
-                let bgp_id = body.get_u32();
-                let ip = body.get_u32();
-                let asn = if ptype & 0x02 != 0 {
-                    need!(body, 4);
-                    Asn(body.get_u32())
-                } else {
-                    need!(body, 2);
-                    Asn(body.get_u16() as u32) // lint:allow(L1): u16→u32 widening, lossless
-                };
-                peers.push(PeerEntry { bgp_id, ip, asn });
+                next_peer(b)?;
             }
-            Ok(MrtRecord::PeerIndexTable(PeerIndexTable {
+            Ok(MrtRecordView::PeerIndexTable(PeerTableView {
                 collector_bgp_id,
                 view_name,
+                count,
                 peers,
             }))
         }
         (TYPE_TABLE_DUMP_V2, SUBTYPE_RIB_IPV4_UNICAST) => {
-            need!(body, 4);
-            let sequence = body.get_u32();
-            let prefix = get_wire_prefix(&mut body)?;
-            need!(body, 2);
-            let count = body.get_u16() as usize;
-            let mut entries = Vec::with_capacity(count.min(1 << 16));
+            let sequence = bgp::take_u32(b).ok_or(Mrt2Error::Truncated)?;
+            let prefix = bgp::get_wire_prefix(b).map_err(|e| match e {
+                bgp::BgpError::BadPrefixLen(_) => Mrt2Error::Malformed("prefix length"),
+                _ => Mrt2Error::Truncated,
+            })?;
+            let count = bgp::take_u16(b).ok_or(Mrt2Error::Truncated)?;
+            let entries = *b;
             for _ in 0..count {
-                need!(body, 2 + 4 + 2);
-                let peer_index = body.get_u16();
-                let originated_time = body.get_u32();
-                let alen = body.get_u16() as usize;
-                need!(body, alen);
-                let attributes = Bytes::copy_from_slice(&body[..alen]);
-                body.advance(alen);
-                entries.push(RibEntry {
-                    peer_index,
-                    originated_time,
-                    attributes,
-                });
+                next_rib_entry(b)?;
             }
-            Ok(MrtRecord::RibIpv4Unicast(RibIpv4Unicast {
+            Ok(MrtRecordView::RibIpv4Unicast(RibView {
                 sequence,
                 prefix,
+                count,
                 entries,
             }))
         }
         (TYPE_BGP4MP, SUBTYPE_BGP4MP_MESSAGE_AS4) => {
-            need!(body, 4 + 4 + 2 + 2);
-            let peer_as = Asn(body.get_u32());
-            let local_as = Asn(body.get_u32());
-            let interface = body.get_u16();
-            let afi = body.get_u16();
-            if afi != 1 {
+            let [p0, p1, p2, p3, a0, a1, a2, a3, i0, i1, f0, f1] =
+                bgp::take_array(b).ok_or(Mrt2Error::Truncated)?;
+            if [f0, f1] != [0, 1] {
                 return Err(Mrt2Error::Malformed("non-IPv4 AFI"));
             }
-            need!(body, 4 + 4);
-            let peer_ip = body.get_u32();
-            let local_ip = body.get_u32();
-            let (message, used) = bgp::decode_message(body)?;
-            if used != body.len() {
+            let [ip0, ip1, ip2, ip3, lip0, lip1, lip2, lip3] =
+                bgp::take_array(b).ok_or(Mrt2Error::Truncated)?;
+            let (message, used) = bgp::parse_message(b)?;
+            if used != b.len() {
                 return Err(Mrt2Error::Malformed("trailing bytes after BGP message"));
             }
-            Ok(MrtRecord::Bgp4mpMessage(Bgp4mpMessage {
-                peer_as,
-                local_as,
-                interface,
-                peer_ip,
-                local_ip,
+            Ok(MrtRecordView::Bgp4mpMessage(Bgp4mpView {
+                peer_as: Asn(u32::from_be_bytes([p0, p1, p2, p3])),
+                local_as: Asn(u32::from_be_bytes([a0, a1, a2, a3])),
+                interface: u16::from_be_bytes([i0, i1]),
+                peer_ip: u32::from_be_bytes([ip0, ip1, ip2, ip3]),
+                local_ip: u32::from_be_bytes([lip0, lip1, lip2, lip3]),
                 message,
             }))
         }
-        _ => Ok(MrtRecord::Unknown {
+        _ => Ok(MrtRecordView::Unknown {
             mrt_type: t,
             mrt_subtype: st,
-            body: Bytes::copy_from_slice(body),
+            body,
         }),
     }
 }
 
+/// Parse one record from the front of `buf` after checking its whole
+/// structure; returns its view and the bytes it spans.
+pub fn parse_record(mut buf: &[u8]) -> Result<(RecordView<'_>, usize), Mrt2Error> {
+    let b = &mut buf;
+    let [s0, s1, s2, s3, t0, t1, st0, st1, l0, l1, l2, l3] =
+        bgp::take_array(b).ok_or(Mrt2Error::Truncated)?;
+    let len = u32::from_be_bytes([l0, l1, l2, l3]);
+    let len = usize::try_from(len).map_err(|_| Mrt2Error::Truncated)?;
+    let body = bgp::take(b, len).ok_or(Mrt2Error::Truncated)?;
+    let t = u16::from_be_bytes([t0, t1]);
+    let st = u16::from_be_bytes([st0, st1]);
+    let record = parse_body(t, st, body)?;
+    let timestamp = u32::from_be_bytes([s0, s1, s2, s3]);
+    Ok((RecordView { timestamp, record }, 12 + len))
+}
+
 /// Decode one record from the front of `buf`; returns it and the bytes
 /// consumed.
-pub fn decode_record(mut buf: &[u8]) -> Result<(TimestampedRecord, usize), Mrt2Error> {
-    need!(buf, 12);
-    let timestamp = buf.get_u32();
-    let t = buf.get_u16();
-    let st = buf.get_u16();
-    let len = buf.get_u32() as usize;
-    need!(buf, len);
-    let record = decode_body(t, st, &buf[..len])?;
-    Ok((TimestampedRecord { timestamp, record }, 12 + len))
+pub fn decode_record(buf: &[u8]) -> Result<(TimestampedRecord, usize), Mrt2Error> {
+    parse_record(buf).map(|(rec, used)| (rec.to_record(), used))
+}
+
+/// The strict cursor over a whole file: each record in order, ending
+/// after the first structural error.
+pub fn records(mut buf: &[u8]) -> impl Iterator<Item = Result<RecordView<'_>, Mrt2Error>> {
+    std::iter::from_fn(move || {
+        if buf.is_empty() {
+            return None;
+        }
+        let next = parse_record(buf);
+        buf = match &next {
+            Ok((_, used)) => buf.get(*used..).unwrap_or_default(),
+            Err(_) => &[],
+        };
+        Some(next.map(|(rec, _)| rec))
+    })
 }
 
 /// Decode a whole file into records. Fails on the first structural
 /// error; use [`decode_file_lossy`] for damaged archives.
-pub fn decode_file(mut buf: &[u8]) -> Result<Vec<TimestampedRecord>, Mrt2Error> {
-    let mut out = Vec::new();
-    while !buf.is_empty() {
-        let (rec, used) = decode_record(buf)?;
-        out.push(rec);
-        buf = &buf[used..];
-    }
-    Ok(out)
+pub fn decode_file(buf: &[u8]) -> Result<Vec<TimestampedRecord>, Mrt2Error> {
+    records(buf).map(|r| r.map(RecordView::to_record)).collect()
 }
 
 /// Accounting from a lossy scan: how many records decoded, how many
@@ -487,7 +639,7 @@ impl LossyStats {
     }
 }
 
-/// Streaming lossy decoder: yields one decodable record at a time,
+/// The lossy cursor: yields one checked record view at a time,
 /// resynchronizing on the declared record length and accumulating
 /// [`LossyStats`] as it goes. When a length field overruns the rest of
 /// the buffer (corrupt length, or a file cut mid-record) there is no
@@ -522,30 +674,33 @@ impl<'a> RecordReader<'a> {
     }
 }
 
-impl Iterator for RecordReader<'_> {
-    type Item = TimestampedRecord;
+impl<'a> Iterator for RecordReader<'a> {
+    type Item = RecordView<'a>;
 
-    fn next(&mut self) -> Option<TimestampedRecord> {
+    fn next(&mut self) -> Option<RecordView<'a>> {
+        let buf = self.buf;
         loop {
-            let rest = &self.buf[self.offset..];
+            let rest = buf.get(self.offset..).unwrap_or_default();
             if rest.is_empty() {
                 return None;
             }
-            if rest.len() < 12 {
-                // A fragment too short to be a header: the file was
-                // cut mid-header, nothing further can be framed.
+            // A fragment too short to be a header means the file was
+            // cut mid-header; a length past the end means a corrupt
+            // length or a file cut mid-record. Either way nothing
+            // further can be framed.
+            let declared = rest
+                .get(8..12)
+                .and_then(|l| l.try_into().ok())
+                .map(u32::from_be_bytes)
+                .and_then(|l| usize::try_from(l).ok());
+            let Some(record) = declared.and_then(|l| rest.get(..12usize.saturating_add(l)))
+            else {
                 self.abort();
                 return None;
-            }
-            let len = u32::from_be_bytes([rest[8], rest[9], rest[10], rest[11]]) as usize;
-            let total = 12usize.saturating_add(len);
-            if rest.len() < total {
-                self.abort();
-                return None;
-            }
-            self.offset += total;
-            self.stats.bytes_scanned += total;
-            match decode_record(&rest[..total]) {
+            };
+            self.offset += record.len();
+            self.stats.bytes_scanned += record.len();
+            match parse_record(record) {
                 Ok((rec, _)) => {
                     self.stats.decoded += 1;
                     return Some(rec);
@@ -564,7 +719,7 @@ impl Iterator for RecordReader<'_> {
 /// warn event/counter) instead of being silently dropped.
 pub fn decode_file_lossy(buf: &[u8]) -> (Vec<TimestampedRecord>, LossyStats) {
     let mut reader = RecordReader::new(buf);
-    let out: Vec<TimestampedRecord> = reader.by_ref().collect();
+    let out: Vec<TimestampedRecord> = reader.by_ref().map(RecordView::to_record).collect();
     let stats = reader.stats();
     stats.emit();
     (out, stats)
@@ -660,6 +815,25 @@ mod tests {
         let bytes = encode_record(r.timestamp, &r.record).expect("encodes");
         let (decoded, _) = decode_record(&bytes).unwrap();
         assert_eq!(decoded, r);
+    }
+
+    #[test]
+    fn views_borrow_the_file_and_convert_to_the_owned_records() {
+        let sample = sample_records();
+        let bytes = encode_file(&sample).expect("encodes");
+        let views: Vec<RecordView<'_>> = records(&bytes).collect::<Result<_, _>>().expect("parses");
+        let owned: Vec<TimestampedRecord> = views.iter().map(|v| v.to_record()).collect();
+        assert_eq!(owned, sample);
+        let MrtRecordView::RibIpv4Unicast(rib) = views[1].record else {
+            panic!("record 1 is a RIB record");
+        };
+        let entry = rib.entries().next().expect("one entry");
+        // The entry's attributes are a slice of the file, not a copy.
+        let file = bytes.as_ptr_range();
+        assert!(file.contains(&entry.attributes.as_ptr()));
+        // The lossy cursor yields the same views.
+        let lossy: Vec<RecordView<'_>> = RecordReader::new(&bytes).collect();
+        assert_eq!(lossy, views);
     }
 
     #[test]

@@ -5,33 +5,45 @@
 //! Real-world analogues (`bgpkit-parser`, `bgpdump`) flatten MRT's
 //! nested records — peer tables, per-peer RIB entries, multi-NLRI
 //! UPDATEs — into one element per `(prefix, peer)`: the shape every
-//! downstream analysis wants. [`BgpElem`] is that flattening for the
+//! downstream analysis wants. [`ElemView`] is that flattening for the
 //! archive's two file kinds:
 //!
 //! * RFC 6396 RIB files ([`crate::mrt2`]): each `RIB_IPV4_UNICAST`
 //!   entry becomes one [`ElemKind::Rib`] element, with the peer
 //!   resolved through the file's `PEER_INDEX_TABLE` and origin/path
-//!   pulled from the entry's BGP attributes,
+//!   read from the entry's BGP attributes,
 //! * RFC 6396 update files: each announced NLRI becomes an
 //!   [`ElemKind::Announce`], each withdrawn prefix an
 //!   [`ElemKind::Withdraw`].
 //!
+//! The scan reads files through the borrowed record cursor of
+//! [`crate::mrt2`] and its contract is: *validate every byte,
+//! materialize only survivors*. Every record of every file the day
+//! clause keeps is checked in full, and every RIB entry's attribute
+//! framing is walked, whether or not a row of it can match. Elements
+//! stay borrowed: kind, prefix and peer are judged on raw fields, the
+//! AS path is found only for an element that passed them, and only a
+//! row that passes every clause is formatted.
+//!
 //! Scans run in one of two parse modes. *Strict* fails the query on
-//! the first structural error. *Lossy* skips damaged records and
+//! the first error the owned decoders would report: a structural error
+//! anywhere in the file, else the first RIB entry whose attributes fail
+//! their framing. *Lossy* skips damaged records and entries and
 //! accounts for every byte and record through
 //! [`crate::mrt2::LossyStats`] — per-reason skip counters plus the
 //! abandoned-tail bytes when a corrupt length field aborts a file's
 //! scan. Multi-file scans fan out through [`crate::par`] and merge in
 //! file-index order, so output is byte-identical at any worker count.
 
-use crate::mrt2::{self, LossyStats, MrtRecord, RecordReader};
+use crate::bgp::{self, AsPathView};
+use crate::mrt2::{self, LossyStats, MrtRecordView, RecordReader, RecordView};
 use crate::updates::CollectorArchiveV2;
-use crate::{bgp, par};
+use crate::par;
 use bytes::Bytes;
 use nettypes::asn::{Asn, Origin};
 use nettypes::date::Date;
 use nettypes::prefix::Prefix;
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 // --- elements ---------------------------------------------------------
 
@@ -76,10 +88,12 @@ impl std::str::FromStr for ElemKind {
     }
 }
 
-/// One flattened per-prefix element: the unit every filter and output
-/// row operates on.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BgpElem {
+/// One flattened per-prefix element, borrowing the archive bytes: the
+/// unit every filter and output row operates on. Origin and path stay
+/// an undecoded [`AsPathView`] until a clause or an output row needs
+/// them.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ElemView<'a> {
     /// The archive day the element came from.
     pub day: Date,
     /// Record timestamp (Unix seconds).
@@ -88,12 +102,18 @@ pub struct BgpElem {
     pub kind: ElemKind,
     /// The prefix.
     pub prefix: Prefix,
-    /// Origin AS (or AS_SET); absent for withdrawals.
-    pub origin: Option<Origin>,
     /// The collector peer that contributed the element.
     pub peer: Option<Asn>,
-    /// The AS path, flattened (empty for withdrawals).
-    pub path: Vec<Asn>,
+    /// The AS path; empty for withdrawals and for routes without a
+    /// well-formed AS_PATH, and then the element has no origin.
+    pub path: AsPathView<'a>,
+}
+
+impl ElemView<'_> {
+    /// Origin AS (or AS_SET); absent for withdrawals.
+    pub fn origin(&self) -> Option<Origin> {
+        self.path.origin()
+    }
 }
 
 // --- filter language --------------------------------------------------
@@ -173,29 +193,36 @@ impl PathPattern {
 
     /// Anchored match over the whole path (greedy two-pointer glob).
     pub fn matches(&self, path: &[Asn]) -> bool {
+        self.matches_iter(path.iter().copied())
+    }
+
+    /// [`PathPattern::matches`] over a path walked by a cloneable
+    /// iterator: a clone marks where the last `*` may resume.
+    fn matches_iter<I: Iterator<Item = Asn> + Clone>(&self, mut rest: I) -> bool {
         let toks = &self.tokens;
-        let (mut p, mut s) = (0usize, 0usize);
-        let mut star: Option<(usize, usize)> = None;
-        while s < path.len() {
-            let tok = toks.get(p);
-            match tok {
-                Some(PathToken::Literal(a)) if *a == path[s] => {
+        let mut p = 0usize;
+        let mut star: Option<(usize, I)> = None;
+        loop {
+            let mut ahead = rest.clone();
+            let Some(a) = ahead.next() else { break };
+            match toks.get(p) {
+                Some(PathToken::Literal(l)) if *l == a => {
                     p += 1;
-                    s += 1;
+                    rest = ahead;
                 }
                 Some(PathToken::One) => {
                     p += 1;
-                    s += 1;
+                    rest = ahead;
                 }
                 Some(PathToken::Star) => {
-                    star = Some((p, s));
+                    star = Some((p, rest.clone()));
                     p += 1;
                 }
-                _ => match star {
-                    Some((sp, ss)) => {
-                        p = sp + 1;
-                        s = ss + 1;
-                        star = Some((sp, ss + 1));
+                _ => match &mut star {
+                    Some((sp, resume)) => {
+                        resume.next();
+                        p = *sp + 1;
+                        rest = resume.clone();
                     }
                     None => return false,
                 },
@@ -237,7 +264,7 @@ impl fmt::Display for PathPattern {
 /// | `peer=A` | collector peer AS |
 /// | `days=D`, `days=D1..D2`, `days=D1..`, `days=..D2` | day range (inclusive) |
 /// | `path=64500,*,3333` | anchored AS-path glob (`*` any run, `?` one hop) |
-/// | `kind=rib\|announce\|withdraw\|obs` | record kinds |
+/// | `kind=rib\|announce\|withdraw` | record kinds |
 ///
 /// An empty string parses to the match-everything filter.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -342,41 +369,35 @@ impl Filter {
     }
 
     /// True when `elem` passes every clause.
-    pub fn matches(&self, elem: &BgpElem) -> bool {
-        if let Some(pm) = &self.prefix {
-            if !pm.matches(&elem.prefix) {
-                return false;
-            }
-        }
-        if let Some(origins) = &self.origins {
-            let hit = match &elem.origin {
-                Some(Origin::Single(a)) => origins.contains(a),
-                Some(Origin::Set(set)) => set.iter().any(|a| origins.contains(a)),
-                None => false,
-            };
-            if !hit {
-                return false;
-            }
-        }
-        if let Some(peer) = self.peer {
-            if elem.peer != Some(peer) {
-                return false;
-            }
-        }
-        if !self.day_in_range(elem.day) {
-            return false;
-        }
-        if let Some(pat) = &self.path {
-            if !pat.matches(&elem.path) {
-                return false;
-            }
-        }
-        if let Some(kinds) = &self.kinds {
-            if !kinds.contains(&elem.kind) {
-                return false;
-            }
-        }
-        true
+    pub fn matches(&self, elem: &ElemView<'_>) -> bool {
+        self.admits_kind(elem.kind)
+            && self.admits_prefix(&elem.prefix)
+            && self.admits_peer(elem.peer)
+            && self.day_in_range(elem.day)
+            && self.admits_path(elem.path)
+    }
+
+    fn admits_kind(&self, kind: ElemKind) -> bool {
+        self.kinds.as_ref().is_none_or(|k| k.contains(&kind))
+    }
+
+    fn admits_prefix(&self, prefix: &Prefix) -> bool {
+        self.prefix.as_ref().is_none_or(|pm| pm.matches(prefix))
+    }
+
+    fn admits_peer(&self, peer: Option<Asn>) -> bool {
+        self.peer.is_none_or(|want| peer == Some(want))
+    }
+
+    /// The clauses on the AS path: origin and path.
+    fn admits_path(&self, path: AsPathView<'_>) -> bool {
+        self.origins.as_ref().is_none_or(|origins| {
+            path.origin_asns()
+                .is_some_and(|mut asns| asns.any(|a| origins.contains(&a)))
+        }) && self
+            .path
+            .as_ref()
+            .is_none_or(|pat| pat.matches_iter(path.asns()))
     }
 
     /// True when `d` passes the day clause (used to prune whole files
@@ -553,7 +574,7 @@ pub struct QueryStats {
     pub files_scanned: usize,
     /// Files pruned by the day clause without decoding.
     pub files_pruned: usize,
-    /// Elements decoded and offered to the filter.
+    /// Elements framed and offered to the filter.
     pub elems_scanned: usize,
     /// Rows that passed the filter (before the row limit).
     pub rows_matched: usize,
@@ -575,115 +596,95 @@ pub struct QueryOutput {
 /// The CSV header row.
 pub const CSV_HEADER: &str = "day,kind,prefix,origin,peer,path\n";
 
-fn write_origin_csv(out: &mut String, origin: &Option<Origin>) {
-    match origin {
-        None => {}
-        Some(Origin::Single(a)) => {
-            let _ = write!(out, "{}", a.0);
+/// Append `v` in decimal.
+fn push_u32(out: &mut String, mut v: u32) {
+    const DIGITS: &[u8; 10] = b"0123456789";
+    let mut buf = [0u8; 10];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = DIGITS[(v % 10) as usize];
+        v /= 10;
+        if v == 0 {
+            break;
         }
-        Some(Origin::Set(set)) => {
-            for (i, a) in set.iter().enumerate() {
-                if i > 0 {
-                    out.push('|');
-                }
-                let _ = write!(out, "{}", a.0);
-            }
-        }
+    }
+    for &d in &buf[at..] {
+        out.push(char::from(d));
     }
 }
 
-fn write_row(out: &mut String, format: OutputFormat, e: &BgpElem) {
+fn push_asns(out: &mut String, asns: impl Iterator<Item = Asn>, sep: char) {
+    for (i, a) in asns.enumerate() {
+        if i > 0 {
+            out.push(sep);
+        }
+        push_u32(out, a.0);
+    }
+}
+
+/// Append `p` the way its `Display` renders it.
+fn push_prefix(out: &mut String, p: Prefix) {
+    for (i, octet) in p.network().to_be_bytes().into_iter().enumerate() {
+        if i > 0 {
+            out.push('.');
+        }
+        push_u32(out, u32::from(octet));
+    }
+    out.push('/');
+    push_u32(out, u32::from(p.len()));
+}
+
+/// Append one output row. `day` is the element's day, formatted once
+/// per file. Every value is a date, a keyword, or numeric, so nothing
+/// needs CSV quoting or JSON string escaping.
+fn write_row(out: &mut String, format: OutputFormat, day: &str, e: &ElemView<'_>) {
+    let origin = e.path.origin_asns();
     match format {
         OutputFormat::Csv => {
-            let _ = write!(out, "{},{},{},", e.day, e.kind, e.prefix);
-            write_origin_csv(out, &e.origin);
+            out.push_str(day);
+            out.push(',');
+            out.push_str(e.kind.name());
+            out.push(',');
+            push_prefix(out, e.prefix);
+            out.push(',');
+            if let Some(asns) = origin {
+                push_asns(out, asns, '|');
+            }
             out.push(',');
             if let Some(p) = e.peer {
-                let _ = write!(out, "{}", p.0);
+                push_u32(out, p.0);
             }
             out.push(',');
-            for (i, a) in e.path.iter().enumerate() {
-                if i > 0 {
-                    out.push(' ');
-                }
-                let _ = write!(out, "{}", a.0);
-            }
+            push_asns(out, e.path.asns(), ' ');
             out.push('\n');
         }
         OutputFormat::Jsonl => {
-            // Every value is a date, a keyword, or numeric — nothing
-            // needs JSON string escaping.
-            let _ = write!(
-                out,
-                "{{\"day\":\"{}\",\"kind\":\"{}\",\"prefix\":\"{}\",\"origin\":",
-                e.day, e.kind, e.prefix
-            );
-            match &e.origin {
+            out.push_str("{\"day\":\"");
+            out.push_str(day);
+            out.push_str("\",\"kind\":\"");
+            out.push_str(e.kind.name());
+            out.push_str("\",\"prefix\":\"");
+            push_prefix(out, e.prefix);
+            out.push_str("\",\"origin\":");
+            match origin {
                 None => out.push_str("null"),
-                Some(Origin::Single(a)) => {
-                    let _ = write!(out, "[{}]", a.0);
-                }
-                Some(Origin::Set(set)) => {
+                Some(asns) => {
                     out.push('[');
-                    for (i, a) in set.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "{}", a.0);
-                    }
+                    push_asns(out, asns, ',');
                     out.push(']');
                 }
             }
             out.push_str(",\"peer\":");
             match e.peer {
                 None => out.push_str("null"),
-                Some(p) => {
-                    let _ = write!(out, "{}", p.0);
-                }
+                Some(p) => push_u32(out, p.0),
             }
             out.push_str(",\"path\":[");
-            for (i, a) in e.path.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}", a.0);
-            }
+            push_asns(out, e.path.asns(), ',');
             out.push_str("]}\n");
         }
     }
-}
-
-/// Origin and flattened path from raw BGP attribute bytes.
-fn origin_and_path(attrs: &[bgp::PathAttribute]) -> (Option<Origin>, Vec<Asn>) {
-    use bgp::AsPathSegment;
-    for a in attrs {
-        if let bgp::PathAttribute::AsPath(segs) = a {
-            let mut path = Vec::new();
-            for s in segs {
-                match s {
-                    AsPathSegment::Sequence(v) | AsPathSegment::Set(v) => {
-                        path.extend_from_slice(v)
-                    }
-                }
-            }
-            let origin = match segs.last() {
-                Some(AsPathSegment::Sequence(v)) => v.last().copied().map(Origin::Single),
-                Some(AsPathSegment::Set(v)) => Some(Origin::Set(v.clone())),
-                None => None,
-            };
-            return (origin, path);
-        }
-    }
-    (None, Vec::new())
-}
-
-/// Per-file scan result (rows already formatted so the merge is a
-/// cheap string concatenation).
-struct FileScan {
-    rows: String,
-    nrows: usize,
-    elems: usize,
-    lossy: LossyStats,
 }
 
 fn decode_error(day: Date, detail: impl fmt::Display) -> QueryError {
@@ -693,112 +694,144 @@ fn decode_error(day: Date, detail: impl fmt::Display) -> QueryError {
     }
 }
 
-/// Feed one mrt2 record's elements through the filter.
-#[allow(clippy::too_many_arguments)]
-fn mrt2_record_elems(
-    file: &QueryFile,
-    rec: &mrt2::TimestampedRecord,
-    peers: &mut Vec<Asn>,
-    lossy: bool,
-    scan: &mut FileScan,
-    filter: &Filter,
+/// One file's scan: the filter it applies, the rows that passed, and
+/// its accounting.
+struct FileScan<'q> {
+    filter: &'q Filter,
     format: OutputFormat,
-) -> Result<(), QueryError> {
-    let emit = |scan: &mut FileScan, elem: &BgpElem| {
-        scan.elems += 1;
-        if filter.matches(elem) {
-            write_row(&mut scan.rows, format, elem);
-            scan.nrows += 1;
-        }
-    };
-    match &rec.record {
-        MrtRecord::PeerIndexTable(t) => {
-            *peers = t.peers.iter().map(|p| p.asn).collect();
-        }
-        MrtRecord::RibIpv4Unicast(r) => {
-            for entry in &r.entries {
-                let attrs = match bgp::decode_attributes(&entry.attributes) {
-                    Ok(a) => a,
-                    Err(e) if lossy => {
-                        scan.lossy.skipped_bgp += 1;
-                        let _ = e;
-                        continue;
-                    }
-                    Err(e) => return Err(decode_error(file.day, e)),
-                };
-                let (origin, path) = origin_and_path(&attrs);
-                let elem = BgpElem {
-                    day: file.day,
-                    timestamp: entry.originated_time,
-                    kind: ElemKind::Rib,
-                    prefix: r.prefix,
-                    origin,
-                    peer: peers.get(entry.peer_index as usize).copied(),
-                    path,
-                };
-                emit(scan, &elem);
-            }
-        }
-        MrtRecord::Bgp4mpMessage(m) => {
-            if let bgp::BgpMessage::Update(u) = &m.message {
-                let (origin, path) = origin_and_path(&u.attributes);
-                for prefix in &u.withdrawn {
-                    let elem = BgpElem {
-                        day: file.day,
-                        timestamp: rec.timestamp,
-                        kind: ElemKind::Withdraw,
-                        prefix: *prefix,
-                        origin: None,
-                        peer: Some(m.peer_as),
-                        path: Vec::new(),
-                    };
-                    emit(scan, &elem);
-                }
-                for prefix in &u.nlri {
-                    let elem = BgpElem {
-                        day: file.day,
-                        timestamp: rec.timestamp,
-                        kind: ElemKind::Announce,
-                        prefix: *prefix,
-                        origin: origin.clone(),
-                        peer: Some(m.peer_as),
-                        path: path.clone(),
-                    };
-                    emit(scan, &elem);
-                }
-            }
-        }
-        MrtRecord::Unknown { .. } => {}
-    }
-    Ok(())
+    lossy: bool,
+    day: Date,
+    /// The file's day as rows print it, formatted once.
+    day_text: String,
+    /// Peer ASNs by peer index; the file's `PEER_INDEX_TABLE` sets it.
+    peers: Vec<Asn>,
+    rows: String,
+    nrows: usize,
+    elems: usize,
+    stats: LossyStats,
+    /// Strict mode: the first RIB entry attribute blob that failed its
+    /// framing. It fails the file unless a structural error in a later
+    /// record does first.
+    bad_attributes: Option<bgp::BgpError>,
 }
 
-fn scan_file(
+impl<'q> FileScan<'q> {
+    fn new(file: &QueryFile, filter: &'q Filter, format: OutputFormat, lossy: bool) -> Self {
+        FileScan {
+            filter,
+            format,
+            lossy,
+            day: file.day,
+            day_text: file.day.to_string(),
+            peers: Vec::new(),
+            rows: String::new(),
+            nrows: 0,
+            elems: 0,
+            stats: LossyStats::default(),
+            bad_attributes: None,
+        }
+    }
+
+    /// Write the row of an element that passed the clauses on raw
+    /// record fields, if it passes the origin and path clauses too.
+    fn keep(&mut self, elem: &ElemView<'_>) {
+        if self.filter.admits_path(elem.path) {
+            write_row(&mut self.rows, self.format, &self.day_text, elem);
+            self.nrows += 1;
+        }
+    }
+
+    /// Count every element of one checked record and keep the rows
+    /// that pass the filter. Kind, prefix and peer are judged on raw
+    /// fields, once per record where the record shares them; only an
+    /// element that passes them has its AS path found. (The day clause
+    /// already pruned the file.) Each RIB entry's attribute framing is
+    /// walked whether or not the entry can match, so strict and lossy
+    /// mode judge every byte.
+    fn record(&mut self, rec: RecordView<'_>) {
+        let f = self.filter;
+        let day = self.day;
+        let elem = |kind, prefix, peer, timestamp, path| ElemView {
+            day,
+            timestamp,
+            kind,
+            prefix,
+            peer,
+            path,
+        };
+        match rec.record {
+            MrtRecordView::PeerIndexTable(t) => {
+                self.peers = t.peers().map(|p| p.asn).collect();
+            }
+            MrtRecordView::RibIpv4Unicast(r) => {
+                let live = f.admits_kind(ElemKind::Rib) && f.admits_prefix(&r.prefix);
+                for entry in r.entries() {
+                    if let Err(e) = bgp::check_attributes(entry.attributes) {
+                        if self.lossy {
+                            self.stats.skipped_bgp += 1;
+                        } else {
+                            self.bad_attributes.get_or_insert(e);
+                        }
+                        continue;
+                    }
+                    self.elems += 1;
+                    let peer = self.peers.get(usize::from(entry.peer_index)).copied();
+                    if live && f.admits_peer(peer) {
+                        // The framing was just checked.
+                        let path = bgp::as_path(entry.attributes).unwrap_or_default();
+                        let t = entry.originated_time;
+                        self.keep(&elem(ElemKind::Rib, r.prefix, peer, t, path));
+                    }
+                }
+            }
+            MrtRecordView::Bgp4mpMessage(m) => {
+                let bgp::MessageView::Update(u) = m.message else {
+                    return;
+                };
+                let (peer, t) = (Some(m.peer_as), rec.timestamp);
+                let live = f.admits_peer(peer) && f.admits_kind(ElemKind::Withdraw);
+                for prefix in u.withdrawn() {
+                    self.elems += 1;
+                    if live && f.admits_prefix(&prefix) {
+                        let path = AsPathView::default();
+                        self.keep(&elem(ElemKind::Withdraw, prefix, peer, t, path));
+                    }
+                }
+                let live = f.admits_peer(peer) && f.admits_kind(ElemKind::Announce);
+                let mut path = None;
+                for prefix in u.nlri() {
+                    self.elems += 1;
+                    if live && f.admits_prefix(&prefix) {
+                        let path = *path.get_or_insert_with(|| u.as_path());
+                        self.keep(&elem(ElemKind::Announce, prefix, peer, t, path));
+                    }
+                }
+            }
+            MrtRecordView::Unknown { .. } => {}
+        }
+    }
+}
+
+fn scan_file<'q>(
     file: &QueryFile,
-    filter: &Filter,
+    filter: &'q Filter,
     format: OutputFormat,
     lossy: bool,
-) -> Result<FileScan, QueryError> {
-    let mut scan = FileScan {
-        rows: String::new(),
-        nrows: 0,
-        elems: 0,
-        lossy: LossyStats::default(),
-    };
-    // Peer table state carries across records within one file.
-    let mut peers: Vec<Asn> = Vec::new();
+) -> Result<FileScan<'q>, QueryError> {
+    let mut scan = FileScan::new(file, filter, format, lossy);
     if lossy {
         let mut reader = RecordReader::new(&file.bytes);
         for rec in reader.by_ref() {
-            mrt2_record_elems(file, &rec, &mut peers, true, &mut scan, filter, format)?;
+            scan.record(rec);
         }
-        scan.lossy.merge(&reader.stats());
-        scan.lossy.emit();
+        scan.stats.merge(&reader.stats());
+        scan.stats.emit();
     } else {
-        let records =
-            mrt2::decode_file(&file.bytes).map_err(|e| decode_error(file.day, e))?;
-        for rec in &records {
-            mrt2_record_elems(file, rec, &mut peers, false, &mut scan, filter, format)?;
+        for rec in mrt2::records(&file.bytes) {
+            scan.record(rec.map_err(|e| decode_error(file.day, e))?);
+        }
+        if let Some(e) = scan.bad_attributes {
+            return Err(decode_error(file.day, e));
         }
     }
     Ok(scan)
@@ -836,7 +869,7 @@ pub fn run_query(files: &[QueryFile], opts: &QueryOptions) -> Result<QueryOutput
         stats.files_scanned += 1;
         stats.elems_scanned += scan.elems;
         stats.rows_matched += scan.nrows;
-        stats.lossy.merge(&scan.lossy);
+        stats.lossy.merge(&scan.stats);
         let room = budget - stats.rows_emitted;
         if room == 0 {
             continue; // keep aggregating stats; the body is full
@@ -932,7 +965,9 @@ pub fn files_from_dir(dir: &std::path::Path) -> std::io::Result<Vec<QueryFile>> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mrt2::{encode_file, Bgp4mpMessage, PeerEntry, PeerIndexTable, TimestampedRecord};
+    use crate::mrt2::{
+        encode_file, Bgp4mpMessage, MrtRecord, PeerEntry, PeerIndexTable, TimestampedRecord,
+    };
     use nettypes::date::date;
     use nettypes::prefix::pfx;
 
@@ -1093,6 +1128,34 @@ mod tests {
         assert!(!pat("?,?").matches(&path));
         assert!(!pat("9999,*").matches(&path));
         assert!(!pat("?").matches(&[]));
+    }
+
+    #[test]
+    fn filter_matches_borrowed_elements() {
+        let attrs = bgp::encode_attributes(&[bgp::PathAttribute::AsPath(vec![
+            bgp::AsPathSegment::Sequence(vec![asn(12654), asn(3333)]),
+            bgp::AsPathSegment::Set(vec![asn(64500), asn(64501)]),
+        ])]);
+        let path = bgp::as_path(&attrs).expect("framing holds");
+        let elem = ElemView {
+            day: date("2018-01-01"),
+            timestamp: 0,
+            kind: ElemKind::Announce,
+            prefix: pfx("193.0.0.0/21"),
+            peer: Some(asn(12654)),
+            path,
+        };
+        assert_eq!(elem.origin(), Some(Origin::Set(vec![asn(64500), asn(64501)])));
+        let hit = |s: &str| Filter::parse(s).expect("parses").matches(&elem);
+        assert!(hit(""));
+        assert!(hit("origin=64501 peer=12654 kind=announce subnet-of=193.0.0.0/16"));
+        assert!(hit("path=12654,*,64501 days=2018-01-01"));
+        assert!(!hit("origin=3333"));
+        assert!(!hit("path=*,3333"));
+        assert!(!hit("kind=withdraw"));
+        assert!(!hit("peer=3333"));
+        assert!(!hit("supernet-of=193.0.0.0/20"));
+        assert!(!hit("days=2018-01-02.."));
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! routing state by applying update files to the most recent RIB,
 //! implementing the missing-file fallback verbatim.
 
-use crate::bgp::{self, BgpMessage, PathAttribute, UpdateMessage};
+use crate::bgp::{self, AsPathView, BgpMessage, MessageView, PathAttribute, UpdateMessage};
 use crate::mrt2::{
-    decode_file_lossy, encode_file, Bgp4mpMessage, Mrt2Error, MrtRecord, PeerEntry,
-    PeerIndexTable, RibEntry, RibIpv4Unicast, TimestampedRecord,
+    encode_file, Bgp4mpMessage, Mrt2Error, MrtRecord, MrtRecordView, PeerEntry, PeerIndexTable,
+    RecordReader, RecordView, RibEntry, RibIpv4Unicast, TimestampedRecord,
 };
 use crate::engine::{RenderEngine, SelChange};
 use crate::observe::{ObservationDay, RouteObservation, VisibilityModel};
@@ -28,6 +28,7 @@ use nettypes::asn::{Asn, Origin};
 use nettypes::date::{Date, DateRange};
 use nettypes::prefix::Prefix;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::io::Write as _;
 use std::sync::Arc;
 
 /// Errors from archive reconstruction.
@@ -246,19 +247,6 @@ impl<'w> AttrTable<'w> {
     }
 }
 
-fn origin_from_attributes(attrs: &[PathAttribute]) -> Option<Origin> {
-    use crate::bgp::AsPathSegment;
-    for a in attrs {
-        if let PathAttribute::AsPath(segs) = a {
-            return match segs.last()? {
-                AsPathSegment::Sequence(v) => v.last().copied().map(Origin::Single),
-                AsPathSegment::Set(v) => Some(Origin::Set(v.clone())),
-            };
-        }
-    }
-    None
-}
-
 /// The peer table for a monitor fleet. Peer tables are u16-counted on
 /// the wire; oversized monitor sets are rejected here so every
 /// per-peer index downstream fits.
@@ -458,6 +446,12 @@ impl CollectorArchiveV2 {
     /// mix two worlds. If `dir` already holds an archive-named file for
     /// a date this archive does not write, nothing is written and the
     /// error names the first such file (in name order).
+    ///
+    /// Each file is written to `<name>.tmp`, synced, and then renamed
+    /// into place, so a reader never sees a half-written archive file: a
+    /// write cut short leaves a `.tmp` file, which neither
+    /// [`crate::query::files_from_dir`] nor the stray check above treats
+    /// as an archive file.
     pub fn write_dir(&self, dir: &std::path::Path) -> std::io::Result<usize> {
         std::fs::create_dir_all(dir)?;
         let mut stray: Vec<String> = Vec::new();
@@ -483,15 +477,19 @@ impl CollectorArchiveV2 {
                 ),
             ));
         }
+        let ribs = self.ribs.iter().map(|(d, b)| (format!("rib-{d}.mrt"), b));
+        let updates = self.updates.iter().map(|(d, b)| (format!("updates-{d}.mrt"), b));
         let mut written = 0usize;
-        for (d, bytes) in &self.ribs {
-            std::fs::write(dir.join(format!("rib-{d}.mrt")), bytes)?;
+        for (name, bytes) in ribs.chain(updates) {
+            let tmp = dir.join(format!("{name}.tmp"));
+            let mut file = std::fs::File::create(&tmp)?;
+            file.write_all(bytes)?;
+            file.sync_all()?;
+            std::fs::rename(&tmp, dir.join(name))?;
             written += 1;
         }
-        for (d, bytes) in &self.updates {
-            std::fs::write(dir.join(format!("updates-{d}.mrt")), bytes)?;
-            written += 1;
-        }
+        // The renames are directory entries: sync those too.
+        std::fs::File::open(dir)?.sync_all()?;
         Ok(written)
     }
 
@@ -515,77 +513,55 @@ impl CollectorArchiveV2 {
         self.ribs.insert(d, bytes);
     }
 
-    /// Load a RIB file into per-peer state.
+    /// Load a RIB file into per-peer state. Undecodable records and
+    /// entries are skipped (lossy, like real pipelines).
     fn load_rib(&self, d: Date) -> Option<(Vec<PeerEntry>, PeerRoutes)> {
         let bytes = self.ribs.get(&d)?;
-        let (records, _stats) = decode_file_lossy(bytes);
+        let mut reader = RecordReader::new(bytes);
         let mut peers: Vec<PeerEntry> = Vec::new();
         let mut routes: PeerRoutes = Vec::new();
-        for rec in records {
+        for rec in reader.by_ref() {
             match rec.record {
-                MrtRecord::PeerIndexTable(t) => {
-                    peers = t.peers;
+                MrtRecordView::PeerIndexTable(t) => {
+                    peers = t.peers().collect();
                     routes = vec![BTreeMap::new(); peers.len()];
                 }
-                MrtRecord::RibIpv4Unicast(r) => {
-                    for e in &r.entries {
-                        let Some(slot) = routes.get_mut(e.peer_index as usize) else {
+                MrtRecordView::RibIpv4Unicast(r) => {
+                    for e in r.entries() {
+                        let Some(slot) = routes.get_mut(usize::from(e.peer_index)) else {
                             continue;
                         };
-                        if let Ok(attrs) = bgp::decode_attributes(&e.attributes) {
-                            if let Some(origin) = origin_from_attributes(&attrs) {
-                                slot.insert(r.prefix, origin);
-                            }
+                        let origin = bgp::as_path(e.attributes).ok().and_then(AsPathView::origin);
+                        if let Some(origin) = origin {
+                            slot.insert(r.prefix, origin);
                         }
                     }
                 }
                 _ => {}
             }
         }
+        reader.stats().emit();
         if peers.is_empty() {
             return None;
         }
         Some((peers, routes))
     }
 
-    /// Apply one update file to per-peer state. Unknown peers and
-    /// undecodable records are skipped (lossy, like real pipelines).
-    fn apply_updates(
-        &self,
-        bytes: &Bytes,
-        peers: &[PeerEntry],
-        routes: &mut [BTreeMap<Prefix, Origin>],
-    ) {
-        let (mut records, _stats) = decode_file_lossy(bytes);
-        records.sort_by_key(|r| r.timestamp);
-        // Peers are identified by (IP, ASN): multiple collector peers
-        // may share an ASN (multi-session setups), but never an IP.
-        let index_of: HashMap<(u32, Asn), usize> = peers
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ((p.ip, p.asn), i))
-            .collect();
-        for rec in records {
-            let MrtRecord::Bgp4mpMessage(m) = rec.record else {
-                continue;
+    /// Apply one update file to per-peer state.
+    fn apply_updates(bytes: &Bytes, peers: &[PeerEntry], routes: &mut [BTreeMap<Prefix, Origin>]) {
+        replay_updates(bytes, peers, |pi, p, origin| {
+            let Some(table) = routes.get_mut(pi) else {
+                return;
             };
-            let Some(&pi) = index_of.get(&(m.peer_ip, m.peer_as)) else {
-                continue;
-            };
-            let BgpMessage::Update(u) = m.message else {
-                continue;
-            };
-            for w in &u.withdrawn {
-                routes[pi].remove(w);
-            }
-            if !u.nlri.is_empty() {
-                if let Some(origin) = origin_from_attributes(&u.attributes) {
-                    for p in &u.nlri {
-                        routes[pi].insert(*p, origin.clone());
-                    }
+            match origin {
+                None => {
+                    table.remove(&p);
+                }
+                Some(o) => {
+                    table.insert(p, o.clone());
                 }
             }
-        }
+        });
     }
 
     /// Reconstruct the routing state of `date` per the paper's rules.
@@ -613,7 +589,7 @@ impl CollectorArchiveV2 {
         while d <= date {
             match self.updates.get(&d) {
                 Some(bytes) => {
-                    self.apply_updates(bytes, &peers, &mut routes);
+                    Self::apply_updates(bytes, &peers, &mut routes);
                     d = d.succ();
                 }
                 None => {
@@ -936,55 +912,81 @@ impl<'a> ObservationSweep<'a> {
     /// and changed-prefix tracking bolted on. A route write that does
     /// not change the stored origin touches nothing.
     fn apply_updates_tracked(&mut self, bytes: &Bytes) -> Vec<Prefix> {
-        let (mut records, _stats) = decode_file_lossy(bytes);
-        records.sort_by_key(|r| r.timestamp);
-        let index_of: HashMap<(u32, Asn), usize> = self
-            .peers
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ((p.ip, p.asn), i))
-            .collect();
         let mut touched: BTreeSet<Prefix> = BTreeSet::new();
         let Self {
+            ref peers,
             ref mut routes,
             ref mut counts,
             ref mut fmt,
             ..
         } = *self;
-        for rec in records {
-            let MrtRecord::Bgp4mpMessage(m) = rec.record else {
-                continue;
+        replay_updates(bytes, peers, |pi, p, origin| {
+            let Some(table) = routes.get_mut(pi) else {
+                return;
             };
-            let Some(&pi) = index_of.get(&(m.peer_ip, m.peer_as)) else {
-                continue;
-            };
-            let BgpMessage::Update(u) = m.message else {
-                continue;
-            };
-            for w in &u.withdrawn {
-                if let Some(old) = routes[pi].remove(w) {
-                    count_dec(counts, fmt, *w, &old);
-                    touched.insert(*w);
-                }
-            }
-            if !u.nlri.is_empty() {
-                if let Some(origin) = origin_from_attributes(&u.attributes) {
-                    for p in &u.nlri {
-                        match routes[pi].insert(*p, origin.clone()) {
-                            Some(old) if old == origin => {}
-                            old => {
-                                if let Some(o) = &old {
-                                    count_dec(counts, fmt, *p, o);
-                                }
-                                count_inc(counts, fmt, *p, &origin);
-                                touched.insert(*p);
-                            }
-                        }
+            match origin {
+                None => {
+                    if let Some(old) = table.remove(&p) {
+                        count_dec(counts, fmt, p, &old);
+                        touched.insert(p);
                     }
                 }
+                Some(origin) => match table.insert(p, origin.clone()) {
+                    Some(old) if old == *origin => {}
+                    old => {
+                        if let Some(o) = &old {
+                            count_dec(counts, fmt, p, o);
+                        }
+                        count_inc(counts, fmt, p, origin);
+                        touched.insert(p);
+                    }
+                },
+            }
+        });
+        touched.into_iter().collect()
+    }
+}
+
+/// Replay one update file, in timestamp order, onto per-peer state:
+/// `apply(peer, prefix, None)` for each withdrawn prefix, then
+/// `apply(peer, prefix, Some(origin))` for each NLRI of an announcement
+/// whose AS_PATH has an origin. The sort is stable, so records with one
+/// timestamp keep file order. Peers are identified by (IP, ASN):
+/// multiple collector peers may share an ASN (multi-session setups),
+/// but never an IP. Unknown peers and undecodable records are skipped
+/// (lossy, like real pipelines).
+fn replay_updates(
+    bytes: &[u8],
+    peers: &[PeerEntry],
+    mut apply: impl FnMut(usize, Prefix, Option<&Origin>),
+) {
+    let mut reader = RecordReader::new(bytes);
+    let mut records: Vec<RecordView<'_>> = reader.by_ref().collect();
+    reader.stats().emit();
+    records.sort_by_key(|r| r.timestamp);
+    let index_of: HashMap<(u32, Asn), usize> = peers
+        .iter()
+        .enumerate()
+        .map(|(i, p)| ((p.ip, p.asn), i))
+        .collect();
+    for rec in records {
+        let MrtRecordView::Bgp4mpMessage(m) = rec.record else {
+            continue;
+        };
+        let Some(&pi) = index_of.get(&(m.peer_ip, m.peer_as)) else {
+            continue;
+        };
+        let MessageView::Update(u) = m.message else {
+            continue;
+        };
+        for w in u.withdrawn() {
+            apply(pi, w, None);
+        }
+        if let Some(origin) = u.as_path().origin() {
+            for p in u.nlri() {
+                apply(pi, p, Some(&origin));
             }
         }
-        touched.into_iter().collect()
     }
 }
 
@@ -1149,6 +1151,7 @@ fn encode_updates_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mrt2::decode_file_lossy;
     use crate::scenario::WorldConfig;
     use crate::topology::TopologyConfig;
     use nettypes::date::date;
@@ -1524,6 +1527,37 @@ mod tests {
             "error should name the first stray file: {err}"
         );
         assert_eq!(listing(), before, "a refused write must leave the directory unchanged");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn write_dir_renames_temp_files_into_place_and_ignores_leftovers() {
+        let (_, _, archive) = setup();
+        let dir = std::env::temp_dir().join(format!("drywells-write-tmp-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        // Leftovers of writes cut short before their rename: one for a
+        // file this archive writes, one for a date it does not.
+        let first = archive.rib_dates().next().expect("a RIB");
+        std::fs::write(dir.join(format!("rib-{first}.mrt.tmp")), b"half a").expect("write");
+        std::fs::write(dir.join("rib-1999-01-01.mrt.tmp"), b"half a").expect("write");
+        assert!(crate::query::files_from_dir(&dir).expect("dir reads").is_empty());
+
+        let written = archive
+            .write_dir(&dir)
+            .expect("a leftover temp file is not another archive's file");
+        let files = crate::query::files_from_dir(&dir).expect("dir reads");
+        assert_eq!(files.len(), written);
+        let key = |f: &crate::query::QueryFile| (f.day, f.kind, f.bytes.clone());
+        let want = crate::query::files_from_archive_v2(&archive);
+        assert!(files.iter().map(key).eq(want.iter().map(key)), "files differ");
+        let mut temps: Vec<String> = std::fs::read_dir(&dir)
+            .expect("dir lists")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".tmp"))
+            .collect();
+        temps.sort();
+        assert_eq!(temps, ["rib-1999-01-01.mrt.tmp"], "only the foreign leftover stays");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -70,6 +70,11 @@ loadgen addr="127.0.0.1:8080":
 flight-dump artifact="fig6":
     cargo run --release --bin repro -- flight-dump {{ artifact }}
 
+# One workload of the end-to-end benchmark, run the way BENCHMARK.json
+# runs it (figures, archive or serve); prints the result JSON last.
+perfbench workload="archive" seed="2020" seconds="40" trace="0":
+    cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- --workload {{ workload }} --seed {{ seed }} --seconds {{ seconds }} --trace {{ trace }}
+
 # Write the quick-scale MRT archive to disk and run a query over it.
 query filter="kind=announce|withdraw" dir="archive.quick":
     cargo run --release --bin repro -- archive --out {{ dir }}

@@ -3,7 +3,10 @@
 //! where the paper defines a fallback — produce near-identical
 //! results.
 
+mod query_oracle;
+
 use bgpsim::mrt2::{decode_file, decode_file_lossy, Mrt2Error};
+use bgpsim::query::{run_query, FileKind, Filter, QueryFile, QueryOptions};
 use bgpsim::updates::{ArchiveV2Config, CollectorArchiveV2};
 use bytes::Bytes;
 use delegation::config::InferenceConfig;
@@ -92,10 +95,49 @@ fn fully_corrupted_archive_yields_empty_but_sane_result() {
     assert!(result.days.iter().all(Vec::is_empty));
 }
 
+/// The query engine over one damaged file, against the owned oracle.
+/// The filter matches no row of the file, so a scan that skipped the
+/// records it filters out would pass strict mode where the oracle
+/// fails. Strict mode must fail exactly when the oracle does (with the
+/// same error); lossy mode must report the oracle's accounting, with
+/// every byte scanned or reported unscanned.
+fn check_queries(what: &str, file: QueryFile) {
+    let strict = QueryOptions {
+        filter: Filter::parse("prefix=255.255.255.255/32").expect("filter parses"),
+        threads: 1,
+        ..QueryOptions::default()
+    };
+    let files = [file];
+    let got = run_query(&files, &strict);
+    let want = query_oracle::run_query(&files, &strict);
+    match (&got, &want) {
+        (Ok(g), Ok(w)) => {
+            assert_eq!(g.stats, w.stats, "{what}: strict stats");
+            assert_eq!(g.stats.rows_matched, 0, "{what}: the filter matched a row");
+        }
+        (g, w) => assert_eq!(g.as_ref().err(), w.as_ref().err(), "{what}: strict outcome"),
+    }
+    let lossy = QueryOptions {
+        lossy: true,
+        ..strict
+    };
+    let got = run_query(&files, &lossy).expect("lossy queries never fail");
+    let want = query_oracle::run_query(&files, &lossy).expect("lossy oracle never fails");
+    assert_eq!(got.stats, want.stats, "{what}: lossy stats");
+    let l = got.stats.lossy;
+    assert_eq!(l.bytes_scanned + l.bytes_unscanned, files[0].bytes.len(), "{what}");
+}
+
 /// Every cut and a spread of bit flips over one file: strict decoding
-/// never panics and fails only with typed errors, and lossy decoding
-/// accounts for every byte.
-fn sweep_damage(name: &str, bytes: &[u8]) {
+/// never panics and fails only with typed errors, lossy decoding
+/// accounts for every byte, and the query engine judges each damaged
+/// variant as the owned oracle does ([`check_queries`]).
+fn sweep_damage(name: &str, file: &QueryFile) {
+    let bytes = &file.bytes[..];
+    let variant = |b: &[u8]| QueryFile {
+        bytes: Bytes::copy_from_slice(b),
+        ..file.clone()
+    };
     let full = decode_file(bytes).expect("undamaged file decodes");
     // Cuts: every one in the first 600 bytes, then ~600 spread over
     // the rest of the file.
@@ -118,6 +160,7 @@ fn sweep_damage(name: &str, bytes: &[u8]) {
         }
         assert_eq!(lossy[..], full[..lossy.len()], "{name}: cut at {cut}");
         assert_eq!(stats.bytes_scanned + stats.bytes_unscanned, cut, "{name}: cut at {cut}");
+        check_queries(&format!("{name}: cut at {cut}"), variant(part));
     }
     // Bit flips: strict decoding either yields records or fails with a
     // decode-side error; lossy accounting always balances.
@@ -130,6 +173,7 @@ fn sweep_damage(name: &str, bytes: &[u8]) {
         }
         let (_, stats) = decode_file_lossy(&b);
         assert_eq!(stats.bytes_scanned + stats.bytes_unscanned, b.len(), "{name}: flip at {i}");
+        check_queries(&format!("{name}: flip at {i}"), variant(&b));
     }
 }
 
@@ -139,8 +183,13 @@ fn mrt_bitflips_never_panic_and_roundtrip_detects() {
     let archive = archive_of(&study);
     let day = study.world.span.start + 10;
     let rib = archive.rib_dates().nth(1).expect("a second RIB");
-    sweep_damage("rib", archive.rib_bytes(rib).expect("RIB file"));
-    sweep_damage("updates", archive.update_bytes(day).expect("update file"));
+    let file = |kind, day, bytes: Option<&Bytes>| QueryFile {
+        day,
+        kind,
+        bytes: bytes.expect("archive file").clone(),
+    };
+    sweep_damage("rib", &file(FileKind::Rib, rib, archive.rib_bytes(rib)));
+    sweep_damage("updates", &file(FileKind::Updates, day, archive.update_bytes(day)));
 }
 
 #[test]

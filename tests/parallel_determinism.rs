@@ -6,6 +6,8 @@
 //! rendered figures, CSV exports — may depend on the thread count.
 //! These tests pin that contract end to end.
 
+mod query_oracle;
+
 use bgpsim::observe::{render_days_with_threads, ObservationDay};
 use bgpsim::updates::{ArchiveV2Config, CollectorArchiveV2, Provenance};
 use delegation::config::InferenceConfig;
@@ -266,6 +268,150 @@ fn query_output_is_byte_identical_at_every_worker_count() {
             assert_eq!(par.stats.rows_emitted, seq.stats.rows_emitted);
         }
     }
+}
+
+/// A copy of an archive's query files with damage every lossy counter
+/// sees: a RIB entry whose first attribute overruns the entry (its
+/// framing fails, the entry's does not), an update record with a bad
+/// AFI, and an update file cut mid-record.
+fn damaged_query_files(files: &[bgpsim::query::QueryFile]) -> Vec<bgpsim::query::QueryFile> {
+    use bgpsim::query::FileKind;
+    let mut out = files.to_vec();
+    let rib = out.iter_mut().find(|f| f.kind == FileKind::Rib).expect("a RIB file");
+    let mut b = rib.bytes.to_vec();
+    // The first RIB_IPV4_UNICAST record follows the PEER_INDEX_TABLE:
+    // header 12, sequence 4, prefix length 1 + network bytes, entry
+    // count 2; then its first entry's peer index 2, time 4, length 2.
+    let rec = 12 + u32::from_be_bytes([b[8], b[9], b[10], b[11]]) as usize;
+    let entry = rec + 12 + 4 + 1 + usize::from(b[rec + 16].div_ceil(8)) + 2;
+    let attr = entry + 8;
+    assert_eq!(b[attr] & 0x10, 0, "the first attribute has a one-byte length");
+    b[attr + 2] = 0xFF;
+    rib.bytes = bytes::Bytes::from(b);
+    let upd = out.iter_mut().find(|f| f.kind == FileKind::Updates).expect("an update file");
+    let mut b = upd.bytes.to_vec();
+    b[12 + 10] = 0xFF; // the first record's AFI
+    b.truncate(b.len() - 3);
+    upd.bytes = bytes::Bytes::from(b);
+    out
+}
+
+#[test]
+fn query_output_matches_the_owned_oracle_at_every_worker_count() {
+    // The borrowed scan must print exactly what the owned scan in
+    // `query_oracle` prints, and count exactly what it counts, for every
+    // clause kind, in both formats, strict over a clean archive and
+    // lossy over a damaged one, at any worker count.
+    use bgpsim::query::{files_from_archive_v2, run_query, Filter, OutputFormat, QueryOptions};
+    use nettypes::prefix::Prefix;
+
+    let config = StudyConfig::quick_seeded(53);
+    let world = bgpsim::scenario::LeaseWorld::generate(&config.world);
+    let archive = CollectorArchiveV2::generate(
+        &world,
+        &config.visibility,
+        world.span,
+        &ArchiveV2Config::default(),
+    )
+    .expect("archive encodes");
+    let opts = |filter: &str, format, lossy, threads| QueryOptions {
+        filter: Filter::parse(filter).unwrap_or_else(|e| panic!("{filter:?}: {e}")),
+        format,
+        lossy,
+        limit: None,
+        threads,
+    };
+    let csv_rows = |body: &str| -> Vec<Vec<String>> {
+        body.lines()
+            .skip(1)
+            .map(|l| l.split(',').map(str::to_string).collect())
+            .collect()
+    };
+
+    // Three weeks around the first AS_SET origin keep the debug-build
+    // test quick: at least two RIB files and the update files around
+    // them.
+    let mut clean = files_from_archive_v2(&archive);
+    let sets = run_query(&clean, &opts("kind=announce", OutputFormat::Csv, false, 1))
+        .expect("query runs");
+    let set_row = csv_rows(&sets.body)
+        .into_iter()
+        .find(|r| r[3].contains('|'))
+        .expect("the archive announces an AS_SET origin");
+    let set_day: nettypes::date::Date = set_row[0].parse().expect("row day parses");
+    clean.retain(|f| f.day + 10 >= set_day && f.day <= set_day + 10);
+    assert!(clean.len() > 8, "need a multi-file archive to exercise the merge");
+    let damaged = damaged_query_files(&clean);
+
+    // Clause values drawn from the archive itself: an announcement
+    // with at least three hops from the middle of the scan, and an
+    // AS_SET origin.
+    let all = query_oracle::run_query(&clean, &opts("", OutputFormat::Csv, false, 1))
+        .expect("oracle scans the clean archive");
+    let rows = csv_rows(&all.body);
+    let long: Vec<&Vec<String>> = rows
+        .iter()
+        .filter(|r| r[1] == "announce" && r[5].split(' ').count() >= 3)
+        .collect();
+    let row = long[long.len() / 2];
+    let (day, prefix, origin, peer) = (&row[0], &row[2], &row[3], &row[4]);
+    let (set_member, _) = set_row[3].split_once('|').expect("an AS_SET origin");
+    let p: Prefix = prefix.parse().expect("row prefix parses");
+    let wide = Prefix::new_unchecked_masked(p.network(), p.len().min(8));
+    let narrow = Prefix::new_unchecked_masked(p.network(), (p.len() + 2).min(32));
+    let hops: Vec<&str> = row[5].split(' ').collect();
+    let (first, last) = (hops[0], hops[hops.len() - 1]);
+    let mut one_hop_wild = hops.clone();
+    one_hop_wild[1] = "?";
+    let day: nettypes::date::Date = day.parse().expect("row day parses");
+    let filters = [
+        String::new(),
+        format!("prefix={prefix}"),
+        format!("subnet-of={wide}"),
+        format!("supernet-of={narrow} kind=rib|announce"),
+        format!("origin={origin}"),
+        format!("origin={set_member}"),
+        format!("origin={origin}|{set_member} kind=rib"),
+        format!("peer={peer}"),
+        format!("peer={peer} kind=withdraw"),
+        format!("days={}..{}", day + -3, day + 3),
+        format!("days=..{day} kind=rib"),
+        format!("path={first},*,{last}"),
+        format!("path={}", one_hop_wild.join(",")),
+        format!("path=*,{last} subnet-of={wide}"),
+        "kind=rib".to_string(),
+        "kind=announce|withdraw".to_string(),
+    ];
+
+    for filter in &filters {
+        for format in [OutputFormat::Csv, OutputFormat::Jsonl] {
+            for (files, lossy) in [(&clean, false), (&damaged, true)] {
+                let want = query_oracle::run_query(files, &opts(filter, format, lossy, 1))
+                    .expect("oracle query runs");
+                assert!(want.stats.rows_matched > 0, "{filter:?} matched nothing");
+                for threads in [1, 2, 4] {
+                    let got = run_query(files, &opts(filter, format, lossy, threads))
+                        .expect("query runs");
+                    let what = format!("{filter:?} {format:?} lossy={lossy} threads={threads}");
+                    assert_eq!(got.stats, want.stats, "{what}: stats differ");
+                    assert!(got.body == want.body, "{what}: body differs");
+                }
+            }
+        }
+        // Strict mode fails on the damaged archive exactly as the
+        // oracle does.
+        let strict = opts(filter, OutputFormat::Csv, false, 2);
+        assert_eq!(
+            run_query(&damaged, &strict).err(),
+            query_oracle::run_query(&damaged, &strict).err(),
+            "{filter:?}: strict outcome on the damaged archive"
+        );
+    }
+    let lossy = query_oracle::run_query(&damaged, &opts("", OutputFormat::Csv, true, 1))
+        .expect("oracle scans the damaged archive")
+        .stats
+        .lossy;
+    assert!(lossy.skipped_bgp > 0 && lossy.skipped_malformed > 0 && lossy.aborted, "{lossy:?}");
 }
 
 #[test]
