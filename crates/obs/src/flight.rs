@@ -8,141 +8,35 @@
 //! one atomic `fetch_add` on the write cursor; the slots are sharded —
 //! each holds its own tiny lock guarding only the single record copy,
 //! so concurrent writers touch disjoint slots and never contend on a
-//! global lock. Records are fixed-size `Copy` values (static strings
-//! and integers only, no allocation), which is what keeps the hot path
-//! to roughly a timestamp read plus two atomic operations.
+//! global lock. A slot holds the crate's one [`Record`] type — the same
+//! `Copy` value the subscribers receive, fixed-size with no heap
+//! behind it — which is what keeps the hot path to roughly a timestamp
+//! read plus two atomic operations.
 //!
 //! A snapshot renders the ring (oldest first) as JSONL that passes
-//! `repro trace-check`: each captured span close is emitted as a
+//! `repro trace-check`, through the same line writer as
+//! [`crate::JsonlSubscriber`]: each captured span close is emitted as a
 //! matched, parentless `span_open`/`span_close` pair on its recording
 //! thread — the ring only keeps closes, so the opens are synthesized
 //! from `t_us - wall_us` — and events carry no `span` reference.
 
-use crate::subscriber::json_escape;
-use crate::Level;
+use crate::subscriber::write_jsonl;
+use crate::{FieldBuf, Record};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Fields kept per flight event. Access logs need four (request id,
-/// route, status, latency); anything larger belongs in a real trace.
-pub const MAX_FIELDS: usize = 4;
-
 /// Slots in the process-global ring: enough for the recent history of
 /// a busy server (a few seconds at thousands of requests/sec) while
-/// staying a fraction of a megabyte resident.
+/// staying about a megabyte resident.
 pub const DEFAULT_CAPACITY: usize = 4096;
-
-/// A `Copy` field value: static strings and numbers only, so recording
-/// never allocates.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FlightValue {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Float.
-    F64(f64),
-    /// Boolean.
-    Bool(bool),
-    /// Static text (route names, labels).
-    Str(&'static str),
-}
-
-macro_rules! flight_value_from {
-    ($($t:ty => $variant:ident as $conv:ty),* $(,)?) => {
-        $(impl From<$t> for FlightValue {
-            fn from(v: $t) -> FlightValue { FlightValue::$variant(v as $conv) }
-        })*
-    };
-}
-flight_value_from!(u64 => U64 as u64, u32 => U64 as u64, u16 => U64 as u64,
-                   usize => U64 as u64, i64 => I64 as i64, i32 => I64 as i64,
-                   f64 => F64 as f64);
-
-impl From<bool> for FlightValue {
-    fn from(v: bool) -> FlightValue {
-        FlightValue::Bool(v)
-    }
-}
-impl From<&'static str> for FlightValue {
-    fn from(v: &'static str) -> FlightValue {
-        FlightValue::Str(v)
-    }
-}
-
-/// A fixed-size, `Copy` bag of up to [`MAX_FIELDS`] fields.
-#[derive(Clone, Copy, Debug)]
-pub struct FieldBuf {
-    len: usize,
-    slots: [(&'static str, FlightValue); MAX_FIELDS],
-}
-
-impl Default for FieldBuf {
-    fn default() -> FieldBuf {
-        FieldBuf {
-            len: 0,
-            slots: [("", FlightValue::U64(0)); MAX_FIELDS],
-        }
-    }
-}
-
-impl FieldBuf {
-    /// Copy `fields` in, silently truncating past [`MAX_FIELDS`].
-    pub fn from_slice(fields: &[(&'static str, FlightValue)]) -> FieldBuf {
-        let mut buf = FieldBuf::default();
-        for &f in fields.iter().take(MAX_FIELDS) {
-            buf.slots[buf.len] = f;
-            buf.len += 1;
-        }
-        buf
-    }
-
-    /// The populated fields.
-    pub fn as_slice(&self) -> &[(&'static str, FlightValue)] {
-        &self.slots[..self.len]
-    }
-}
-
-/// One fixed-size ring entry.
-#[derive(Clone, Copy, Debug)]
-pub enum FlightRecord {
-    /// A span that closed (open records are not kept: the close knows
-    /// its name, wall time and items, which is the useful history).
-    SpanClose {
-        /// Process-unique span id (shared with the trace stream).
-        id: u64,
-        /// Small process-unique id of the closing thread.
-        thread: u64,
-        /// Microseconds since the process trace epoch at close.
-        t_us: u64,
-        /// Wall time between open and close, µs.
-        wall_us: u64,
-        /// Items attributed to the span (0 if none).
-        items: u64,
-        /// Static span name.
-        name: &'static str,
-    },
-    /// An event.
-    Event {
-        /// Severity.
-        level: Level,
-        /// Small process-unique id of the emitting thread.
-        thread: u64,
-        /// Microseconds since the process trace epoch.
-        t_us: u64,
-        /// Static message.
-        message: &'static str,
-        /// Up to [`MAX_FIELDS`] structured fields.
-        fields: FieldBuf,
-    },
-}
 
 /// The always-on ring buffer. One process-global instance lives behind
 /// [`global`]; tests construct their own with [`FlightRecorder::with_capacity`].
 pub struct FlightRecorder {
     /// Sharded slots: each guards exactly one record copy, so writers
-    /// on different slots never touch the same lock.
-    slots: Box<[Mutex<Option<FlightRecord>>]>,
+    /// on different slots never touch the same lock. They hold span
+    /// closes and events only.
+    slots: Box<[Mutex<Option<Record>>]>,
     /// Total records ever written; `cursor % capacity` is the next slot.
     cursor: AtomicU64,
     /// Bench-only escape hatch: `obs_overhead` compares a paused run
@@ -182,10 +76,10 @@ impl FlightRecorder {
         self.paused.load(Ordering::Relaxed)
     }
 
-    /// Write one record: claim a slot via the cursor, copy under that
-    /// slot's own lock. A snapshot reading the same slot waits only
-    /// for this single copy.
-    pub fn record(&self, record: FlightRecord) {
+    /// Write one span close or event: claim a slot via the cursor,
+    /// copy under that slot's own lock. A snapshot reading the same
+    /// slot waits only for this single copy.
+    pub(crate) fn record(&self, record: Record) {
         if self.paused.load(Ordering::Relaxed) {
             return;
         }
@@ -198,38 +92,10 @@ impl FlightRecorder {
         *slot = Some(record);
     }
 
-    /// Record a span close.
-    pub fn record_span_close(&self, id: u64, name: &'static str, wall_us: u64, items: u64) {
-        self.record(FlightRecord::SpanClose {
-            id,
-            thread: crate::thread_id(),
-            t_us: crate::now_us(),
-            wall_us,
-            items,
-            name,
-        });
-    }
-
-    /// Record an event with up to [`MAX_FIELDS`] fields.
-    pub fn record_event(
-        &self,
-        level: Level,
-        message: &'static str,
-        fields: &[(&'static str, FlightValue)],
-    ) {
-        self.record(FlightRecord::Event {
-            level,
-            thread: crate::thread_id(),
-            t_us: crate::now_us(),
-            message,
-            fields: FieldBuf::from_slice(fields),
-        });
-    }
-
     /// Copy the ring out, oldest first. Writers racing the snapshot
     /// may replace a slot between reads; every record returned is a
     /// complete copy (the per-slot lock covers the whole record).
-    pub fn snapshot(&self) -> Vec<FlightRecord> {
+    pub fn snapshot(&self) -> Vec<Record> {
         let cap = self.slots.len() as u64;
         let cursor = self.cursor.load(Ordering::Relaxed);
         let start = cursor % cap; // the oldest surviving slot
@@ -252,65 +118,26 @@ impl FlightRecorder {
     pub fn snapshot_jsonl(&self) -> String {
         let mut out = String::new();
         for record in self.snapshot() {
-            match record {
-                FlightRecord::SpanClose {
+            if let Record::SpanClose {
+                id,
+                thread,
+                t_us,
+                name,
+                wall_us,
+                ..
+            } = record
+            {
+                let open = Record::SpanOpen {
                     id,
+                    parent: None,
                     thread,
-                    t_us,
-                    wall_us,
-                    items,
+                    t_us: t_us.saturating_sub(wall_us),
                     name,
-                } => {
-                    let open_t = t_us.saturating_sub(wall_us);
-                    out.push_str(&format!(
-                        "{{\"type\":\"span_open\",\"id\":{id},\"thread\":{thread},\
-                         \"t_us\":{open_t},\"name\":\""
-                    ));
-                    json_escape(name, &mut out);
-                    out.push_str("\",\"fields\":{}}\n");
-                    out.push_str(&format!(
-                        "{{\"type\":\"span_close\",\"id\":{id},\"thread\":{thread},\
-                         \"t_us\":{t_us},\"name\":\""
-                    ));
-                    json_escape(name, &mut out);
-                    out.push_str(&format!("\",\"wall_us\":{wall_us},\"items\":{items}}}\n"));
-                }
-                FlightRecord::Event {
-                    level,
-                    thread,
-                    t_us,
-                    message,
-                    fields,
-                } => {
-                    out.push_str(&format!(
-                        "{{\"type\":\"event\",\"level\":\"{}\",\"thread\":{thread},\
-                         \"t_us\":{t_us},\"message\":\"",
-                        level.as_str()
-                    ));
-                    json_escape(message, &mut out);
-                    out.push_str("\",\"fields\":{");
-                    for (i, (key, value)) in fields.as_slice().iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push('"');
-                        json_escape(key, &mut out);
-                        out.push_str("\":");
-                        match value {
-                            FlightValue::U64(v) => out.push_str(&v.to_string()),
-                            FlightValue::I64(v) => out.push_str(&v.to_string()),
-                            FlightValue::F64(v) => out.push_str(&v.to_string()),
-                            FlightValue::Bool(v) => out.push_str(&v.to_string()),
-                            FlightValue::Str(s) => {
-                                out.push('"');
-                                json_escape(s, &mut out);
-                                out.push('"');
-                            }
-                        }
-                    }
-                    out.push_str("}}\n");
-                }
+                    fields: FieldBuf::default(),
+                };
+                write_jsonl(&open, false, &mut out);
             }
+            write_jsonl(&record, false, &mut out);
         }
         out
     }
@@ -322,50 +149,30 @@ pub fn global() -> &'static FlightRecorder {
     GLOBAL.get_or_init(|| FlightRecorder::with_capacity(DEFAULT_CAPACITY))
 }
 
-/// Record a bare event (message and level only) into the global ring.
-/// The `event!` macro calls this on its disabled path so the recorder
-/// sees every event without evaluating the call site's fields.
-pub fn note(level: Level, message: &'static str) {
-    global().record_event(level, message, &[]);
-}
-
-/// Emit a *flight* event: always recorded in the global ring (with its
-/// fields — they must be cheap `Copy` values), and also dispatched to
-/// subscribers when tracing is on. This is the [`crate::flight_event!`]
-/// macro's backend; access logs use it so the ring holds structure
-/// even when nobody is tracing.
-pub fn emit(level: Level, message: &'static str, fields: &[(&'static str, FlightValue)]) {
-    global().record_event(level, message, fields);
-    if crate::enabled() {
-        let values: Vec<(&'static str, crate::Value)> = fields
-            .iter()
-            .map(|&(k, v)| {
-                let value = match v {
-                    FlightValue::U64(x) => crate::Value::U64(x),
-                    FlightValue::I64(x) => crate::Value::I64(x),
-                    FlightValue::F64(x) => crate::Value::F64(x),
-                    FlightValue::Bool(x) => crate::Value::Bool(x),
-                    FlightValue::Str(s) => crate::Value::Str(s.to_string()),
-                };
-                (k, value)
-            })
-            .collect();
-        crate::dispatch_event_only(level, message, values);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Level, Value};
 
-    fn close(id: u64, t_us: u64) -> FlightRecord {
-        FlightRecord::SpanClose {
+    fn close(id: u64, t_us: u64) -> Record {
+        Record::SpanClose {
             id,
             thread: 0,
             t_us,
+            name: "stage",
             wall_us: 5,
             items: id,
-            name: "stage",
+        }
+    }
+
+    fn event(message: &'static str, fields: FieldBuf) -> Record {
+        Record::Event {
+            level: Level::Info,
+            span: Some(9),
+            thread: 3,
+            t_us: 101,
+            message,
+            fields,
         }
     }
 
@@ -378,14 +185,18 @@ mod tests {
         assert_eq!(ring.recorded_total(), 20);
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 8, "ring keeps exactly capacity records");
-        let ids: Vec<u64> = snap
+        let ids: Vec<Option<u64>> = snap
             .iter()
-            .map(|r| match r {
-                FlightRecord::SpanClose { id, .. } => *id,
-                FlightRecord::Event { .. } => unreachable!(),
+            .map(|r| match *r {
+                Record::SpanClose { id, .. } => Some(id),
+                _ => None,
             })
             .collect();
-        assert_eq!(ids, (12..20).collect::<Vec<u64>>(), "oldest first, newest kept");
+        assert_eq!(
+            ids,
+            (12..20).map(Some).collect::<Vec<_>>(),
+            "oldest first, newest kept"
+        );
     }
 
     #[test]
@@ -413,24 +224,31 @@ mod tests {
     fn jsonl_pairs_pass_trace_semantics_by_construction() {
         let ring = FlightRecorder::with_capacity(8);
         ring.record(close(7, 100));
-        ring.record(FlightRecord::Event {
-            level: Level::Info,
-            thread: 3,
-            t_us: 101,
-            message: "hit \"quoted\"",
-            fields: FieldBuf::from_slice(&[
-                ("route", FlightValue::Str("rdap")),
-                ("status", FlightValue::U64(200)),
-            ]),
-        });
+        ring.record(event(
+            "hit \"quoted\"",
+            FieldBuf::new([("route", Value::Str("rdap")), ("status", Value::U64(200))]),
+        ));
         let jsonl = ring.snapshot_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3, "{jsonl}");
         assert!(lines[0].contains("\"type\":\"span_open\"") && lines[0].contains("\"id\":7"));
-        assert!(lines[0].contains("\"t_us\":95"), "open at close - wall: {}", lines[0]);
+        assert!(
+            lines[0].contains("\"t_us\":95"),
+            "open at close - wall: {}",
+            lines[0]
+        );
         assert!(lines[1].contains("\"type\":\"span_close\"") && lines[1].contains("\"wall_us\":5"));
-        assert!(lines[2].contains("\"message\":\"hit \\\"quoted\\\"\""), "{}", lines[2]);
+        assert!(
+            lines[2].contains("\"message\":\"hit \\\"quoted\\\"\""),
+            "{}",
+            lines[2]
+        );
         assert!(lines[2].contains("\"route\":\"rdap\"") && lines[2].contains("\"status\":200"));
+        assert!(
+            !lines[2].contains("\"span\""),
+            "the dump drops span links: {}",
+            lines[2]
+        );
         // Every line is valid JSON per the shim parser.
         for line in &lines {
             serde_json::parse(line).expect("snapshot line parses");
@@ -438,11 +256,22 @@ mod tests {
     }
 
     #[test]
-    fn field_buf_truncates_past_max() {
-        let many: Vec<(&'static str, FlightValue)> =
-            vec![("a", FlightValue::U64(1)); MAX_FIELDS + 3];
-        let buf = FieldBuf::from_slice(&many);
-        assert_eq!(buf.as_slice().len(), MAX_FIELDS);
+    fn non_finite_floats_dump_as_valid_json() {
+        let ring = FlightRecorder::with_capacity(4);
+        ring.record(event(
+            "ratio",
+            FieldBuf::new([
+                ("nan", Value::F64(f64::NAN)),
+                ("inf", Value::F64(f64::INFINITY)),
+            ]),
+        ));
+        let jsonl = ring.snapshot_jsonl();
+        assert_eq!(jsonl.lines().count(), 1, "{jsonl}");
+        for line in jsonl.lines() {
+            let v = serde_json::parse(line).unwrap_or_else(|e| panic!("bad JSON {line:?}: {e:?}"));
+            assert_eq!(v["fields"]["nan"].as_str(), Some("NaN"));
+            assert_eq!(v["fields"]["inf"].as_str(), Some("inf"));
+        }
     }
 
     #[test]

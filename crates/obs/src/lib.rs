@@ -8,10 +8,17 @@
 //!   it processed, so a profiler can print `days/s` per stage.
 //! * **Events** — leveled, structured key/value records
 //!   (`obs::event!(Level::Warn, "rdap_rejected", budget = b)`).
-//! * **Subscribers** — pluggable sinks ([`StderrSubscriber`] for
-//!   humans, [`JsonlSubscriber`] for machines, [`MemorySubscriber`]
-//!   for tests, [`ProfileCollector`] for `repro profile`). Installed
-//!   via [`subscribe`], removed when the returned guard drops.
+//! * **One event model** — every span open, span close and event is
+//!   one fixed-size, heap-free [`Record`] whose fields are at most
+//!   [`MAX_FIELDS`] `Copy` [`Value`]s (numbers, bools, `&'static str`).
+//!   A span close or an event is built once, written into the
+//!   [`flight`] ring, and handed unchanged to the subscribers.
+//! * **Subscribers** — pluggable readers of that stream
+//!   ([`StderrSubscriber`] for humans, [`JsonlSubscriber`] for
+//!   machines, [`MemorySubscriber`] for tests, [`ProfileCollector`] for
+//!   `repro profile`). Installed via [`subscribe`], removed when the
+//!   returned guard drops. The JSONL subscriber and the ring's dump
+//!   share one line writer.
 //! * **Metrics** — a process-wide registry of named counters, gauges
 //!   and fixed-bucket histograms ([`metrics`]), always on and
 //!   lock-free, rendered by the serving layer's `/metrics` endpoint.
@@ -27,10 +34,11 @@
 //! no field evaluation while nobody is listening. The flight recorder
 //! still sees the history: a disabled `span!` returns a *lite* span
 //! (name + start time only — no subscriber dispatch, no span stack)
-//! whose drop writes one fixed-size record into the
-//! ring, and a disabled `event!` records its static message and level
-//! without touching the fields. The metrics registry is separate and
-//! intentionally always on (its hot path is one `fetch_add`).
+//! whose drop writes its close record into the ring, and a disabled
+//! `event!` records its static message and level without touching the
+//! fields. `flight_event!` always evaluates its fields and records them.
+//! The metrics registry is separate and intentionally always on (its
+//! hot path is one `fetch_add`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,8 +81,9 @@ impl Level {
     }
 }
 
-/// A structured field value.
-#[derive(Clone, Debug, PartialEq)]
+/// A structured field value: numbers, bools and static text only, so
+/// a record holding it is `Copy` and recording never allocates.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Value {
     /// Unsigned integer.
     U64(u64),
@@ -84,8 +93,8 @@ pub enum Value {
     F64(f64),
     /// Boolean.
     Bool(bool),
-    /// Text.
-    Str(String),
+    /// Static text (route names, labels, units).
+    Str(&'static str),
 }
 
 impl std::fmt::Display for Value {
@@ -115,63 +124,111 @@ impl From<bool> for Value {
         Value::Bool(v)
     }
 }
-impl From<&str> for Value {
-    fn from(v: &str) -> Value {
-        Value::Str(v.to_string())
-    }
-}
-impl From<String> for Value {
-    fn from(v: String) -> Value {
+impl From<&'static str> for Value {
+    fn from(v: &'static str) -> Value {
         Value::Str(v)
     }
 }
 
-/// A span-open notification passed to subscribers.
-pub struct SpanOpenRecord<'a> {
-    /// Process-unique span id (monotonic).
-    pub id: u64,
-    /// The id of the span enclosing this one on the same thread.
-    pub parent: Option<u64>,
-    /// Small process-unique id of the opening thread.
-    pub thread: u64,
-    /// Microseconds since the process trace epoch.
-    pub t_us: u64,
-    /// Static span name.
-    pub name: &'static str,
-    /// Structured fields captured at open.
-    pub fields: &'a [(&'static str, Value)],
+/// Fields kept per record. Access logs need four (request id, route,
+/// status, latency); a call site with more fails to compile.
+pub const MAX_FIELDS: usize = 4;
+
+/// Rejects, at compile time, a call site with more than [`MAX_FIELDS`]
+/// fields.
+struct Fits<const N: usize>;
+
+impl<const N: usize> Fits<N> {
+    const OK: () = assert!(
+        N <= MAX_FIELDS,
+        "obs records carry at most MAX_FIELDS (4) fields"
+    );
 }
 
-/// A span-close notification passed to subscribers.
-pub struct SpanCloseRecord {
-    /// The id from the matching [`SpanOpenRecord`].
-    pub id: u64,
-    /// The thread that opened (and closed) the span.
-    pub thread: u64,
-    /// Microseconds since the process trace epoch at close.
-    pub t_us: u64,
-    /// Static span name (repeated for standalone close records).
-    pub name: &'static str,
-    /// Wall time between open and close.
-    pub wall: Duration,
-    /// Items attributed via [`Span::add_items`] (0 if none).
-    pub items: u64,
+/// A fixed-size, `Copy` bag of up to [`MAX_FIELDS`] fields.
+#[derive(Clone, Copy, Debug)]
+pub struct FieldBuf {
+    len: usize,
+    slots: [(&'static str, Value); MAX_FIELDS],
 }
 
-/// An event notification passed to subscribers.
-pub struct EventRecord<'a> {
-    /// Severity.
-    pub level: Level,
-    /// The enclosing span on the emitting thread, if any.
-    pub span: Option<u64>,
-    /// Small process-unique id of the emitting thread.
-    pub thread: u64,
-    /// Microseconds since the process trace epoch.
-    pub t_us: u64,
-    /// Static message/name of the event.
-    pub message: &'static str,
-    /// Structured fields.
-    pub fields: &'a [(&'static str, Value)],
+impl Default for FieldBuf {
+    fn default() -> FieldBuf {
+        FieldBuf {
+            len: 0,
+            slots: [("", Value::U64(0)); MAX_FIELDS],
+        }
+    }
+}
+
+impl FieldBuf {
+    /// Copy `fields` in. More than [`MAX_FIELDS`] fields is a compile
+    /// error, not a silent truncation.
+    pub fn new<const N: usize>(fields: [(&'static str, Value); N]) -> FieldBuf {
+        let () = Fits::<N>::OK;
+        let mut buf = FieldBuf::default();
+        buf.slots[..N].copy_from_slice(&fields);
+        buf.len = N;
+        buf
+    }
+
+    /// The populated fields.
+    pub fn as_slice(&self) -> &[(&'static str, Value)] {
+        &self.slots[..self.len]
+    }
+}
+
+/// One trace record: what the [`flight`] ring stores and what every
+/// [`Subscriber`] reads. Fixed-size and heap-free.
+#[derive(Clone, Copy, Debug)]
+pub enum Record {
+    /// A span opened (dispatched to subscribers only; the ring keeps
+    /// closes).
+    SpanOpen {
+        /// Process-unique span id (monotonic).
+        id: u64,
+        /// The id of the span enclosing this one on the same thread.
+        parent: Option<u64>,
+        /// Small process-unique id of the opening thread.
+        thread: u64,
+        /// Microseconds since the process trace epoch.
+        t_us: u64,
+        /// Static span name.
+        name: &'static str,
+        /// Structured fields captured at open.
+        fields: FieldBuf,
+    },
+    /// A span closed.
+    SpanClose {
+        /// The id from the matching open (or allocated at close for a
+        /// lite span, which has no open).
+        id: u64,
+        /// The thread that opened (and closed) the span.
+        thread: u64,
+        /// Microseconds since the process trace epoch at close.
+        t_us: u64,
+        /// Static span name.
+        name: &'static str,
+        /// Wall time between open and close, µs.
+        wall_us: u64,
+        /// Items attributed via [`Span::add_items`] (0 if none).
+        items: u64,
+    },
+    /// An event fired.
+    Event {
+        /// Severity.
+        level: Level,
+        /// The enclosing traced span on the emitting thread, if any.
+        span: Option<u64>,
+        /// Small process-unique id of the emitting thread.
+        thread: u64,
+        /// Microseconds since the process trace epoch.
+        t_us: u64,
+        /// Static message/name of the event.
+        message: &'static str,
+        /// Structured fields.
+        fields: FieldBuf,
+    },
 }
 
 // --- global tracing state -------------------------------------------------
@@ -194,8 +251,12 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
 fn now_us() -> u64 {
-    epoch().elapsed().as_micros().min(u64::MAX as u128) as u64
+    micros(epoch().elapsed())
 }
 
 thread_local! {
@@ -229,11 +290,17 @@ pub struct SubscriberGuard {
     token: u64,
 }
 
+// Every update to the subscriber list is a single push or retain, so a
+// list recovered from a poisoned lock is still coherent.
+fn lock_subscribers() -> std::sync::MutexGuard<'static, SubscriberList> {
+    subscribers().lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Install a subscriber; tracing is enabled while at least one is
 /// installed. The subscriber is removed when the guard drops.
 pub fn subscribe(sub: Arc<dyn Subscriber>) -> SubscriberGuard {
     let token = NEXT_SUB_TOKEN.fetch_add(1, Ordering::Relaxed);
-    let mut subs = subscribers().lock().expect("subscriber list poisoned");
+    let mut subs = lock_subscribers();
     subs.push((token, sub));
     ENABLED.store(true, Ordering::Relaxed);
     SubscriberGuard { token }
@@ -241,207 +308,144 @@ pub fn subscribe(sub: Arc<dyn Subscriber>) -> SubscriberGuard {
 
 impl Drop for SubscriberGuard {
     fn drop(&mut self) {
-        let mut subs = subscribers().lock().expect("subscriber list poisoned");
+        let mut subs = lock_subscribers();
         subs.retain(|(t, _)| *t != self.token);
         ENABLED.store(!subs.is_empty(), Ordering::Relaxed);
     }
 }
 
-fn dispatch(f: impl Fn(&dyn Subscriber)) {
+fn dispatch(record: &Record) {
     // Snapshot under the lock, call outside it: subscribers may take
     // their own locks (JSONL writer) and must not deadlock against
     // subscribe/unsubscribe from other threads.
-    let subs: Vec<Arc<dyn Subscriber>> = subscribers()
-        .lock()
-        .expect("subscriber list poisoned")
+    let subs: Vec<Arc<dyn Subscriber>> = lock_subscribers()
         .iter()
         .map(|(_, s)| Arc::clone(s))
         .collect();
     for s in &subs {
-        f(&**s);
+        s.record(record);
     }
 }
 
 // --- spans ----------------------------------------------------------------
 
-struct SpanInner {
-    id: u64,
+/// An RAII span guard. Created by the [`span!`] macro; on drop it
+/// writes its close record (wall time and item count) into the
+/// [`flight`] ring and, if it was opened while tracing was on, hands
+/// the same record to every subscriber.
+pub struct Span {
     name: &'static str,
-    thread: u64,
     start: Instant,
     items: Cell<u64>,
-}
-
-enum SpanState {
-    /// A true no-op ([`Span::disabled`]): nothing is recorded anywhere.
-    Off,
-    /// Tracing is off but the flight recorder still wants the close:
-    /// just a name and a start time, no id yet, no span stack entry.
-    Lite {
-        name: &'static str,
-        start: Instant,
-        items: Cell<u64>,
-    },
-    /// Tracing is on: full subscriber dispatch and stack bookkeeping.
-    Full(SpanInner),
-}
-
-/// An RAII span guard. Created by the [`span!`] macro; emits a close
-/// record (with wall time and item count) to every subscriber on drop,
-/// and always writes the close into the [`flight`] ring.
-pub struct Span {
-    state: SpanState,
+    /// `(id, thread)` of the open dispatched to subscribers; `None`
+    /// for a lite span, which never meets a subscriber.
+    open: Option<(u64, u64)>,
 }
 
 impl Span {
     /// Open a span. Prefer the [`span!`] macro, which skips the
     /// subscriber path (fields unevaluated) while tracing is disabled.
-    pub fn enter(name: &'static str, fields: Vec<(&'static str, Value)>) -> Span {
+    pub fn enter(name: &'static str, fields: FieldBuf) -> Span {
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         let thread = thread_id();
-        let parent = SPAN_STACK.with(|s| s.borrow().last().copied());
-        SPAN_STACK.with(|s| s.borrow_mut().push(id));
-        let record = SpanOpenRecord {
+        let parent = SPAN_STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            let parent = stack.last().copied();
+            stack.push(id);
+            parent
+        });
+        dispatch(&Record::SpanOpen {
             id,
             parent,
             thread,
             t_us: now_us(),
             name,
-            fields: &fields,
-        };
-        dispatch(|s| s.span_open(&record));
+            fields,
+        });
         Span {
-            state: SpanState::Full(SpanInner {
-                id,
-                name,
-                thread,
-                start: Instant::now(),
-                items: Cell::new(0),
-            }),
+            name,
+            start: Instant::now(),
+            items: Cell::new(0),
+            open: Some((id, thread)),
         }
     }
 
-    /// The flight-only span the [`span!`] macro returns while tracing
-    /// is off: no subscriber dispatch and no stack entry, but its drop
-    /// still records the close (name, wall time, items) in the ring.
+    /// The lite span the [`span!`] macro returns while tracing is off:
+    /// no subscriber dispatch and no stack entry, but its drop still
+    /// records the close (name, wall time, items) in the ring.
     pub fn flight_only(name: &'static str) -> Span {
         Span {
-            state: SpanState::Lite {
-                name,
-                start: Instant::now(),
-                items: Cell::new(0),
-            },
-        }
-    }
-
-    /// A true no-op span: nothing recorded, every method free. For
-    /// call sites that want to opt out of the flight recorder too.
-    pub fn disabled() -> Span {
-        Span {
-            state: SpanState::Off,
+            name,
+            start: Instant::now(),
+            items: Cell::new(0),
+            open: None,
         }
     }
 
     /// Whether this span dispatches to subscribers (callers use this
     /// to skip computing expensive attribution like item totals).
     pub fn is_enabled(&self) -> bool {
-        matches!(self.state, SpanState::Full(_))
+        self.open.is_some()
     }
 
     /// Attribute `n` processed items to this span (shown as
-    /// items-per-second by the profiler). No-op when disabled.
+    /// items-per-second by the profiler).
     pub fn add_items(&self, n: u64) {
-        let items = match &self.state {
-            SpanState::Off => return,
-            SpanState::Lite { items, .. } => items,
-            SpanState::Full(inner) => &inner.items,
-        };
-        items.set(items.get().saturating_add(n));
+        self.items.set(self.items.get().saturating_add(n));
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        match std::mem::replace(&mut self.state, SpanState::Off) {
-            SpanState::Off => {}
-            SpanState::Lite { name, start, items } => {
-                // The id is allocated at close: lite spans never meet
-                // a subscriber, so nothing else needs it earlier, and
-                // sharing NEXT_SPAN_ID keeps ids unique across both
-                // the trace stream and the flight ring.
-                let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-                let wall_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                flight::global().record_span_close(id, name, wall_us, items.get());
-            }
-            SpanState::Full(inner) => {
+        let wall_us = micros(self.start.elapsed());
+        let (id, thread) = match self.open {
+            Some((id, thread)) => {
                 SPAN_STACK.with(|s| {
                     let mut stack = s.borrow_mut();
-                    if let Some(pos) = stack.iter().rposition(|&id| id == inner.id) {
+                    if let Some(pos) = stack.iter().rposition(|&open| open == id) {
                         stack.remove(pos);
                     }
                 });
-                let wall = inner.start.elapsed();
-                let record = SpanCloseRecord {
-                    id: inner.id,
-                    thread: inner.thread,
-                    t_us: now_us(),
-                    name: inner.name,
-                    wall,
-                    items: inner.items.get(),
-                };
-                dispatch(|s| s.span_close(&record));
-                flight::global().record_span_close(
-                    inner.id,
-                    inner.name,
-                    wall.as_micros().min(u64::MAX as u128) as u64,
-                    inner.items.get(),
-                );
+                (id, thread)
             }
+            // A lite span's id is allocated at close: it never meets a
+            // subscriber, so nothing needs it earlier, and sharing
+            // NEXT_SPAN_ID keeps ids unique across the trace stream
+            // and the flight ring.
+            None => (NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed), thread_id()),
+        };
+        let record = Record::SpanClose {
+            id,
+            thread,
+            t_us: now_us(),
+            name: self.name,
+            wall_us,
+            items: self.items.get(),
+        };
+        flight::global().record(record);
+        if self.open.is_some() {
+            dispatch(&record);
         }
     }
 }
 
-/// Emit an event to every subscriber *and* the flight ring. Prefer the
-/// [`event!`] macro, which skips this (and field evaluation) entirely
-/// while tracing is disabled — the macro's disabled path still records
-/// the bare message via [`flight::note`].
-pub fn emit_event(level: Level, message: &'static str, fields: Vec<(&'static str, Value)>) {
-    // The ring stores fixed-size Copy records: keep the numeric and
-    // boolean fields, drop owned strings (a full trace has them).
-    let copied: Vec<(&'static str, flight::FlightValue)> = fields
-        .iter()
-        .filter_map(|(k, v)| {
-            let fv = match v {
-                Value::U64(x) => flight::FlightValue::U64(*x),
-                Value::I64(x) => flight::FlightValue::I64(*x),
-                Value::F64(x) => flight::FlightValue::F64(*x),
-                Value::Bool(x) => flight::FlightValue::Bool(*x),
-                Value::Str(_) => return None,
-            };
-            Some((*k, fv))
-        })
-        .collect();
-    flight::global().record_event(level, message, &copied);
-    dispatch_event_only(level, message, fields);
-}
-
-/// Dispatch an event to subscribers without touching the flight ring
-/// (the [`flight::emit`] path records there itself, with its richer
-/// static-string fields).
-pub(crate) fn dispatch_event_only(
-    level: Level,
-    message: &'static str,
-    fields: Vec<(&'static str, Value)>,
-) {
-    let record = EventRecord {
+/// Record an event into the [`flight`] ring and, while tracing is on,
+/// hand the same record to every subscriber. The backend of both
+/// [`event!`] (which passes no fields while tracing is off) and
+/// [`flight_event!`] (which always passes its fields).
+pub fn emit(level: Level, message: &'static str, fields: FieldBuf) {
+    let record = Record::Event {
         level,
         span: SPAN_STACK.with(|s| s.borrow().last().copied()),
         thread: thread_id(),
         t_us: now_us(),
         message,
-        fields: &fields,
+        fields,
     };
-    dispatch(|s| s.event(&record));
+    flight::global().record(record);
+    if enabled() {
+        dispatch(&record);
+    }
 }
 
 /// Wall-clock a closure. Lives here because `obs` (with `serve`) is
@@ -461,14 +465,14 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
 /// while it is off the span is *lite* — its close still lands in the
 /// [`flight`] ring, fields unevaluated. The conventional field
 /// `unit = "days"` labels the span's items-per-second throughput in
-/// profiler output.
+/// profiler output. At most [`MAX_FIELDS`] fields.
 #[macro_export]
 macro_rules! span {
     ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {
         if $crate::enabled() {
             $crate::Span::enter(
                 $name,
-                vec![$((stringify!($key), $crate::Value::from($val))),*],
+                $crate::FieldBuf::new([$((stringify!($key), $crate::Value::from($val))),*]),
             )
         } else {
             $crate::Span::flight_only($name)
@@ -481,34 +485,45 @@ macro_rules! span {
 /// Field values are only evaluated when tracing is enabled; while it
 /// is off, the static message and level still land in the [`flight`]
 /// ring (fields unevaluated).
+///
+/// A call site carries at most [`MAX_FIELDS`] fields:
+///
+/// ```
+/// obs::event!(obs::Level::Info, "http_access", id = 1u64, route = "rdap", status = 200u64, us = 12u64);
+/// ```
+///
+/// and a fifth is a compile error rather than a silently dropped field:
+///
+/// ```compile_fail,E0080
+/// obs::event!(obs::Level::Info, "too_many", a = 1u64, b = 2u64, c = 3u64, d = 4u64, e = 5u64);
+/// ```
 #[macro_export]
 macro_rules! event {
     ($level:expr, $msg:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        if $crate::enabled() {
-            $crate::emit_event(
-                $level,
-                $msg,
-                vec![$((stringify!($key), $crate::Value::from($val))),*],
-            );
-        } else {
-            $crate::flight::note($level, $msg);
-        }
+        $crate::emit(
+            $level,
+            $msg,
+            if $crate::enabled() {
+                $crate::FieldBuf::new([$((stringify!($key), $crate::Value::from($val))),*])
+            } else {
+                $crate::FieldBuf::default()
+            },
+        )
     };
 }
 
 /// Emit a *flight* event: always recorded in the [`flight`] ring with
-/// its fields — which must be cheap `Copy` values (integers, bools,
-/// `&'static str`) — and also dispatched to subscribers when tracing
-/// is on. Use for request access logs and other records that must
-/// survive in the ring with structure even when nobody is tracing:
+/// its fields, and also dispatched to subscribers when tracing is on.
+/// Use for request access logs and other records that must survive in
+/// the ring with structure even when nobody is tracing:
 /// `obs::flight_event!(obs::Level::Info, "http_access", status = 200u64)`.
 #[macro_export]
 macro_rules! flight_event {
     ($level:expr, $msg:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        $crate::flight::emit(
+        $crate::emit(
             $level,
             $msg,
-            &[$((stringify!($key), $crate::flight::FlightValue::from($val))),*],
+            $crate::FieldBuf::new([$((stringify!($key), $crate::Value::from($val))),*]),
         )
     };
 }
@@ -526,7 +541,6 @@ pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
 
 #[cfg(test)]
 mod tests {
-    use super::subscriber::TraceRecord;
     use super::*;
 
     #[test]
@@ -534,14 +548,21 @@ mod tests {
         let _guard = test_lock();
         assert!(!enabled());
         let mut evaluated = false;
-        let _span = span!("never", x = {
-            evaluated = true;
-            1u64
-        });
-        event!(Level::Info, "never", y = {
-            evaluated = true;
-            2u64
-        });
+        let _span = span!(
+            "never",
+            x = {
+                evaluated = true;
+                1u64
+            }
+        );
+        event!(
+            Level::Info,
+            "never",
+            y = {
+                evaluated = true;
+                2u64
+            }
+        );
         assert!(!evaluated, "fields must not be evaluated while disabled");
     }
 
@@ -564,8 +585,10 @@ mod tests {
         let records = mem.records();
         let opens: Vec<_> = records
             .iter()
-            .filter_map(|r| match r {
-                TraceRecord::SpanOpen { id, parent, name, .. } => Some((*id, *parent, name.clone())),
+            .filter_map(|r| match *r {
+                Record::SpanOpen {
+                    id, parent, name, ..
+                } => Some((id, parent, name)),
                 _ => None,
             })
             .collect();
@@ -576,19 +599,22 @@ mod tests {
         assert_eq!(opens[1].1, Some(opens[0].0));
         let closes: Vec<_> = records
             .iter()
-            .filter_map(|r| match r {
-                TraceRecord::SpanClose { name, items, .. } => Some((name.clone(), *items)),
+            .filter_map(|r| match *r {
+                Record::SpanClose { name, items, .. } => Some((name, items)),
                 _ => None,
             })
             .collect();
         // Inner closes before outer (LIFO).
-        assert_eq!(closes, vec![("inner".to_string(), 5), ("outer".to_string(), 10)]);
+        assert_eq!(closes, vec![("inner", 5), ("outer", 10)]);
         let events: Vec<_> = records
             .iter()
-            .filter_map(|r| match r {
-                TraceRecord::Event { level, message, span, .. } => {
-                    Some((*level, message.clone(), *span))
-                }
+            .filter_map(|r| match *r {
+                Record::Event {
+                    level,
+                    message,
+                    span,
+                    ..
+                } => Some((level, message, span)),
                 _ => None,
             })
             .collect();
@@ -608,12 +634,12 @@ mod tests {
             s.add_items(7);
         }
         let snap = flight::global().snapshot();
-        let hit = snap.iter().rev().find_map(|r| match r {
-            flight::FlightRecord::SpanClose { name, items, .. }
-                if *name == "flight_only_marker_span" =>
-            {
-                Some(*items)
-            }
+        let hit = snap.iter().rev().find_map(|r| match *r {
+            Record::SpanClose {
+                name: "flight_only_marker_span",
+                items,
+                ..
+            } => Some(items),
             _ => None,
         });
         assert_eq!(hit, Some(7), "lite span close must reach the ring");
@@ -625,12 +651,17 @@ mod tests {
         assert!(!enabled());
         event!(Level::Warn, "flight_note_marker");
         let snap = flight::global().snapshot();
-        let hit = snap.iter().rev().any(|r| matches!(
-            r,
-            flight::FlightRecord::Event { level, message, .. }
-                if *message == "flight_note_marker" && *level == Level::Warn
-        ));
-        assert!(hit, "disabled event! must record message + level to the ring");
+        let hit = snap.iter().rev().any(|r| {
+            matches!(
+                r,
+                Record::Event { level, message, .. }
+                    if *message == "flight_note_marker" && *level == Level::Warn
+            )
+        });
+        assert!(
+            hit,
+            "disabled event! must record message + level to the ring"
+        );
     }
 
     #[test]
@@ -638,30 +669,106 @@ mod tests {
         let _guard = test_lock();
         let mem = Arc::new(MemorySubscriber::default());
         let sub = subscribe(mem.clone());
-        flight_event!(Level::Info, "flight_event_marker", id = 42u64, route = "rdap");
+        flight_event!(
+            Level::Info,
+            "flight_event_marker",
+            id = 42u64,
+            route = "rdap"
+        );
         drop(sub);
         let snap = flight::global().snapshot();
         let fields = snap
             .iter()
             .rev()
-            .find_map(|r| match r {
-                flight::FlightRecord::Event { message, fields, .. }
-                    if *message == "flight_event_marker" =>
-                {
-                    Some(*fields)
-                }
+            .find_map(|r| match *r {
+                Record::Event {
+                    message: "flight_event_marker",
+                    fields,
+                    ..
+                } => Some(fields),
                 _ => None,
             })
             .expect("flight_event! must always reach the ring");
-        let slots = fields.as_slice();
-        assert_eq!(slots.len(), 2);
-        assert_eq!(slots[0].0, "id");
-        assert!(matches!(slots[0].1, flight::FlightValue::U64(42)));
-        assert!(matches!(slots[1].1, flight::FlightValue::Str("rdap")));
+        assert_eq!(
+            fields.as_slice(),
+            [("id", Value::U64(42)), ("route", Value::Str("rdap"))]
+        );
         // And the installed subscriber saw it too.
         assert!(mem.records().iter().any(
-            |r| matches!(r, TraceRecord::Event { message, .. } if message == "flight_event_marker")
+            |r| matches!(r, Record::Event { message, .. } if *message == "flight_event_marker")
         ));
+    }
+
+    #[test]
+    fn ring_dump_and_jsonl_trace_agree_on_every_record() {
+        let _guard = test_lock();
+        let (jsonl, buf) = subscriber::shared_buffer();
+        let sub = subscribe(Arc::new(jsonl));
+        {
+            let span = span!("agree_span", n = 3u64);
+            span.add_items(5);
+            // Every value kind, split over two call sites per macro
+            // (a record holds at most MAX_FIELDS fields).
+            event!(
+                Level::Info,
+                "agree_event",
+                u = 1u64,
+                i = -2i64,
+                f = f64::NAN,
+                s = "rdap"
+            );
+            event!(
+                Level::Info,
+                "agree_event",
+                b = true,
+                f = f64::INFINITY,
+                s = "whois"
+            );
+            flight_event!(
+                Level::Info,
+                "agree_flight",
+                u = 1u64,
+                i = -2i64,
+                f = f64::NAN,
+                s = "rdap"
+            );
+            flight_event!(
+                Level::Info,
+                "agree_flight",
+                b = false,
+                f = f64::NEG_INFINITY,
+                s = "x"
+            );
+        }
+        drop(sub);
+        let traced = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let ring = flight::global().snapshot_jsonl();
+        let ring: Vec<&str> = ring.lines().collect();
+        let mut events = 0;
+        let mut closes = 0;
+        for line in traced.lines() {
+            let v = serde_json::parse(line).unwrap_or_else(|e| panic!("bad JSON {line:?}: {e:?}"));
+            match v["type"].as_str() {
+                Some("event") => {
+                    // The ring's dump is the trace line minus its span link.
+                    let at = line
+                        .find(",\"span\":")
+                        .expect("event inside a span links it");
+                    let end = at + 1 + line[at + 1..].find(',').unwrap();
+                    let unlinked = format!("{}{}", &line[..at], &line[end..]);
+                    assert!(ring.contains(&unlinked.as_str()), "ring lacks {unlinked}");
+                    events += 1;
+                }
+                Some("span_close") => {
+                    assert_eq!(v["name"].as_str(), Some("agree_span"));
+                    assert_eq!(v["items"].as_i64(), Some(5));
+                    assert!(ring.contains(&line), "ring lacks {line}");
+                    closes += 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!((events, closes), (4, 1), "{traced}");
     }
 
     #[test]
@@ -683,9 +790,9 @@ mod tests {
         drop(second);
         assert!(!enabled());
         event!(Level::Error, "after_uninstall");
-        assert!(mem.records().is_empty() || !mem
+        assert!(!mem
             .records()
             .iter()
-            .any(|r| matches!(r, TraceRecord::Event { message, .. } if message == "after_uninstall")));
+            .any(|r| matches!(r, Record::Event { message, .. } if *message == "after_uninstall")));
     }
 }

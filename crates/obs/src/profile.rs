@@ -8,17 +8,15 @@
 //! items print wall time only.
 
 use crate::subscriber::Subscriber;
-use crate::{EventRecord, Level, SpanCloseRecord, SpanOpenRecord, Value};
+use crate::{FieldBuf, Level, Record, Value};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 struct SpanNode {
-    id: u64,
     parent: Option<u64>,
-    name: String,
-    unit: Option<String>,
-    fields: Vec<(String, Value)>,
+    name: &'static str,
+    fields: FieldBuf,
     wall: Option<Duration>,
     items: u64,
 }
@@ -72,12 +70,18 @@ impl ProfileCollector {
         ProfileCollector::default()
     }
 
+    // Every update is a single push, insert or field store, so state
+    // recovered from a poisoned lock is still coherent.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Render the collected spans as an indented tree, root spans in
     /// open order, one line per span: name, wall time, and — when the
     /// span attributed items — count and throughput. Collected
     /// warn/error events follow the tree.
     pub fn render_tree(&self) -> String {
-        let state = self.state.lock().expect("profile collector poisoned");
+        let state = self.state();
         // children[i] = indices of spans whose parent is spans[i].
         let mut roots: Vec<usize> = Vec::new();
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); state.spans.len()];
@@ -101,18 +105,6 @@ impl ProfileCollector {
         out
     }
 
-    /// Total wall time of root spans (the profiled run's span-covered
-    /// duration).
-    pub fn total_wall(&self) -> Duration {
-        let state = self.state.lock().expect("profile collector poisoned");
-        state
-            .spans
-            .iter()
-            .filter(|n| n.parent.is_none())
-            .filter_map(|n| n.wall)
-            .sum()
-    }
-
     /// Total wall time over every closed span with the given name.
     ///
     /// Stage harnesses (`repro bench`) wrap each pipeline stage in a
@@ -120,10 +112,9 @@ impl ProfileCollector {
     /// accessor, keeping all wall-clock reads inside `obs`. Returns
     /// `None` when no span of that name closed.
     pub fn stage_wall(&self, name: &str) -> Option<Duration> {
-        let state = self.state.lock().expect("profile collector poisoned");
         let mut total = Duration::ZERO;
         let mut seen = false;
-        for node in &state.spans {
+        for node in &self.state().spans {
             if node.name == name {
                 if let Some(wall) = node.wall {
                     total += wall;
@@ -132,17 +123,6 @@ impl ProfileCollector {
             }
         }
         seen.then_some(total)
-    }
-
-    /// Names of all closed spans, in open order.
-    pub fn span_names(&self) -> Vec<String> {
-        let state = self.state.lock().expect("profile collector poisoned");
-        state
-            .spans
-            .iter()
-            .filter(|n| n.wall.is_some())
-            .map(|n| n.name.clone())
-            .collect()
     }
 }
 
@@ -161,15 +141,19 @@ fn render_node(
         Some(wall) => {
             out.push_str(&format!("{:>10}", fmt_duration(wall)));
             if node.items > 0 {
-                let unit = node.unit.as_deref().unwrap_or("items");
+                let unit = node.fields.as_slice().iter().find_map(|f| match *f {
+                    ("unit", Value::Str(unit)) => Some(unit),
+                    _ => None,
+                });
+                let unit = unit.unwrap_or("items");
                 out.push_str("  ");
                 out.push_str(&fmt_rate(node.items, wall, unit));
             }
         }
         None => out.push_str("   (never closed)"),
     }
-    for (k, v) in &node.fields {
-        if k != "unit" {
+    for (k, v) in node.fields.as_slice() {
+        if *k != "unit" {
             out.push_str(&format!("  {k}={v}"));
         }
     }
@@ -191,45 +175,50 @@ fn render_node(
 }
 
 impl Subscriber for ProfileCollector {
-    fn span_open(&self, r: &SpanOpenRecord<'_>) {
-        let mut state = self.state.lock().expect("profile collector poisoned");
-        let unit = r.fields.iter().find_map(|(k, v)| match (k, v) {
-            (&"unit", Value::Str(s)) => Some(s.clone()),
-            _ => None,
-        });
-        let idx = state.spans.len();
-        state.spans.push(SpanNode {
-            id: r.id,
-            parent: r.parent,
-            name: r.name.to_string(),
-            unit,
-            fields: r.fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
-            wall: None,
-            items: 0,
-        });
-        state.index.insert(r.id, idx);
-    }
-
-    fn span_close(&self, r: &SpanCloseRecord) {
-        let mut state = self.state.lock().expect("profile collector poisoned");
-        if let Some(&idx) = state.index.get(&r.id) {
-            let node = &mut state.spans[idx];
-            debug_assert_eq!(node.id, r.id);
-            node.wall = Some(r.wall);
-            node.items = r.items;
+    fn record(&self, r: &Record) {
+        match *r {
+            Record::SpanOpen {
+                id,
+                parent,
+                name,
+                fields,
+                ..
+            } => {
+                let mut state = self.state();
+                let idx = state.spans.len();
+                state.spans.push(SpanNode {
+                    parent,
+                    name,
+                    fields,
+                    wall: None,
+                    items: 0,
+                });
+                state.index.insert(id, idx);
+            }
+            Record::SpanClose {
+                id, wall_us, items, ..
+            } => {
+                let mut state = self.state();
+                if let Some(&idx) = state.index.get(&id) {
+                    let node = &mut state.spans[idx];
+                    node.wall = Some(Duration::from_micros(wall_us));
+                    node.items = items;
+                }
+            }
+            Record::Event {
+                level,
+                message,
+                fields,
+                ..
+            } if level <= Level::Warn => {
+                let mut note = format!("[{}] {message}", level.as_str());
+                for (k, v) in fields.as_slice() {
+                    note.push_str(&format!(" {k}={v}"));
+                }
+                self.state().notes.push(note);
+            }
+            Record::Event { .. } => {}
         }
-    }
-
-    fn event(&self, r: &EventRecord<'_>) {
-        if r.level > Level::Warn {
-            return;
-        }
-        let mut fields = String::new();
-        for (k, v) in r.fields {
-            fields.push_str(&format!(" {k}={v}"));
-        }
-        let note = format!("[{}] {}{}", r.level.as_str(), r.message, fields);
-        self.state.lock().expect("profile collector poisoned").notes.push(note);
     }
 }
 
@@ -247,6 +236,8 @@ mod tests {
         {
             let outer = span!("chain", unit = "days");
             outer.add_items(90);
+            // Wall times are whole microseconds; make the rate finite.
+            std::thread::sleep(Duration::from_millis(1));
             {
                 let _a = span!("stage_a");
             }
@@ -259,6 +250,11 @@ mod tests {
         drop(sub);
         let tree = collector.render_tree();
         let lines: Vec<&str> = tree.lines().collect();
+        assert_eq!(
+            lines.len(),
+            5,
+            "three spans, a blank line, one note: {tree}"
+        );
         assert!(lines[0].starts_with("chain"), "{tree}");
         assert!(lines[0].contains("90 days"), "{tree}");
         assert!(lines[0].contains("days/s"), "{tree}");
@@ -266,25 +262,25 @@ mod tests {
         assert!(lines[1].contains("├─ stage_a"), "{tree}");
         assert!(lines[2].contains("└─ stage_b"), "{tree}");
         // Warn surfaced, debug suppressed.
-        assert!(tree.contains("[warn] fallback_used kind=synthetic"), "{tree}");
-        assert!(!tree.contains("noise"), "{tree}");
-        assert_eq!(
-            collector.span_names(),
-            vec!["chain".to_string(), "stage_a".to_string(), "stage_b".to_string()]
+        assert!(
+            tree.contains("[warn] fallback_used kind=synthetic"),
+            "{tree}"
         );
-        assert!(collector.total_wall() > Duration::ZERO);
+        assert!(!tree.contains("noise"), "{tree}");
+        assert!(!tree.contains("(never closed)"), "{tree}");
+        assert!(collector.stage_wall("chain") >= Some(Duration::from_millis(1)));
     }
 
     #[test]
     fn unclosed_spans_are_flagged() {
         let collector = ProfileCollector::new();
-        collector.span_open(&SpanOpenRecord {
+        collector.record(&Record::SpanOpen {
             id: 7,
             parent: None,
             thread: 0,
             t_us: 0,
             name: "stuck",
-            fields: &[],
+            fields: FieldBuf::default(),
         });
         let tree = collector.render_tree();
         assert!(tree.contains("stuck"), "{tree}");

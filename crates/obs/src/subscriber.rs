@@ -1,22 +1,20 @@
-//! Trace sinks: human-readable stderr, machine-readable JSONL, and an
-//! in-memory collector for tests.
+//! Trace sinks — human-readable stderr, machine-readable JSONL, and an
+//! in-memory collector for tests — each a reader of the crate's one
+//! [`Record`] stream. `write_jsonl` is the one JSONL line writer,
+//! shared by [`JsonlSubscriber`] and the flight ring's dump.
 
-use crate::{EventRecord, Level, SpanCloseRecord, SpanOpenRecord, Value};
+use crate::{Record, Value};
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// A trace sink. Install with [`crate::subscribe`]. Callbacks must be
-/// cheap and must never panic on weird field contents; they may be
-/// called concurrently from any thread.
+/// A trace sink. Install with [`crate::subscribe`]. It must be cheap
+/// and must never panic on weird field contents; it may be called
+/// concurrently from any thread.
 pub trait Subscriber: Send + Sync {
-    /// A span opened.
-    fn span_open(&self, record: &SpanOpenRecord<'_>);
-    /// A span closed.
-    fn span_close(&self, record: &SpanCloseRecord);
-    /// An event fired.
-    fn event(&self, record: &EventRecord<'_>);
+    /// A span opened, a span closed, or an event fired.
+    fn record(&self, record: &Record);
 }
 
 fn fmt_fields(fields: &[(&'static str, Value)]) -> String {
@@ -35,28 +33,48 @@ fn fmt_fields(fields: &[(&'static str, Value)]) -> String {
 pub struct StderrSubscriber;
 
 impl Subscriber for StderrSubscriber {
-    fn span_open(&self, r: &SpanOpenRecord<'_>) {
-        eprintln!("# trace > {} [{}]{}", r.name, r.id, fmt_fields(r.fields));
-    }
-
-    fn span_close(&self, r: &SpanCloseRecord) {
-        let mut line = format!("# trace < {} [{}] {:.2?}", r.name, r.id, r.wall);
-        if r.items > 0 {
-            let per_sec = r.items as f64 / r.wall.as_secs_f64().max(f64::MIN_POSITIVE);
-            line.push_str(&format!(" items={} ({:.0}/s)", r.items, per_sec));
+    fn record(&self, r: &Record) {
+        match r {
+            Record::SpanOpen {
+                id, name, fields, ..
+            } => {
+                eprintln!("# trace > {name} [{id}]{}", fmt_fields(fields.as_slice()));
+            }
+            Record::SpanClose {
+                id,
+                name,
+                wall_us,
+                items,
+                ..
+            } => {
+                let wall = Duration::from_micros(*wall_us);
+                let mut line = format!("# trace < {name} [{id}] {wall:.2?}");
+                if *items > 0 {
+                    let per_sec = *items as f64 / wall.as_secs_f64().max(f64::MIN_POSITIVE);
+                    line.push_str(&format!(" items={items} ({per_sec:.0}/s)"));
+                }
+                eprintln!("{line}");
+            }
+            Record::Event {
+                level,
+                message,
+                fields,
+                ..
+            } => {
+                eprintln!(
+                    "# trace ! {}: {message}{}",
+                    level.as_str(),
+                    fmt_fields(fields.as_slice())
+                );
+            }
         }
-        eprintln!("{line}");
-    }
-
-    fn event(&self, r: &EventRecord<'_>) {
-        eprintln!("# trace ! {}: {}{}", r.level.as_str(), r.message, fmt_fields(r.fields));
     }
 }
 
 /// Escape a string for inclusion in a JSON string literal. Handles
 /// quotes, backslashes, and all control characters (newlines included);
 /// non-ASCII is passed through as UTF-8, which JSON permits.
-pub(crate) fn json_escape(s: &str, out: &mut String) {
+fn json_escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -64,12 +82,18 @@ pub(crate) fn json_escape(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+            c if u32::from(c) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", u32::from(c)));
             }
             c => out.push(c),
         }
     }
+}
+
+fn json_str(s: &str, out: &mut String) {
+    out.push('"');
+    json_escape(s, out);
+    out.push('"');
 }
 
 fn json_value(v: &Value, out: &mut String) {
@@ -78,17 +102,9 @@ fn json_value(v: &Value, out: &mut String) {
         Value::I64(n) => out.push_str(&n.to_string()),
         Value::F64(n) if n.is_finite() => out.push_str(&format!("{n}")),
         // JSON has no NaN/Infinity; degrade to a string.
-        Value::F64(n) => {
-            out.push('"');
-            json_escape(&n.to_string(), out);
-            out.push('"');
-        }
+        Value::F64(n) => json_str(&n.to_string(), out),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Str(s) => {
-            out.push('"');
-            json_escape(s, out);
-            out.push('"');
-        }
+        Value::Str(s) => json_str(s, out),
     }
 }
 
@@ -98,12 +114,71 @@ fn json_fields(fields: &[(&'static str, Value)], out: &mut String) {
         if i > 0 {
             out.push(',');
         }
-        out.push('"');
-        json_escape(k, out);
-        out.push_str("\":");
+        json_str(k, out);
+        out.push(':');
         json_value(v, out);
     }
     out.push('}');
+}
+
+/// Append `record` to `out` as one JSONL line in the schema documented
+/// on [`JsonlSubscriber`]. With `links` off the line leaves out the
+/// `parent`/`span` references, as the flight ring's dump does.
+pub(crate) fn write_jsonl(record: &Record, links: bool, out: &mut String) {
+    match record {
+        Record::SpanOpen {
+            id,
+            parent,
+            thread,
+            t_us,
+            name,
+            fields,
+        } => {
+            out.push_str(&format!("{{\"type\":\"span_open\",\"id\":{id}"));
+            if let (true, Some(parent)) = (links, parent) {
+                out.push_str(&format!(",\"parent\":{parent}"));
+            }
+            out.push_str(&format!(",\"thread\":{thread},\"t_us\":{t_us},\"name\":"));
+            json_str(name, out);
+            out.push_str(",\"fields\":");
+            json_fields(fields.as_slice(), out);
+        }
+        Record::SpanClose {
+            id,
+            thread,
+            t_us,
+            name,
+            wall_us,
+            items,
+        } => {
+            out.push_str(&format!(
+                "{{\"type\":\"span_close\",\"id\":{id},\"thread\":{thread},\"t_us\":{t_us},\"name\":"
+            ));
+            json_str(name, out);
+            out.push_str(&format!(",\"wall_us\":{wall_us},\"items\":{items}"));
+        }
+        Record::Event {
+            level,
+            span,
+            thread,
+            t_us,
+            message,
+            fields,
+        } => {
+            out.push_str(&format!(
+                "{{\"type\":\"event\",\"level\":\"{}\",\"thread\":{thread},\"t_us\":{t_us}",
+                level.as_str()
+            ));
+            if let (true, Some(span)) = (links, span) {
+                out.push_str(&format!(",\"span\":{span}"));
+            }
+            out.push_str(",\"message\":");
+            json_str(message, out);
+            out.push_str(",\"fields\":");
+            json_fields(fields.as_slice(), out);
+        }
+    }
+    out.push_str("}\n");
 }
 
 /// Machine-readable JSONL tracing (`repro --trace=jsonl:PATH`).
@@ -134,14 +209,9 @@ impl JsonlSubscriber {
     /// Write the trace to an arbitrary sink (tests use a shared
     /// `Vec<u8>`; see [`shared_buffer`]).
     pub fn to_writer(out: Box<dyn Write + Send>) -> JsonlSubscriber {
-        JsonlSubscriber { out: Mutex::new(out) }
-    }
-
-    fn write_line(&self, line: &str) {
-        let mut out = self.out.lock().expect("jsonl writer poisoned");
-        // Trace output is best-effort: a full disk must not take the
-        // traced pipeline down with it.
-        let _ = writeln!(out, "{line}");
+        JsonlSubscriber {
+            out: Mutex::new(out),
+        }
     }
 }
 
@@ -154,49 +224,15 @@ impl Drop for JsonlSubscriber {
 }
 
 impl Subscriber for JsonlSubscriber {
-    fn span_open(&self, r: &SpanOpenRecord<'_>) {
-        let mut line = format!("{{\"type\":\"span_open\",\"id\":{}", r.id);
-        if let Some(parent) = r.parent {
-            line.push_str(&format!(",\"parent\":{parent}"));
-        }
-        line.push_str(&format!(",\"thread\":{},\"t_us\":{},\"name\":\"", r.thread, r.t_us));
-        json_escape(r.name, &mut line);
-        line.push_str("\",\"fields\":");
-        json_fields(r.fields, &mut line);
-        line.push('}');
-        self.write_line(&line);
-    }
-
-    fn span_close(&self, r: &SpanCloseRecord) {
-        let mut line = format!(
-            "{{\"type\":\"span_close\",\"id\":{},\"thread\":{},\"t_us\":{},\"name\":\"",
-            r.id, r.thread, r.t_us
-        );
-        json_escape(r.name, &mut line);
-        line.push_str(&format!(
-            "\",\"wall_us\":{},\"items\":{}}}",
-            r.wall.as_micros().min(u64::MAX as u128),
-            r.items
-        ));
-        self.write_line(&line);
-    }
-
-    fn event(&self, r: &EventRecord<'_>) {
-        let mut line = format!(
-            "{{\"type\":\"event\",\"level\":\"{}\",\"thread\":{},\"t_us\":{}",
-            r.level.as_str(),
-            r.thread,
-            r.t_us
-        );
-        if let Some(span) = r.span {
-            line.push_str(&format!(",\"span\":{span}"));
-        }
-        line.push_str(",\"message\":\"");
-        json_escape(r.message, &mut line);
-        line.push_str("\",\"fields\":");
-        json_fields(r.fields, &mut line);
-        line.push('}');
-        self.write_line(&line);
+    fn record(&self, r: &Record) {
+        let mut line = String::new();
+        write_jsonl(r, true, &mut line);
+        // A writer that panicked mid-line leaves at worst a torn line,
+        // which trace-check reports; keep tracing rather than panic.
+        let mut out = self.out.lock().unwrap_or_else(|p| p.into_inner());
+        // Trace output is best-effort: a full disk must not take the
+        // traced pipeline down with it.
+        let _ = write!(out, "{line}");
     }
 }
 
@@ -207,7 +243,10 @@ pub fn shared_buffer() -> (JsonlSubscriber, Arc<Mutex<Vec<u8>>>) {
     struct BufSink(Arc<Mutex<Vec<u8>>>);
     impl Write for BufSink {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.lock().expect("buffer poisoned").extend_from_slice(buf);
+            self.0
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .extend_from_slice(buf);
             Ok(buf.len())
         }
         fn flush(&mut self) -> io::Result<()> {
@@ -215,116 +254,45 @@ pub fn shared_buffer() -> (JsonlSubscriber, Arc<Mutex<Vec<u8>>>) {
         }
     }
     let buf = Arc::new(Mutex::new(Vec::new()));
-    (JsonlSubscriber::to_writer(Box::new(BufSink(Arc::clone(&buf)))), buf)
-}
-
-/// An owned copy of a dispatched record, as stored by
-/// [`MemorySubscriber`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum TraceRecord {
-    /// A span opened.
-    SpanOpen {
-        /// Span id.
-        id: u64,
-        /// Enclosing span id, if nested.
-        parent: Option<u64>,
-        /// Opening thread.
-        thread: u64,
-        /// Span name.
-        name: String,
-        /// Fields captured at open.
-        fields: Vec<(String, Value)>,
-    },
-    /// A span closed.
-    SpanClose {
-        /// Span id.
-        id: u64,
-        /// Span name.
-        name: String,
-        /// Wall time.
-        wall: Duration,
-        /// Attributed items.
-        items: u64,
-    },
-    /// An event fired.
-    Event {
-        /// Severity.
-        level: Level,
-        /// Enclosing span, if any.
-        span: Option<u64>,
-        /// Message.
-        message: String,
-        /// Fields.
-        fields: Vec<(String, Value)>,
-    },
+    (
+        JsonlSubscriber::to_writer(Box::new(BufSink(Arc::clone(&buf)))),
+        buf,
+    )
 }
 
 /// Collects every record in memory — the assertion surface for tests.
 #[derive(Default)]
 pub struct MemorySubscriber {
-    records: Mutex<Vec<TraceRecord>>,
+    records: Mutex<Vec<Record>>,
 }
 
 impl MemorySubscriber {
     /// A copy of everything recorded so far, in dispatch order.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.records.lock().expect("memory subscriber poisoned").clone()
+    pub fn records(&self) -> Vec<Record> {
+        self.records
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .clone()
     }
-
-    /// The names of all closed spans, in close order.
-    pub fn closed_span_names(&self) -> Vec<String> {
-        self.records()
-            .into_iter()
-            .filter_map(|r| match r {
-                TraceRecord::SpanClose { name, .. } => Some(name),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
-fn own_fields(fields: &[(&'static str, Value)]) -> Vec<(String, Value)> {
-    fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect()
 }
 
 impl Subscriber for MemorySubscriber {
-    fn span_open(&self, r: &SpanOpenRecord<'_>) {
-        self.records.lock().expect("memory subscriber poisoned").push(TraceRecord::SpanOpen {
-            id: r.id,
-            parent: r.parent,
-            thread: r.thread,
-            name: r.name.to_string(),
-            fields: own_fields(r.fields),
-        });
-    }
-
-    fn span_close(&self, r: &SpanCloseRecord) {
-        self.records.lock().expect("memory subscriber poisoned").push(TraceRecord::SpanClose {
-            id: r.id,
-            name: r.name.to_string(),
-            wall: r.wall,
-            items: r.items,
-        });
-    }
-
-    fn event(&self, r: &EventRecord<'_>) {
-        self.records.lock().expect("memory subscriber poisoned").push(TraceRecord::Event {
-            level: r.level,
-            span: r.span,
-            message: r.message.to_string(),
-            fields: own_fields(r.fields),
-        });
+    fn record(&self, r: &Record) {
+        self.records
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .push(*r);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{event, span, subscribe, test_lock};
+    use crate::{event, span, subscribe, test_lock, Level};
 
-    /// Satellite requirement: JSONL escaping survives keys/values with
-    /// quotes, newlines, and non-ASCII — every emitted line must parse
-    /// as JSON and round-trip the value.
+    /// JSONL escaping survives keys/values with quotes, newlines, and
+    /// non-ASCII — every emitted line must parse as JSON and
+    /// round-trip the value.
     #[test]
     fn jsonl_escaping_round_trips_hostile_strings() {
         let _guard = test_lock();
@@ -376,6 +344,18 @@ mod tests {
             let _b = span!("b");
         }
         drop(sub);
-        assert_eq!(mem.closed_span_names(), vec!["b", "a"]);
+        let order: Vec<(bool, &str)> = mem
+            .records()
+            .into_iter()
+            .filter_map(|r| match r {
+                Record::SpanOpen { name, .. } => Some((true, name)),
+                Record::SpanClose { name, .. } => Some((false, name)),
+                Record::Event { .. } => None,
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [(true, "a"), (true, "b"), (false, "b"), (false, "a")]
+        );
     }
 }

@@ -240,7 +240,6 @@ impl App {
             Err(detail) => return (Response::error(400, &detail), "other"),
         };
         let path = path.as_str();
-        obs::event!(obs::Level::Debug, "http_request", path = path);
         if path == "/query" {
             self.metrics.route_query.inc();
             return (self.handle_query(req), "query");

@@ -89,7 +89,10 @@ scaling:
 profile artifact="fig6":
     cargo run --release --bin repro -- profile {{ artifact }}
 
-# Write a JSONL trace of a run and validate its schema + nesting.
+# Write a JSONL trace and a flight-ring dump of a run and validate the
+# schema + nesting of both.
 trace artifact="fig6":
     cargo run --release --bin repro -- {{ artifact }} --trace=jsonl:trace.jsonl > /dev/null
     cargo run --release --bin repro -- trace-check trace.jsonl
+    cargo run --release --bin repro -- flight-dump {{ artifact }} --out flight-{{ artifact }}.jsonl
+    cargo run --release --bin repro -- trace-check flight-{{ artifact }}.jsonl
