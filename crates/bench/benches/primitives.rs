@@ -124,7 +124,7 @@ fn bench_mrt_archive(c: &mut Criterion) {
             .expect("archive encodes");
     let mid = date("2018-02-15");
     g.bench_function("reconstruct_day", |b| {
-        b.iter(|| black_box(archive.day_view(mid).unwrap()))
+        b.iter(|| black_box(archive.sweep().advance(mid).unwrap()))
     });
     g.finish();
 }

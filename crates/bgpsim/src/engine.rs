@@ -328,7 +328,7 @@ impl<'w> RenderEngine<'w> {
         let mut ranks = Vec::with_capacity(entities.len() * nm);
         let mut masks = vec![0u64; entities.len() * mask_words];
         for (ei, e) in entities.iter().enumerate() {
-            let okey = origin_key(&e.origin);
+            let ohash = origin_key(&e.origin);
             let net = e.prefix.network() as u64;
             let len = e.prefix.len() as u64;
             for m in 0..nm {
@@ -338,12 +338,12 @@ impl<'w> RenderEngine<'w> {
                         .wrapping_mul(0x517C_C1B7_2722_0A95)
                         .wrapping_add(net << 16)
                         .wrapping_add(len)
-                        .wrapping_add((okey as u64) << 32)
+                        .wrapping_add((ohash as u64) << 32)
                         .wrapping_add(m as u64),
                 );
                 keys.push(key);
                 ranks.push(splitmix64(
-                    model.seed ^ (net << 8) ^ ((okey as u64) << 40) ^ m as u64,
+                    model.seed ^ (net << 8) ^ ((ohash as u64) << 40) ^ m as u64,
                 ));
                 if unit_f64(key) < e.vis {
                     masks[ei * mask_words + m / 64] |= 1u64 << (m % 64);

@@ -64,6 +64,11 @@ pub enum Mrt2Error {
         /// The offending length.
         len: usize,
     },
+    /// Encode-side: the day ranges handed to the archive generator do
+    /// not tile the span in order. The range is the first one out of
+    /// place (a gap or an overlap before it), or the days left
+    /// uncovered, or covered past the span's end.
+    UntiledChunk(std::ops::Range<usize>),
 }
 
 impl std::fmt::Display for Mrt2Error {
@@ -74,6 +79,9 @@ impl std::fmt::Display for Mrt2Error {
             Mrt2Error::Bgp(e) => write!(f, "embedded BGP message: {e}"),
             Mrt2Error::TooLong { field, len } => {
                 write!(f, "{field} of {len} entries overflows its wire length field")
+            }
+            Mrt2Error::UntiledChunk(r) => {
+                write!(f, "day range {r:?} breaks the tiling of the archive span")
             }
         }
     }
@@ -613,7 +621,7 @@ impl LossyStats {
         match e {
             Mrt2Error::Truncated => self.skipped_truncated += 1,
             Mrt2Error::Bgp(_) => self.skipped_bgp += 1,
-            Mrt2Error::Malformed(_) | Mrt2Error::TooLong { .. } => {
+            Mrt2Error::Malformed(_) | Mrt2Error::TooLong { .. } | Mrt2Error::UntiledChunk(_) => {
                 self.skipped_malformed += 1
             }
         }

@@ -9,9 +9,11 @@
 //! [`CollectorArchiveV2`] stores genuine RFC 6396 bytes:
 //! `TABLE_DUMP_V2` files for the periodic RIB snapshots and `BGP4MP`
 //! files carrying real BGP UPDATE messages for the daily diffs.
-//! [`CollectorArchiveV2::day_view`] reconstructs any day's per-peer
-//! routing state by applying update files to the most recent RIB,
-//! implementing the missing-file fallback verbatim.
+//! [`ObservationSweep`] is the one reconstruction: it serves each day
+//! from the most recent RIB plus the update files since, implementing
+//! the missing-file fallback verbatim, and keeps the per-peer routing
+//! state and its per-`(prefix, origin)` monitor counts alive across
+//! the days of a walk.
 
 use crate::bgp::{self, AsPathView, BgpMessage, MessageView, PathAttribute, UpdateMessage};
 use crate::mrt2::{
@@ -27,9 +29,9 @@ use bytes::Bytes;
 use nettypes::asn::{Asn, Origin};
 use nettypes::date::{Date, DateRange};
 use nettypes::prefix::Prefix;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::Write as _;
-use std::sync::Arc;
 
 /// Errors from archive reconstruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,56 +69,6 @@ pub enum Provenance {
         /// The later RIB's date.
         rib_date: Date,
     },
-}
-
-/// The per-peer routing state: for each peer (index-aligned with the
-/// peer table), prefix → chosen origin. Ordered maps so every
-/// iteration over a peer's table is deterministic.
-pub type PeerRoutes = Vec<BTreeMap<Prefix, Origin>>;
-
-/// A reconstructed day: per-peer routing state.
-#[derive(Clone, Debug)]
-pub struct DayView {
-    /// The requested date.
-    pub date: Date,
-    /// How the state was obtained.
-    pub provenance: Provenance,
-    /// Peer table (index-aligned with `peer_routes`).
-    pub peers: Vec<PeerEntry>,
-    /// For each peer, prefix → origin.
-    pub peer_routes: PeerRoutes,
-}
-
-impl DayView {
-    /// Collapse the per-peer state into the paper's observation
-    /// surface: distinct (prefix, origin) pairs with the number of
-    /// peers holding each.
-    pub fn to_observation_day(&self) -> ObservationDay {
-        let mut counts: BTreeMap<(Prefix, String), (Origin, u16)> = BTreeMap::new();
-        for routes in &self.peer_routes {
-            for (p, o) in routes {
-                let e = counts
-                    .entry((*p, format!("{o}")))
-                    .or_insert_with(|| (o.clone(), 0));
-                e.1 += 1;
-            }
-        }
-        ObservationDay {
-            date: self.date,
-            // lint:allow(L1): peer tables are u16-counted on the wire, so ≤ 65535
-            num_monitors: self.peers.len() as u16,
-            routes: counts
-                .into_iter()
-                .map(|((prefix, _), (origin, monitors_seen))| RouteObservation {
-                    prefix,
-                    origin,
-                    monitors_seen,
-                    path: Vec::new().into(), // real archives carry no ground truth
-                    class: None,
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Archive configuration.
@@ -309,8 +261,9 @@ impl CollectorArchiveV2 {
     ///
     /// `ranges` must partition `0..span_days` contiguously in order
     /// (what [`crate::par::chunk_ranges`] produces, but any split
-    /// works). Exposed so the determinism suite can prove that chunk
-    /// boundaries never change the archive bytes.
+    /// works); otherwise [`Mrt2Error::UntiledChunk`] names the first
+    /// range out of place. Exposed so the determinism suite can prove
+    /// that chunk boundaries never change the archive bytes.
     #[doc(hidden)]
     pub fn generate_with_chunks(
         world: &LeaseWorld,
@@ -326,10 +279,14 @@ impl CollectorArchiveV2 {
         let n = days.len();
         let mut covered = 0;
         for r in ranges {
-            assert_eq!(r.start, covered, "chunk ranges must tile the span in order");
+            if r.start != covered || r.end < r.start {
+                return Err(Mrt2Error::UntiledChunk(r.clone()));
+            }
             covered = r.end;
         }
-        assert_eq!(covered, n, "chunk ranges must cover every day");
+        if covered != n {
+            return Err(Mrt2Error::UntiledChunk(covered.min(n)..covered.max(n)));
+        }
         let span_obs = obs::span!("mrt_encode", days = n, threads = ranges.len(), unit = "days");
         span_obs.add_items(n as u64);
         let attrs = {
@@ -513,13 +470,14 @@ impl CollectorArchiveV2 {
         self.ribs.insert(d, bytes);
     }
 
-    /// Load a RIB file into per-peer state. Undecodable records and
-    /// entries are skipped (lossy, like real pipelines).
-    fn load_rib(&self, d: Date) -> Option<(Vec<PeerEntry>, PeerRoutes)> {
+    /// Decode a RIB file into its peer table and per-peer state
+    /// (prefix → origin). Undecodable records and entries are skipped
+    /// (lossy, like real pipelines); `None` when no peer table decodes.
+    fn decode_rib(&self, d: Date) -> Option<(Vec<PeerEntry>, PeerTables)> {
         let bytes = self.ribs.get(&d)?;
         let mut reader = RecordReader::new(bytes);
         let mut peers: Vec<PeerEntry> = Vec::new();
-        let mut routes: PeerRoutes = Vec::new();
+        let mut routes: PeerTables = Vec::new();
         for rec in reader.by_ref() {
             match rec.record {
                 MrtRecordView::PeerIndexTable(t) => {
@@ -547,99 +505,12 @@ impl CollectorArchiveV2 {
         Some((peers, routes))
     }
 
-    /// Apply one update file to per-peer state.
-    fn apply_updates(bytes: &Bytes, peers: &[PeerEntry], routes: &mut [BTreeMap<Prefix, Origin>]) {
-        replay_updates(bytes, peers, |pi, p, origin| {
-            let Some(table) = routes.get_mut(pi) else {
-                return;
-            };
-            match origin {
-                None => {
-                    table.remove(&p);
-                }
-                Some(o) => {
-                    table.insert(p, o.clone());
-                }
-            }
-        });
-    }
-
-    /// Reconstruct the routing state of `date` per the paper's rules.
-    pub fn day_view(&self, date: Date) -> Result<DayView, ArchiveError> {
-        // The RIB at or before the date…
-        let Some((&rib_date, _)) = self.ribs.range(..=date).next_back() else {
-            // …or, if the day precedes all RIBs, it is out of range.
-            return Err(if self.ribs.is_empty() {
-                ArchiveError::NoRibAvailable(date)
-            } else {
-                ArchiveError::OutOfRange(date)
-            });
-        };
-        let (peers, mut routes) = self
-            .load_rib(rib_date)
-            .ok_or(ArchiveError::NoRibAvailable(date))?;
-
-        let mut provenance = if rib_date == date {
-            Provenance::Exact
-        } else {
-            Provenance::Reconstructed { rib_date }
-        };
-
-        let mut d = rib_date.succ();
-        while d <= date {
-            match self.updates.get(&d) {
-                Some(bytes) => {
-                    Self::apply_updates(bytes, &peers, &mut routes);
-                    d = d.succ();
-                }
-                None => {
-                    // Missing update file: "download the first
-                    // available rib snapshot afterward".
-                    let Some((&next_rib, _)) = self.ribs.range(d..).next() else {
-                        return Err(ArchiveError::NoRibAvailable(d));
-                    };
-                    let (p2, r2) = self
-                        .load_rib(next_rib)
-                        .ok_or(ArchiveError::NoRibAvailable(next_rib))?;
-                    if next_rib <= date {
-                        // Resume reconstruction from the later RIB.
-                        routes = r2;
-                        debug_assert_eq!(p2.len(), peers.len());
-                        d = next_rib.succ();
-                        provenance = Provenance::Reconstructed { rib_date: next_rib };
-                        if next_rib == date {
-                            provenance = Provenance::Exact;
-                        }
-                    } else {
-                        // The only data is *after* the requested day.
-                        return Ok(DayView {
-                            date,
-                            provenance: Provenance::FallbackRib { rib_date: next_rib },
-                            peers: p2,
-                            peer_routes: r2,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(DayView {
-            date,
-            provenance,
-            peers,
-            peer_routes: routes,
-        })
-    }
-
-    /// Start an incremental day-by-day walk over this archive.
+    /// Start a day-by-day walk over this archive.
     pub fn sweep(&self) -> ObservationSweep<'_> {
         ObservationSweep {
             archive: self,
-            peers: Vec::new(),
-            routes: Vec::new(),
-            counts: BTreeMap::new(),
-            fmt: HashMap::new(),
-            empty_key: Arc::from(""),
-            anchor: Anchor::None,
+            state: State::default(),
+            anchor: None,
             full_rebuilds: 0,
         }
     }
@@ -648,345 +519,323 @@ impl CollectorArchiveV2 {
 /// The outcome of one [`ObservationSweep::advance`] step.
 #[derive(Clone, Debug)]
 pub struct DayDelta {
-    /// How the day's state was obtained (same meaning as
-    /// [`DayView::provenance`]).
+    /// How the day's state was obtained.
     pub provenance: Provenance,
     /// Prefixes whose observation surface (the per-prefix origin/count
     /// rows) may have changed since the previous served day, sorted.
-    /// `None` means the state was rebuilt from scratch — treat every
-    /// prefix as changed.
-    pub changed: Option<Vec<Prefix>>,
+    /// The first day served from the empty state reports every prefix,
+    /// and a peer-table change reports every prefix held before or
+    /// after it.
+    pub changed: Vec<Prefix>,
 }
 
-/// How the sweep's maintained state relates to the last served day.
+/// How the sweep's state relates to the last day it stepped.
+#[derive(Clone, Copy)]
 enum Anchor {
-    /// No usable state (fresh sweep, or the last day errored).
-    None,
-    /// State equals `day_view(day)` with Exact/Reconstructed
-    /// provenance: anchored at `rib_date` with every update file
-    /// through `day` applied.
+    /// The RIB at `rib_date` with every update file through `day`
+    /// applied.
     Day { day: Date, rib_date: Date },
-    /// State equals the decoded forward-fallback RIB at `rib`, served
-    /// for `day` (< `rib`). Consecutive fallback days reuse it without
-    /// re-decoding.
+    /// An update file at or before `day` is missing: the state is the
+    /// first RIB after the gap, at `rib` (> `day`).
     Fallback { day: Date, rib: Date },
-    /// An update file for `missing` is gone and no RIB exists at or
-    /// after it: every later consecutive day fails identically.
+    /// The update file for `missing` is gone and no RIB exists at or
+    /// after it: every later day fails the same way.
     Dead { day: Date, missing: Date },
 }
 
-/// An incremental replacement for calling
-/// [`CollectorArchiveV2::day_view`] + [`DayView::to_observation_day`]
-/// on every day of an ascending walk.
+impl Anchor {
+    fn day(self) -> Date {
+        match self {
+            Anchor::Day { day, .. } | Anchor::Fallback { day, .. } | Anchor::Dead { day, .. } => day,
+        }
+    }
+}
+
+/// For each peer (index-aligned with the peer table), prefix → origin.
+type PeerTables = Vec<BTreeMap<Prefix, Origin>>;
+
+/// The per-peer routing state and its aggregation. Every change goes
+/// through one recount ([`recount`]): route writes from update files
+/// ([`State::write`]) and RIB loads ([`State::load`]) alike.
+#[derive(Default)]
+struct State {
+    peers: Vec<PeerEntry>,
+    routes: PeerTables,
+    /// `(prefix, origin) → peers holding it`: the observation surface.
+    counts: BTreeMap<(Prefix, Origin), u16>,
+    /// Prefixes recounted since the last served day.
+    touched: BTreeSet<Prefix>,
+}
+
+/// Move one peer's route to `p` from `old` to `new` in the counts and
+/// mark `p` touched. Nothing happens when the origin is unchanged.
+fn recount(
+    counts: &mut BTreeMap<(Prefix, Origin), u16>,
+    touched: &mut BTreeSet<Prefix>,
+    p: Prefix,
+    old: Option<Origin>,
+    new: Option<&Origin>,
+) {
+    if old.as_ref() == new {
+        return;
+    }
+    if let Some(o) = old {
+        if let Entry::Occupied(mut e) = counts.entry((p, o)) {
+            *e.get_mut() -= 1;
+            if *e.get() == 0 {
+                e.remove();
+            }
+        }
+    }
+    if let Some(o) = new {
+        *counts.entry((p, o.clone())).or_insert(0) += 1;
+    }
+    touched.insert(p);
+}
+
+impl State {
+    /// Set (`Some`) or withdraw (`None`) peer `pi`'s route to `p`.
+    fn write(&mut self, pi: usize, p: Prefix, origin: Option<&Origin>) {
+        let Some(table) = self.routes.get_mut(pi) else {
+            return;
+        };
+        let old = match origin {
+            Some(o) if table.get(&p) == Some(o) => return,
+            Some(o) => table.insert(p, o.clone()),
+            None => table.remove(&p),
+        };
+        recount(&mut self.counts, &mut self.touched, p, old, origin);
+    }
+
+    /// Make the state equal a decoded RIB. Each peer's table is diffed
+    /// against the one held, so only the routes that differ are
+    /// recounted; a different peer table withdraws every route first.
+    fn load(&mut self, peers: Vec<PeerEntry>, routes: PeerTables) {
+        let State {
+            routes: held,
+            counts,
+            touched,
+            ..
+        } = self;
+        if self.peers != peers {
+            for (p, o) in std::mem::take(held).into_iter().flatten() {
+                recount(counts, touched, p, Some(o), None);
+            }
+            *held = vec![BTreeMap::new(); peers.len()];
+            self.peers = peers;
+        }
+        for (table, new) in held.iter_mut().zip(routes) {
+            let mut old = std::mem::replace(table, new).into_iter().peekable();
+            for (&p, o) in table.iter() {
+                while let Some((q, gone)) = old.next_if(|(q, _)| *q < p) {
+                    recount(counts, touched, q, Some(gone), None);
+                }
+                let before = old.next_if(|(q, _)| *q == p).map(|(_, o)| o);
+                recount(counts, touched, p, before, Some(o));
+            }
+            for (q, gone) in old {
+                recount(counts, touched, q, Some(gone), None);
+            }
+        }
+    }
+
+    /// Replay one update file, in timestamp order, through
+    /// [`State::write`]: a withdrawal for each withdrawn prefix, then
+    /// a write of the origin for each NLRI of an announcement whose
+    /// AS_PATH has one. The sort is stable, so records with one
+    /// timestamp keep file order. Peers are identified by (IP, ASN):
+    /// multiple collector peers may share an ASN (multi-session
+    /// setups), but never an IP. Unknown peers and undecodable records
+    /// are skipped (lossy, like real pipelines).
+    fn replay_updates(&mut self, bytes: &[u8]) {
+        let mut reader = RecordReader::new(bytes);
+        let mut records: Vec<RecordView<'_>> = reader.by_ref().collect();
+        reader.stats().emit();
+        records.sort_by_key(|r| r.timestamp);
+        let index_of: HashMap<(u32, Asn), usize> = self
+            .peers
+            .iter()
+            .enumerate()
+            .map(|(i, p)| ((p.ip, p.asn), i))
+            .collect();
+        for rec in records {
+            let MrtRecordView::Bgp4mpMessage(m) = rec.record else {
+                continue;
+            };
+            let Some(&pi) = index_of.get(&(m.peer_ip, m.peer_as)) else {
+                continue;
+            };
+            let MessageView::Update(u) = m.message else {
+                continue;
+            };
+            for w in u.withdrawn() {
+                self.write(pi, w, None);
+            }
+            if let Some(origin) = u.as_path().origin() {
+                for p in u.nlri() {
+                    self.write(pi, p, Some(&origin));
+                }
+            }
+        }
+    }
+}
+
+/// The archive's one reconstruction: the paper's §4 procedure over a
+/// walk of days.
 ///
-/// The sweep keeps the per-peer routing state *and* the aggregated
-/// observation surface (per `(prefix, origin)` monitor counts) alive
-/// across days. A day whose update file is present costs one update
-/// decode instead of a RIB decode plus every update since; the decoded
-/// forward-fallback RIB is memoized so N consecutive fallback days
-/// cost one decode. Every step reports which prefixes changed, feeding
-/// incremental consumers; results are identical to the per-day
-/// reconstruction (the anchored state is exactly what `day_view`
-/// recomputes from the same RIB, and the sweep reanchors through
-/// `day_view` itself whenever the fast path doesn't apply).
+/// The sweep keeps one per-peer routing state and its observation
+/// surface (monitor counts per `(prefix, origin)`) alive across days.
+/// Serving the day after the last one served costs that day's update
+/// file, or one RIB decode on a RIB day; consecutive days served by
+/// the same forward-fallback RIB share one decode. Any other day
+/// reanchors: the latest RIB at or before it is loaded, and the days
+/// up to it are stepped one at a time with the same step. Every
+/// successful advance reports which prefixes changed since the last
+/// day served, for incremental consumers.
 pub struct ObservationSweep<'a> {
     archive: &'a CollectorArchiveV2,
-    peers: Vec<PeerEntry>,
-    routes: PeerRoutes,
-    /// `(prefix, origin rendering) → (origin, peers holding it)` — the
-    /// same aggregation [`DayView::to_observation_day`] builds, kept
-    /// incrementally. Keyed by the rendering because [`Origin`] is not
-    /// `Ord`; `Arc<str>` keys are interned via `fmt`.
-    counts: BTreeMap<(Prefix, Arc<str>), (Origin, u16)>,
-    fmt: HashMap<Origin, Arc<str>>,
-    empty_key: Arc<str>,
-    anchor: Anchor,
+    state: State,
+    /// `None` before the first day and after a RIB failed to decode.
+    anchor: Option<Anchor>,
     full_rebuilds: usize,
 }
 
-fn okey(fmt: &mut HashMap<Origin, Arc<str>>, o: &Origin) -> Arc<str> {
-    if let Some(s) = fmt.get(o) {
-        return s.clone();
-    }
-    let s: Arc<str> = format!("{o}").into();
-    fmt.insert(o.clone(), s.clone());
-    s
-}
-
-fn count_inc(
-    counts: &mut BTreeMap<(Prefix, Arc<str>), (Origin, u16)>,
-    fmt: &mut HashMap<Origin, Arc<str>>,
-    p: Prefix,
-    o: &Origin,
-) {
-    let k = okey(fmt, o);
-    let e = counts.entry((p, k)).or_insert_with(|| (o.clone(), 0));
-    e.1 += 1;
-}
-
-fn count_dec(
-    counts: &mut BTreeMap<(Prefix, Arc<str>), (Origin, u16)>,
-    fmt: &mut HashMap<Origin, Arc<str>>,
-    p: Prefix,
-    o: &Origin,
-) {
-    let k = okey(fmt, o);
-    if let Some(e) = counts.get_mut(&(p, k.clone())) {
-        e.1 -= 1;
-        if e.1 == 0 {
-            counts.remove(&(p, k));
-        }
-    }
-}
-
 impl<'a> ObservationSweep<'a> {
-    /// Serve `d`, which should be the successor of the last served day
-    /// (any other day falls back to a full reconstruction).
+    /// Serve `d`. The day after the last one stepped costs one step;
+    /// any other day reanchors.
     pub fn advance(&mut self, d: Date) -> Result<DayDelta, ArchiveError> {
-        match self.anchor {
-            Anchor::Day { day, rib_date } if d == day.succ() => {
-                if self.archive.ribs.contains_key(&d) {
-                    // `day_view` prefers a same-day RIB over applying
-                    // updates; mirror it by reanchoring.
-                    return self.reanchor(d);
-                }
-                let Some(bytes) = self.archive.updates.get(&d) else {
-                    return self.enter_fallback(d);
-                };
-                let bytes = bytes.clone();
-                let changed = self.apply_updates_tracked(&bytes);
-                self.anchor = Anchor::Day { day: d, rib_date };
-                Ok(DayDelta {
-                    provenance: Provenance::Reconstructed { rib_date },
-                    changed: Some(changed),
-                })
-            }
-            Anchor::Fallback { day, rib } if d == day.succ() => {
-                if d < rib {
-                    self.anchor = Anchor::Fallback { day: d, rib };
-                    Ok(DayDelta {
-                        provenance: Provenance::FallbackRib { rib_date: rib },
-                        changed: Some(Vec::new()),
-                    })
-                } else {
-                    // d == rib: the memoized fallback state *is* this
-                    // RIB, which `day_view(d)` would serve as Exact.
-                    self.anchor = Anchor::Day { day: d, rib_date: rib };
-                    Ok(DayDelta {
-                        provenance: Provenance::Exact,
-                        changed: Some(Vec::new()),
-                    })
-                }
-            }
-            Anchor::Dead { day, missing } if d == day.succ() => {
-                self.anchor = Anchor::Dead { day: d, missing };
-                Err(ArchiveError::NoRibAvailable(missing))
-            }
+        let provenance = match self.anchor {
+            Some(from) if d == from.day().succ() => self.step(d, from),
             _ => self.reanchor(d),
-        }
+        }?;
+        Ok(DayDelta {
+            provenance,
+            changed: std::mem::take(&mut self.state.touched).into_iter().collect(),
+        })
     }
 
     /// The current peer table (for the day last served).
     pub fn peers(&self) -> &[PeerEntry] {
-        &self.peers
+        &self.state.peers
     }
 
     /// Number of monitors in the current peer table.
     pub fn num_monitors(&self) -> u16 {
         // lint:allow(L1): peer tables are u16-counted on the wire, so ≤ 65535
-        self.peers.len() as u16
+        self.state.peers.len() as u16
     }
 
-    /// The aggregated observation surface for the day last served.
-    pub fn counts(&self) -> &BTreeMap<(Prefix, Arc<str>), (Origin, u16)> {
-        &self.counts
-    }
-
-    /// One prefix's observation rows, in origin-rendering order — the
-    /// same order the rows appear in
-    /// [`DayView::to_observation_day`]'s output.
+    /// One prefix's observation rows, in origin order.
     pub fn routes_for(&self, p: Prefix) -> impl Iterator<Item = (&Origin, u16)> + '_ {
-        self.counts
-            .range((p, self.empty_key.clone())..)
+        self.state
+            .counts
+            .range((p, Origin::Single(Asn::ZERO))..)
             .take_while(move |((q, _), _)| *q == p)
-            .map(|(_, (o, n))| (o, *n))
+            .map(|((_, o), n)| (o, *n))
     }
 
-    /// Materialize the current surface as an [`ObservationDay`] —
-    /// identical to `day_view(date)?.to_observation_day()`.
+    /// Materialize the current surface as an [`ObservationDay`]: the
+    /// distinct `(prefix, origin)` pairs in that order, each with the
+    /// number of peers holding it.
     pub fn observation_day(&self, date: Date) -> ObservationDay {
         ObservationDay {
             date,
             num_monitors: self.num_monitors(),
             routes: self
+                .state
                 .counts
                 .iter()
-                .map(|((prefix, _), (origin, monitors_seen))| RouteObservation {
+                .map(|((prefix, origin), &monitors_seen)| RouteObservation {
                     prefix: *prefix,
                     origin: origin.clone(),
-                    monitors_seen: *monitors_seen,
-                    path: Vec::new().into(),
+                    monitors_seen,
+                    path: Vec::new().into(), // real archives carry no ground truth
                     class: None,
                 })
                 .collect(),
         }
     }
 
-    /// How many times the sweep paid for a full state rebuild (RIB
-    /// decode + count aggregation) — the work the incremental paths
-    /// avoid. Exposed for tests and diagnostics.
+    /// How many RIB files the sweep decoded — the work the steps
+    /// between RIB days avoid. Exposed for tests and diagnostics.
     pub fn full_rebuilds(&self) -> usize {
         self.full_rebuilds
     }
 
-    /// Full reconstruction through `day_view` (first day, rib days,
-    /// out-of-sequence queries, recovery after errors).
-    fn reanchor(&mut self, d: Date) -> Result<DayDelta, ArchiveError> {
-        match self.archive.day_view(d) {
-            Ok(view) => {
-                self.full_rebuilds += 1;
-                self.peers = view.peers;
-                self.routes = view.peer_routes;
-                self.rebuild_counts();
-                self.anchor = match view.provenance {
-                    Provenance::Exact => Anchor::Day { day: d, rib_date: d },
-                    Provenance::Reconstructed { rib_date } => Anchor::Day { day: d, rib_date },
-                    Provenance::FallbackRib { rib_date } => Anchor::Fallback { day: d, rib: rib_date },
-                };
-                Ok(DayDelta {
-                    provenance: view.provenance,
-                    changed: None,
-                })
-            }
-            Err(e) => {
-                self.anchor = Anchor::None;
-                self.peers.clear();
-                self.routes.clear();
-                self.counts.clear();
-                Err(e)
-            }
-        }
-    }
-
-    /// Anchored at `d - 1` but `d`'s update file is missing: serve the
-    /// first RIB after `d` (the paper's fallback), memoized for the
-    /// following days.
-    fn enter_fallback(&mut self, d: Date) -> Result<DayDelta, ArchiveError> {
-        let Some((&rib, _)) = self.archive.ribs.range(d..).next() else {
-            // No data at or after the gap: this and every later
-            // consecutive day fail the same way.
-            self.anchor = Anchor::Dead { day: d, missing: d };
-            return Err(ArchiveError::NoRibAvailable(d));
-        };
-        let Some((peers, routes)) = self.archive.load_rib(rib) else {
-            self.anchor = Anchor::None;
-            return Err(ArchiveError::NoRibAvailable(rib));
-        };
+    /// Decode the RIB at `rib` and load it into the state.
+    fn load(&mut self, rib: Date) -> Option<()> {
+        let (peers, routes) = self.archive.decode_rib(rib)?;
         self.full_rebuilds += 1;
-        self.peers = peers;
-        self.routes = routes;
-        self.rebuild_counts();
-        self.anchor = Anchor::Fallback { day: d, rib };
-        Ok(DayDelta {
-            provenance: Provenance::FallbackRib { rib_date: rib },
-            changed: None,
-        })
+        self.state.load(peers, routes);
+        Some(())
     }
 
-    fn rebuild_counts(&mut self) {
-        let Self {
-            ref routes,
-            ref mut counts,
-            ref mut fmt,
-            ..
-        } = *self;
-        counts.clear();
-        for peer in routes {
-            for (p, o) in peer {
-                count_inc(counts, fmt, *p, o);
-            }
-        }
-    }
-
-    /// [`CollectorArchiveV2::apply_updates`], with count maintenance
-    /// and changed-prefix tracking bolted on. A route write that does
-    /// not change the stored origin touches nothing.
-    fn apply_updates_tracked(&mut self, bytes: &Bytes) -> Vec<Prefix> {
-        let mut touched: BTreeSet<Prefix> = BTreeSet::new();
-        let Self {
-            ref peers,
-            ref mut routes,
-            ref mut counts,
-            ref mut fmt,
-            ..
-        } = *self;
-        replay_updates(bytes, peers, |pi, p, origin| {
-            let Some(table) = routes.get_mut(pi) else {
-                return;
-            };
-            match origin {
-                None => {
-                    if let Some(old) = table.remove(&p) {
-                        count_dec(counts, fmt, p, &old);
-                        touched.insert(p);
-                    }
-                }
-                Some(origin) => match table.insert(p, origin.clone()) {
-                    Some(old) if old == *origin => {}
-                    old => {
-                        if let Some(o) = &old {
-                            count_dec(counts, fmt, p, o);
-                        }
-                        count_inc(counts, fmt, p, origin);
-                        touched.insert(p);
-                    }
-                },
-            }
+    /// Serve `d` from the latest RIB at or before it, stepping one day
+    /// at a time through the days after that RIB.
+    fn reanchor(&mut self, d: Date) -> Result<Provenance, ArchiveError> {
+        self.anchor = None;
+        let ribs = &self.archive.ribs;
+        let Some((&rib, _)) = ribs.range(..=d).next_back() else {
+            return Err(if ribs.is_empty() {
+                ArchiveError::NoRibAvailable(d)
+            } else {
+                ArchiveError::OutOfRange(d)
+            });
+        };
+        self.load(rib).ok_or(ArchiveError::NoRibAvailable(d))?;
+        self.anchor = Some(Anchor::Day {
+            day: rib,
+            rib_date: rib,
         });
-        touched.into_iter().collect()
+        let mut served = Ok(Provenance::Exact);
+        while let Some(from) = self.anchor.filter(|a| a.day() < d) {
+            served = self.step(from.day().succ(), from);
+        }
+        served
     }
-}
 
-/// Replay one update file, in timestamp order, onto per-peer state:
-/// `apply(peer, prefix, None)` for each withdrawn prefix, then
-/// `apply(peer, prefix, Some(origin))` for each NLRI of an announcement
-/// whose AS_PATH has an origin. The sort is stable, so records with one
-/// timestamp keep file order. Peers are identified by (IP, ASN):
-/// multiple collector peers may share an ASN (multi-session setups),
-/// but never an IP. Unknown peers and undecodable records are skipped
-/// (lossy, like real pipelines).
-fn replay_updates(
-    bytes: &[u8],
-    peers: &[PeerEntry],
-    mut apply: impl FnMut(usize, Prefix, Option<&Origin>),
-) {
-    let mut reader = RecordReader::new(bytes);
-    let mut records: Vec<RecordView<'_>> = reader.by_ref().collect();
-    reader.stats().emit();
-    records.sort_by_key(|r| r.timestamp);
-    let index_of: HashMap<(u32, Asn), usize> = peers
-        .iter()
-        .enumerate()
-        .map(|(i, p)| ((p.ip, p.asn), i))
-        .collect();
-    for rec in records {
-        let MrtRecordView::Bgp4mpMessage(m) = rec.record else {
-            continue;
-        };
-        let Some(&pi) = index_of.get(&(m.peer_ip, m.peer_as)) else {
-            continue;
-        };
-        let MessageView::Update(u) = m.message else {
-            continue;
-        };
-        for w in u.withdrawn() {
-            apply(pi, w, None);
-        }
-        if let Some(origin) = u.as_path().origin() {
-            for p in u.nlri() {
-                apply(pi, p, Some(&origin));
+    /// Serve `d`, the day after `from`'s: a same-day RIB wins over that
+    /// day's updates, and a missing update file falls forward to the
+    /// first RIB after it, which serves every day up to its own.
+    fn step(&mut self, d: Date, from: Anchor) -> Result<Provenance, ArchiveError> {
+        self.anchor = None;
+        let archive = self.archive;
+        let (anchor, provenance) = match from {
+            Anchor::Dead { missing, .. } => {
+                self.anchor = Some(Anchor::Dead { day: d, missing });
+                return Err(ArchiveError::NoRibAvailable(missing));
             }
-        }
+            Anchor::Fallback { rib, .. } if d < rib => (
+                Anchor::Fallback { day: d, rib },
+                Provenance::FallbackRib { rib_date: rib },
+            ),
+            // The state already is the RIB of `d`.
+            Anchor::Fallback { .. } => (Anchor::Day { day: d, rib_date: d }, Provenance::Exact),
+            Anchor::Day { .. } if archive.ribs.contains_key(&d) => {
+                self.load(d).ok_or(ArchiveError::NoRibAvailable(d))?;
+                (Anchor::Day { day: d, rib_date: d }, Provenance::Exact)
+            }
+            Anchor::Day { rib_date, .. } => match archive.updates.get(&d) {
+                Some(bytes) => {
+                    self.state.replay_updates(bytes);
+                    (Anchor::Day { day: d, rib_date }, Provenance::Reconstructed { rib_date })
+                }
+                // "download the first available rib snapshot afterward"
+                None => {
+                    let Some((&rib, _)) = archive.ribs.range(d..).next() else {
+                        self.anchor = Some(Anchor::Dead { day: d, missing: d });
+                        return Err(ArchiveError::NoRibAvailable(d));
+                    };
+                    self.load(rib).ok_or(ArchiveError::NoRibAvailable(rib))?;
+                    (
+                        Anchor::Fallback { day: d, rib },
+                        Provenance::FallbackRib { rib_date: rib },
+                    )
+                }
+            },
+        };
+        self.anchor = Some(anchor);
+        Ok(provenance)
     }
 }
 
@@ -1199,13 +1048,40 @@ mod tests {
         (w, model, archive)
     }
 
-    fn per_monitor_routes(
-        w: &LeaseWorld,
-        model: &VisibilityModel,
-        day: Date,
-    ) -> Vec<Vec<(Prefix, Origin)>> {
+    /// The directly rendered per-monitor routes of `day`, aggregated
+    /// into the sweep's observation surface.
+    fn direct_day(w: &LeaseWorld, model: &VisibilityModel, day: Date) -> ObservationDay {
         let engine = RenderEngine::new(w, model);
-        engine.per_monitor_routes(&mut engine.scratch(), day)
+        let routes = engine.per_monitor_routes(&mut engine.scratch(), day);
+        let mut counts: BTreeMap<(Prefix, Origin), u16> = BTreeMap::new();
+        for (p, o) in routes.iter().flatten() {
+            *counts.entry((*p, o.clone())).or_default() += 1;
+        }
+        ObservationDay {
+            date: day,
+            num_monitors: routes.len() as u16,
+            routes: counts
+                .into_iter()
+                .map(|((prefix, origin), monitors_seen)| RouteObservation {
+                    prefix,
+                    origin,
+                    monitors_seen,
+                    path: Vec::new().into(),
+                    class: None,
+                })
+                .collect(),
+        }
+    }
+
+    /// `d` served by a fresh sweep, which reanchors: provenance and
+    /// observation surface.
+    fn served(
+        archive: &CollectorArchiveV2,
+        d: Date,
+    ) -> Result<(Provenance, ObservationDay), ArchiveError> {
+        let mut sweep = archive.sweep();
+        let delta = sweep.advance(d)?;
+        Ok((delta.provenance, sweep.observation_day(d)))
     }
 
     #[test]
@@ -1219,45 +1095,38 @@ mod tests {
     }
 
     #[test]
-    fn reconstruction_matches_direct_rendering() {
-        let (w, model, archive) = setup();
-        for probe in [date("2018-01-01"), date("2018-01-06"), date("2018-01-13"), date("2018-01-31")] {
-            let view = archive.day_view(probe).expect("view");
-            let direct = per_monitor_routes(&w, &model, probe);
-            assert_eq!(view.peer_routes.len(), direct.len());
-            for (pi, routes) in direct.iter().enumerate() {
-                let got = &view.peer_routes[pi];
-                assert_eq!(
-                    got.len(),
-                    routes.len(),
-                    "peer {pi} on {probe}: {} vs {} routes",
-                    got.len(),
-                    routes.len()
-                );
-                for (p, o) in routes {
-                    assert_eq!(got.get(p), Some(o), "peer {pi} {p} on {probe}");
-                }
-            }
-        }
+    fn generate_with_chunks_rejects_ranges_that_do_not_tile() {
+        let (w, model, _) = setup();
+        let n = w.span.iter().count();
+        let generate = |ranges: &[std::ops::Range<usize>]| {
+            CollectorArchiveV2::generate_with_chunks(
+                &w,
+                &model,
+                w.span,
+                &ArchiveV2Config::default(),
+                ranges,
+            )
+            .map(|_| ())
+        };
+        assert_eq!(generate(&[0..10, 12..n]), Err(Mrt2Error::UntiledChunk(12..n)), "gap");
+        assert_eq!(generate(&[0..10, 8..n]), Err(Mrt2Error::UntiledChunk(8..n)), "overlap");
+        assert_eq!(generate(&[0..10, 10..20]), Err(Mrt2Error::UntiledChunk(20..n)), "short");
+        assert_eq!(generate(&[0..10, 10..n + 2]), Err(Mrt2Error::UntiledChunk(n..n + 2)), "long");
+        assert_eq!(generate(&[0..10, 10..n]), Ok(()));
     }
 
     #[test]
     fn provenance_reporting() {
         let (_, _, archive) = setup();
+        let provenance = |d: &str| served(&archive, date(d)).expect("day serves").0;
+        assert_eq!(provenance("2018-01-01"), Provenance::Exact);
         assert_eq!(
-            archive.day_view(date("2018-01-01")).unwrap().provenance,
-            Provenance::Exact
-        );
-        assert_eq!(
-            archive.day_view(date("2018-01-05")).unwrap().provenance,
+            provenance("2018-01-05"),
             Provenance::Reconstructed {
                 rib_date: date("2018-01-01")
             }
         );
-        assert_eq!(
-            archive.day_view(date("2018-01-08")).unwrap().provenance,
-            Provenance::Exact
-        );
+        assert_eq!(provenance("2018-01-08"), Provenance::Exact);
     }
 
     #[test]
@@ -1268,30 +1137,24 @@ mod tests {
         // Jan 5 can no longer be reconstructed from Jan 1; the paper
         // fallback continues from the Jan 8 RIB — which is *after* the
         // target, so the state is the Jan 8 RIB itself.
-        let view = archive.day_view(date("2018-01-05")).unwrap();
+        let (provenance, day) = served(&archive, date("2018-01-05")).expect("day serves");
         assert_eq!(
-            view.provenance,
+            provenance,
             Provenance::FallbackRib {
                 rib_date: date("2018-01-08")
             }
         );
         // The fallback state equals the direct rendering of Jan 8.
-        let direct = per_monitor_routes(&w, &model, date("2018-01-08"));
-        for (pi, routes) in direct.iter().enumerate() {
-            assert_eq!(view.peer_routes[pi].len(), routes.len());
-        }
+        assert_eq!(day.routes, direct_day(&w, &model, date("2018-01-08")).routes);
         // A later day that passes through the next RIB reconstructs fine.
-        let later = archive.day_view(date("2018-01-10")).unwrap();
+        let (provenance, later) = served(&archive, date("2018-01-10")).expect("day serves");
         assert_eq!(
-            later.provenance,
+            provenance,
             Provenance::Reconstructed {
                 rib_date: date("2018-01-08")
             }
         );
-        let direct10 = per_monitor_routes(&w, &model, date("2018-01-10"));
-        for (pi, routes) in direct10.iter().enumerate() {
-            assert_eq!(later.peer_routes[pi].len(), routes.len());
-        }
+        assert_eq!(later, direct_day(&w, &model, date("2018-01-10")));
     }
 
     #[test]
@@ -1304,51 +1167,40 @@ mod tests {
         v.truncate(cut);
         archive.corrupt_update_file(date("2018-01-04"), Bytes::from(v));
         // Reconstruction still works (lossy decode) but Jan 4+ may
-        // drift; the Jan 8 RIB resynchronizes Jan 8 onwards.
-        let view = archive.day_view(date("2018-01-09")).unwrap();
-        let direct = per_monitor_routes(&w, &model, date("2018-01-09"));
-        for (pi, routes) in direct.iter().enumerate() {
-            let got = &view.peer_routes[pi];
-            for (p, o) in routes {
-                assert_eq!(got.get(p), Some(o));
-            }
+        // drift; the Jan 8 RIB resynchronizes Jan 8 onwards, whether
+        // the sweep steps there or reanchors.
+        let probe = date("2018-01-09");
+        let mut sweep = archive.sweep();
+        for d in DateRange::new(date("2018-01-01"), probe).iter() {
+            sweep.advance(d).expect("day serves");
         }
+        let direct = direct_day(&w, &model, probe);
+        assert_eq!(sweep.observation_day(probe), direct);
+        assert_eq!(served(&archive, probe).expect("day serves").1, direct);
     }
 
     #[test]
     fn out_of_range_and_empty() {
         let (_, _, archive) = setup();
-        assert!(matches!(
-            archive.day_view(date("2017-12-25")),
-            Err(ArchiveError::OutOfRange(_))
-        ));
+        assert_eq!(
+            served(&archive, date("2017-12-25")).map(|_| ()),
+            Err(ArchiveError::OutOfRange(date("2017-12-25")))
+        );
         let empty = CollectorArchiveV2::default();
-        assert!(matches!(
-            empty.day_view(date("2018-01-01")),
-            Err(ArchiveError::NoRibAvailable(_))
-        ));
+        assert_eq!(
+            served(&empty, date("2018-01-01")).map(|_| ()),
+            Err(ArchiveError::NoRibAvailable(date("2018-01-01")))
+        );
     }
 
     #[test]
     fn observation_day_counts_match() {
         let (w, model, archive) = setup();
         let probe = date("2018-01-20");
-        let view = archive.day_view(probe).unwrap();
-        let obs = view.to_observation_day();
+        let (_, obs) = served(&archive, probe).expect("day serves");
         assert_eq!(obs.num_monitors, 12);
         // Aggregate counts agree with the direct per-monitor rendering.
-        let direct = per_monitor_routes(&w, &model, probe);
-        let mut expect: HashMap<(Prefix, String), u16> = HashMap::new();
-        for routes in &direct {
-            for (p, o) in routes {
-                *expect.entry((*p, format!("{o}"))).or_default() += 1;
-            }
-        }
-        assert_eq!(obs.routes.len(), expect.len());
-        for r in &obs.routes {
-            let key = (r.prefix, format!("{}", r.origin));
-            assert_eq!(expect.get(&key), Some(&r.monitors_seen), "{key:?}");
-        }
+        assert_eq!(obs, direct_day(&w, &model, probe));
     }
 
     #[test]
@@ -1387,18 +1239,17 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_day_view_every_day() {
-        let (_, _, archive) = setup();
+    fn sweep_steps_match_fresh_sweeps_every_day() {
+        // A step from the day before serves what a reanchor serves,
+        // and on a clean archive both equal the direct rendering.
+        let (w, model, archive) = setup();
         let mut sweep = archive.sweep();
-        for d in DateRange::new(date("2018-01-01"), date("2018-01-31")).iter() {
+        for d in w.span.iter() {
             let delta = sweep.advance(d).expect("day serves");
-            let view = archive.day_view(d).expect("view");
-            assert_eq!(delta.provenance, view.provenance, "provenance differs on {d}");
-            assert_eq!(
-                sweep.observation_day(d),
-                view.to_observation_day(),
-                "observation surface differs on {d}"
-            );
+            let (provenance, fresh) = served(&archive, d).expect("day serves");
+            assert_eq!(delta.provenance, provenance, "provenance differs on {d}");
+            assert_eq!(sweep.observation_day(d), fresh, "observation surface differs on {d}");
+            assert_eq!(fresh, direct_day(&w, &model, d), "surface differs from rendering on {d}");
         }
     }
 
@@ -1406,33 +1257,31 @@ mod tests {
     fn sweep_changed_prefixes_cover_all_surface_changes() {
         let (_, _, archive) = setup();
         let mut sweep = archive.sweep();
-        let mut prev: Option<ObservationDay> = None;
+        let mut prev = ObservationDay {
+            date: date("2017-12-31"),
+            num_monitors: 0,
+            routes: Vec::new(),
+        };
         for d in DateRange::new(date("2018-01-01"), date("2018-01-31")).iter() {
             let delta = sweep.advance(d).expect("day serves");
             let today = sweep.observation_day(d);
-            if let (Some(prev), Some(changed)) = (&prev, &delta.changed) {
-                // Rows of untouched prefixes are identical day-over-day.
-                let rows =
-                    |o: &ObservationDay, p: Prefix| -> Vec<(Prefix, Origin, u16)> {
-                        o.routes
-                            .iter()
-                            .filter(|r| r.prefix == p)
-                            .map(|r| (r.prefix, r.origin.clone(), r.monitors_seen))
-                            .collect()
-                    };
-                let all: BTreeSet<Prefix> = prev
-                    .routes
+            // Rows of untouched prefixes are identical day-over-day;
+            // the first day, served from the empty state, touches all.
+            let rows = |o: &ObservationDay, p: Prefix| -> Vec<(Prefix, Origin, u16)> {
+                o.routes
                     .iter()
-                    .chain(&today.routes)
-                    .map(|r| r.prefix)
-                    .collect();
-                for p in all {
-                    if !changed.contains(&p) {
-                        assert_eq!(rows(prev, p), rows(&today, p), "silent change at {p} on {d}");
-                    }
+                    .filter(|r| r.prefix == p)
+                    .map(|r| (r.prefix, r.origin.clone(), r.monitors_seen))
+                    .collect()
+            };
+            let all: BTreeSet<Prefix> =
+                prev.routes.iter().chain(&today.routes).map(|r| r.prefix).collect();
+            for p in all {
+                if !delta.changed.contains(&p) {
+                    assert_eq!(rows(&prev, p), rows(&today, p), "silent change at {p} on {d}");
                 }
             }
-            prev = Some(today);
+            prev = today;
         }
     }
 
@@ -1446,13 +1295,9 @@ mod tests {
         let mut rebuilds_at_fallback_start = None;
         for d in DateRange::new(date("2018-01-01"), date("2018-01-31")).iter() {
             let delta = sweep.advance(d).expect("day serves");
-            let view = archive.day_view(d).expect("view");
-            assert_eq!(delta.provenance, view.provenance, "provenance differs on {d}");
-            assert_eq!(
-                sweep.observation_day(d),
-                view.to_observation_day(),
-                "observation surface differs on {d}"
-            );
+            let (provenance, fresh) = served(&archive, d).expect("day serves");
+            assert_eq!(delta.provenance, provenance, "provenance differs on {d}");
+            assert_eq!(sweep.observation_day(d), fresh, "observation surface differs on {d}");
             if d == date("2018-01-03") {
                 rebuilds_at_fallback_start = Some(sweep.full_rebuilds());
             }
@@ -1462,8 +1307,8 @@ mod tests {
                 assert_eq!(Some(sweep.full_rebuilds()), rebuilds_at_fallback_start, "{d}");
             }
         }
-        // 31 day_view calls would have paid 31 rebuilds; the sweep
-        // pays one per anchor: Jan 1, the fallback, and the later RIB
+        // 31 fresh sweeps would have paid 31 rebuilds; the walk pays
+        // one per RIB decode: Jan 1, the fallback, and the later RIB
         // days (15, 22, 29).
         assert_eq!(sweep.full_rebuilds(), 5);
     }
@@ -1480,14 +1325,18 @@ mod tests {
         let mut sweep = archive.sweep();
         for d in DateRange::new(date("2018-01-01"), date("2018-01-31")).iter() {
             let got = sweep.advance(d);
-            let want = archive.day_view(d);
+            let want = served(&archive, d);
             match (got, want) {
-                (Ok(delta), Ok(view)) => {
-                    assert_eq!(delta.provenance, view.provenance, "{d}");
-                    assert_eq!(sweep.observation_day(d), view.to_observation_day(), "{d}");
+                (Ok(delta), Ok((provenance, fresh))) => {
+                    assert!(d < date("2018-01-26"), "{d} served");
+                    assert_eq!(delta.provenance, provenance, "{d}");
+                    assert_eq!(sweep.observation_day(d), fresh, "{d}");
                 }
-                (Err(a), Err(b)) => assert_eq!(a, b, "{d}"),
-                (a, b) => panic!("sweep/day_view disagree on {d}: {a:?} vs {b:?}"),
+                (Err(a), Err(b)) => {
+                    assert_eq!(a, ArchiveError::NoRibAvailable(date("2018-01-26")), "{d}");
+                    assert_eq!(a, b, "{d}");
+                }
+                (a, b) => panic!("stepped/fresh sweeps disagree on {d}: {a:?} vs {b:?}"),
             }
         }
     }

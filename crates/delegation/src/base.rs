@@ -46,33 +46,17 @@ pub fn visible_prefix_origins(
     config: &InferenceConfig,
 ) -> Vec<(Prefix, Asn)> {
     let threshold = visibility_threshold(config, day.num_monitors);
+    let bogons = BogonFilter::new();
     let mut rows: Vec<&RouteObservation> = day.routes.iter().collect();
-    // Stable: each prefix's rows keep their day order, which decides
-    // the surviving origin when MOAS prefixes are kept.
-    rows.sort_by_key(|r| r.prefix);
-    reduce_grouped(
-        &BogonFilter::new(),
-        config,
-        threshold,
-        rows.iter().map(|r| (r.prefix, &r.origin, r.monitors_seen, &r.path[..])),
-    )
-}
-
-/// [`origin_for_prefix`] over rows grouped by prefix (each prefix's
-/// rows contiguous): the surviving pairs, in row order.
-pub(crate) fn reduce_grouped<'a>(
-    bogons: &BogonFilter,
-    config: &InferenceConfig,
-    threshold: u16,
-    rows: impl Iterator<Item = (Prefix, &'a Origin, u16, &'a [Asn])>,
-) -> Vec<(Prefix, Asn)> {
-    let mut rows = rows.peekable();
+    rows.sort_unstable_by_key(|r| r.prefix);
     let mut out = Vec::new();
-    while let Some(&(p, ..)) = rows.peek() {
-        let group = std::iter::from_fn(|| {
-            rows.next_if(|r| r.0 == p).map(|(_, o, seen, path)| (o, seen, path))
-        });
-        if let Some(a) = origin_for_prefix(bogons, config, threshold, p, group) {
+    let mut rest = &rows[..];
+    while let Some(first) = rest.first() {
+        let p = first.prefix;
+        let (group, tail) = rest.split_at(rest.partition_point(|r| r.prefix == p));
+        rest = tail;
+        let group = group.iter().map(|r| (&r.origin, r.monitors_seen, &r.path[..]));
+        if let Some(a) = origin_for_prefix(&bogons, threshold, p, group) {
             out.push((p, a));
         }
     }
@@ -80,51 +64,40 @@ pub(crate) fn reduce_grouped<'a>(
 }
 
 /// Steps (i)–(iii) for a single prefix, fed its observation rows
-/// `(origin, monitors seen, AS path)` in day order. Returns the
+/// `(origin, monitors seen, AS path)` in any order. Returns the one
 /// surviving origin, or `None` when the prefix is dropped.
 ///
 /// Step (ii) drops rows below the visibility `threshold`; step (iii)
-/// drops the prefix if any visible row has an AS_SET origin (with
-/// `drop_as_sets`) or if visible rows disagree on the origin (with
-/// `drop_moas`, else the first origin wins). Rows failing the §4
+/// drops the prefix if any visible row has an AS_SET origin or if
+/// visible rows disagree on the origin (MOAS). Rows failing the §4
 /// sanitization — bogon prefix, reserved ASN or loop on the path, or
-/// a reserved origin (archive rows carry no path) — are ignored.
+/// a reserved origin (archive rows carry no path) — are ignored. The
+/// result does not depend on row order.
 pub fn origin_for_prefix<'a>(
     bogons: &BogonFilter,
-    config: &InferenceConfig,
     threshold: u16,
     prefix: Prefix,
     rows: impl IntoIterator<Item = (&'a Origin, u16, &'a [Asn])>,
 ) -> Option<Asn> {
-    let mut asns: Vec<Asn> = Vec::new();
-    let mut saw_as_set = false;
-    for (origin, seen, path) in rows {
+    let mut origin = None;
+    for (o, seen, path) in rows {
         if seen < threshold.max(1) {
             continue; // step (ii)
         }
-        match origin {
-            Origin::Set(_) => {
-                if config.drop_as_sets {
-                    saw_as_set = true; // step (iii), AS_SET
-                }
-            }
+        match o {
+            Origin::Set(_) => return None, // step (iii), AS_SET
             Origin::Single(asn) => {
                 if !route_is_clean(bogons, &prefix, path) || asn.is_reserved() {
                     continue;
                 }
-                if !asns.contains(asn) {
-                    asns.push(*asn);
+                if origin.is_some_and(|a| a != *asn) {
+                    return None; // step (iii), MOAS
                 }
+                origin = Some(*asn);
             }
         }
     }
-    if saw_as_set {
-        return None;
-    }
-    if config.drop_moas && asns.len() > 1 {
-        return None; // step (iii), MOAS
-    }
-    asns.first().copied()
+    origin
 }
 
 /// Step (iv) on already-reduced pairs: the delegator of P' is the

@@ -9,10 +9,6 @@ pub struct InferenceConfig {
     /// (step ii). The paper uses 0.5 and notes any threshold between
     /// 10 % and 90 % yields negligible differences.
     pub visibility_threshold: f64,
-    /// Drop AS_SET-originated prefixes (step iii).
-    pub drop_as_sets: bool,
-    /// Drop prefixes originated by multiple ASes (step iii).
-    pub drop_moas: bool,
     /// Extension (iv): drop delegations between ASes of the same
     /// organization.
     pub filter_intra_org: bool,
@@ -27,8 +23,6 @@ impl InferenceConfig {
     pub fn baseline() -> InferenceConfig {
         InferenceConfig {
             visibility_threshold: 0.5,
-            drop_as_sets: true,
-            drop_moas: true,
             filter_intra_org: false,
             consistency_fill_days: None,
         }
@@ -60,7 +54,6 @@ mod tests {
         assert!(!b.filter_intra_org);
         assert_eq!(b.consistency_fill_days, None);
         assert_eq!(b.visibility_threshold, 0.5);
-        assert!(b.drop_as_sets && b.drop_moas);
 
         let e = InferenceConfig::extended();
         assert!(e.filter_intra_org);

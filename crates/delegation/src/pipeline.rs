@@ -14,8 +14,7 @@
 
 use crate::as2org::As2OrgSeries;
 use crate::base::{
-    infer_from_pairs, origin_for_prefix, reduce_grouped, visibility_threshold,
-    visible_prefix_origins, Delegation,
+    infer_from_pairs, origin_for_prefix, visibility_threshold, visible_prefix_origins, Delegation,
 };
 use crate::config::InferenceConfig;
 use crate::extensions::{consistency_fill, filter_intra_org};
@@ -69,10 +68,10 @@ impl DailyDelegations {
 /// How one worker's days arrive: as the deltas of a persistent archive
 /// sweep, or as full re-reduces of the borrowed pre-rendered days.
 enum DayRows<'a> {
-    /// A [`bgpsim::updates::ObservationSweep`] seeded with one full
-    /// reconstruction at the chunk start, then one update-file decode
-    /// per day. The maintained `prefix → origin` pair map is
-    /// re-evaluated only for the prefixes the sweep reports changed.
+    /// A [`bgpsim::updates::ObservationSweep`]: one RIB load at the
+    /// chunk start, then one update-file decode per day. The maintained
+    /// `prefix → origin` pair map is re-evaluated only for the prefixes
+    /// the sweep reports changed.
     Sweep {
         sweep: Box<ObservationSweep<'a>>,
         bogons: BogonFilter,
@@ -115,30 +114,15 @@ impl<'a> DayRows<'a> {
             } => (sweep, bogons, pairs),
         };
         let delta = sweep.advance(d).ok()?;
-        // Constant while the sweep stays anchored (the peer table only
-        // changes on full rebuilds, where `changed` is None).
+        // The threshold moves only with the peer table, and a
+        // peer-table change reports every prefix as changed.
         let threshold = visibility_threshold(config, sweep.num_monitors());
-        match &delta.changed {
-            // Full rebuild: re-reduce every prefix, walking the
-            // aggregated surface in its day order.
-            None => {
-                let rows = sweep
-                    .counts()
-                    .iter()
-                    .map(|((p, _), (o, seen))| (*p, o, *seen, &[][..]));
-                *pairs = reduce_grouped(bogons, config, threshold, rows)
-                    .into_iter()
-                    .collect();
-            }
-            Some(changed) => {
-                for &p in changed {
-                    let rows = sweep.routes_for(p).map(|(o, seen)| (o, seen, &[][..]));
-                    match origin_for_prefix(bogons, config, threshold, p, rows) {
-                        Some(a) => pairs.insert(p, a),
-                        None => pairs.remove(&p),
-                    };
-                }
-            }
+        for p in delta.changed {
+            let rows = sweep.routes_for(p).map(|(o, seen)| (o, seen, &[][..]));
+            match origin_for_prefix(bogons, threshold, p, rows) {
+                Some(a) => pairs.insert(p, a),
+                None => pairs.remove(&p),
+            };
         }
         let fallback = matches!(delta.provenance, Provenance::FallbackRib { .. });
         Some((pairs.iter().map(|(&p, &a)| (p, a)).collect(), fallback))

@@ -85,7 +85,7 @@ impl From<u32> for Asn {
 /// The delegation-inference algorithm must discard prefixes originated
 /// by an `AS_SET` or by multiple distinct ASes (MOAS); representing the
 /// origin exactly keeps that logic honest.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
 pub enum Origin {
     /// A single origin AS — the normal case.
     Single(Asn),
