@@ -56,3 +56,27 @@ fn different_seeds_vary_data_but_not_conclusions() {
         assert!(f6.extended_eval.f1() > f6.baseline_eval.f1(), "seed {seed}");
     }
 }
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn quick_run_all_text_is_pinned() {
+    // (seed, digest of `run_all`'s whole text). Any change to a runner,
+    // to inference or to what the study shares between runners that
+    // moves a byte of the report moves a digest.
+    let pins: [(u64, u64); 3] = [
+        (7, 0x559e_0aef_7405_94f4),
+        (48, 0x8c57_e2e0_d481_03fc),
+        (49, 0x4ef5_6800_2790_271c),
+    ];
+    let got: Vec<(u64, u64)> = pins
+        .iter()
+        .map(|&(seed, _)| (seed, fnv1a(run_all(&StudyConfig::quick_seeded(seed)).as_bytes())))
+        .collect();
+    assert_eq!(got, pins, "run_all text changed (seed, digest)");
+}
