@@ -8,6 +8,7 @@ use delegation::config::InferenceConfig;
 use delegation::eval::{evaluate_against_truth, TruthEvaluation};
 use delegation::metrics::{daily_metrics, summarize, DailyMetrics, SeriesSummary};
 use delegation::pipeline::{run_pipeline, DailyDelegations, PipelineInput};
+use std::sync::Arc;
 
 /// Figure 6 output.
 pub struct Fig6 {
@@ -24,22 +25,31 @@ pub struct Fig6 {
     /// Ground-truth scores for the extended config.
     pub extended_eval: TruthEvaluation,
     /// The raw pipeline outputs (baseline, extended).
-    pub results: (DailyDelegations, DailyDelegations),
+    pub results: (Arc<DailyDelegations>, Arc<DailyDelegations>),
     /// Rendered report.
     pub rendered: String,
 }
 
 /// Regenerate Figure 6 using a pre-built study (lets callers reuse the
-/// world across experiments).
+/// world across experiments). Both results come from the study's
+/// shared inference ([`BgpStudy::delegations`]).
 pub fn run_with_study(study: &BgpStudy) -> Fig6 {
-    run_with_inputs(study, || PipelineInput::Days(&study.days))
+    let baseline = {
+        let _sp = obs::span!("fig6_baseline");
+        study.delegations(&InferenceConfig::baseline())
+    };
+    let extended = {
+        let _sp = obs::span!("fig6_extended");
+        study.delegations(&InferenceConfig::extended())
+    };
+    report(study, baseline, extended)
 }
 
 /// Regenerate Figure 6 with a caller-chosen pipeline input over the
-/// study's span — `run_with_study` feeds the pre-rendered days, while
-/// the profiler feeds a freshly encoded MRT archive so the faithful
-/// decode path shows up in the stage tree. `make_input` is called once
-/// per algorithm (the two pipeline runs each consume an input).
+/// study's span — the profiler feeds a freshly encoded MRT archive so
+/// the faithful decode path shows up in the stage tree. `make_input`
+/// is called once per algorithm (the two pipeline runs each consume
+/// an input). Nothing is shared with the study's own inference.
 pub fn run_with_inputs<'a>(
     study: &BgpStudy,
     make_input: impl Fn() -> PipelineInput<'a>,
@@ -58,6 +68,16 @@ pub fn run_with_inputs<'a>(
             Some(&study.as2org),
         )
     };
+    report(study, Arc::new(baseline), Arc::new(extended))
+}
+
+/// Metrics, summaries, truth scores and the table for both results.
+fn report(
+    study: &BgpStudy,
+    baseline: Arc<DailyDelegations>,
+    extended: Arc<DailyDelegations>,
+) -> Fig6 {
+    let span = study.world.span;
     let _agg = obs::span!("study_aggregation");
     let baseline_metrics = daily_metrics(&baseline);
     let extended_metrics = daily_metrics(&extended);

@@ -24,6 +24,11 @@ use crate::study::StudyConfig;
 use bgpsim::observe::{render_days, ObservationDay, VisibilityModel};
 use bgpsim::scenario::LeaseWorld;
 use delegation::as2org::As2OrgSeries;
+use delegation::config::InferenceConfig;
+use delegation::pipeline::{walk_days, DailyDelegations, PipelineInput};
+use rdap::database::{DbBuildConfig, WhoisDb};
+use rdap::pipeline::{extract_delegations, PipelineConfig, PipelineStats, RdapDelegation};
+use rdap::server::RdapServer;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -39,6 +44,21 @@ pub struct BgpStudy {
     pub as2org: As2OrgSeries,
     /// The monitor-fleet parameters the days were rendered with.
     visibility: VisibilityModel,
+    /// Inference the runners share, computed on first use.
+    shared: SharedInference,
+}
+
+/// The inference results several runners read, each computed at most
+/// once per study: the per-day walks of the paper's two algorithms
+/// and the RDAP extraction at the span's last day. Other walks are not
+/// kept; each one holds megabytes of delegations at full scale.
+#[derive(Default)]
+struct SharedInference {
+    /// The walk of [`InferenceConfig::baseline`].
+    baseline_walk: OnceLock<Arc<DailyDelegations>>,
+    /// The walk of [`InferenceConfig::extended`] (extension (iv) on).
+    extended_walk: OnceLock<Arc<DailyDelegations>>,
+    rdap: OnceLock<(Vec<RdapDelegation>, PipelineStats)>,
 }
 
 impl BgpStudy {
@@ -47,6 +67,73 @@ impl BgpStudy {
     /// agree with `days`.
     pub fn visibility_model(&self) -> &VisibilityModel {
         &self.visibility
+    }
+
+    /// The inference pipeline over the study's days: equal to
+    /// `run_pipeline(PipelineInput::Days(&self.days), span, config,
+    /// Some(&self.as2org))`.
+    ///
+    /// The walks of the two presets are computed once per study and
+    /// shared; a config without a fill window gets the shared result
+    /// itself. Fill windows are applied per call, and any other walk
+    /// is computed per call and not kept.
+    pub fn delegations(&self, config: &InferenceConfig) -> Arc<DailyDelegations> {
+        let walk = match self.shared_walk(config) {
+            Some(cell) => {
+                let mut computed = false;
+                let walk = cell.get_or_init(|| {
+                    computed = true;
+                    Arc::new(self.walk(config))
+                });
+                if !computed {
+                    obs::metrics::counter("study_walk_hits_total").inc();
+                }
+                Arc::clone(walk)
+            }
+            None => Arc::new(self.walk(config)),
+        };
+        match config.consistency_fill_days {
+            Some(max_gap) => Arc::new(walk.filled(max_gap)),
+            None => walk,
+        }
+    }
+
+    /// The memo slot for `config`'s walk, if it is a preset's walk.
+    fn shared_walk(&self, config: &InferenceConfig) -> Option<&OnceLock<Arc<DailyDelegations>>> {
+        let preset = InferenceConfig::baseline();
+        if config.visibility_threshold.to_bits() != preset.visibility_threshold.to_bits() {
+            return None;
+        }
+        Some(if config.filter_intra_org {
+            &self.shared.extended_walk
+        } else {
+            &self.shared.baseline_walk
+        })
+    }
+
+    fn walk(&self, config: &InferenceConfig) -> DailyDelegations {
+        obs::metrics::counter("study_walk_misses_total").inc();
+        walk_days(
+            PipelineInput::Days(&self.days),
+            self.world.span,
+            config,
+            Some(&self.as2org),
+        )
+    }
+
+    /// The §4 RDAP extraction on the span's last day: the WHOIS
+    /// snapshot built from the world, queried through an RDAP service
+    /// limited to 1000 queries per window. Computed once per study.
+    /// The rate limit changes only the pause count in the stats, never
+    /// the delegations.
+    pub fn rdap_delegations(&self) -> (&[RdapDelegation], &PipelineStats) {
+        let (delegations, stats) = self.shared.rdap.get_or_init(|| {
+            let as_of = self.world.span.end;
+            let db = WhoisDb::build_from_world(&self.world, as_of, &DbBuildConfig::default());
+            let server = RdapServer::with_rate_limit(db, 1000);
+            extract_delegations(server.db(), &server, &PipelineConfig::default())
+        });
+        (delegations, stats)
     }
 }
 
@@ -68,6 +155,7 @@ pub fn build_bgp_study(config: &StudyConfig) -> BgpStudy {
         days,
         as2org,
         visibility: config.visibility.clone(),
+        shared: SharedInference::default(),
     }
 }
 
@@ -93,7 +181,13 @@ fn study_cache() -> &'static Mutex<HashMap<String, Arc<BgpStudy>>> {
 /// per experiment. The study is immutable and shared via `Arc`.
 pub fn build_bgp_study_cached(config: &StudyConfig) -> Arc<BgpStudy> {
     let key = study_fingerprint(config);
-    if let Some(hit) = study_cache().lock().expect("study cache poisoned").get(&key) {
+    // The cache only holds immutable `Arc`s, so a map recovered from a
+    // poisoned lock is still whole.
+    if let Some(hit) = study_cache()
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .get(&key)
+    {
         obs::metrics::counter("study_cache_hits_total").inc();
         obs::event!(obs::Level::Debug, "study_cache_hit");
         return Arc::clone(hit);
@@ -109,7 +203,7 @@ pub fn build_bgp_study_cached(config: &StudyConfig) -> Arc<BgpStudy> {
     obs::metrics::histogram("study_build").record(t0.elapsed());
     study_cache()
         .lock()
-        .expect("study cache poisoned")
+        .unwrap_or_else(|p| p.into_inner())
         .entry(key)
         .or_insert_with(|| Arc::clone(&built))
         .clone()

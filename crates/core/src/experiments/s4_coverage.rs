@@ -9,10 +9,7 @@ use crate::report::pct;
 use crate::study::StudyConfig;
 use delegation::compare::{coverage_report, CoverageReport};
 use delegation::config::InferenceConfig;
-use delegation::pipeline::{run_pipeline, PipelineInput};
-use rdap::database::{DbBuildConfig, WhoisDb};
-use rdap::pipeline::{extract_delegations, PipelineConfig, PipelineStats};
-use rdap::server::RdapServer;
+use rdap::pipeline::PipelineStats;
 
 /// §4 comparison output.
 pub struct S4Coverage {
@@ -32,22 +29,16 @@ pub fn run_with_study(study: &BgpStudy) -> S4Coverage {
     let span = study.world.span;
     let as_of = span.end;
 
-    // BGP side: the extended pipeline; compare on the final day.
-    let bgp = run_pipeline(
-        PipelineInput::Days(&study.days),
-        span,
-        &InferenceConfig::extended(),
-        Some(&study.as2org),
-    );
+    // RDAP side: snapshot + extraction on the final day. It runs
+    // first so the BGP result below is not held while the WHOIS
+    // snapshot is built.
+    let (rdap_delegs, rdap_stats) = study.rdap_delegations();
+
+    // BGP side: the extended pipeline on the same day.
+    let bgp = study.delegations(&InferenceConfig::extended());
     let bgp_today = bgp.on(as_of).unwrap_or(&[]);
 
-    // RDAP side: snapshot + extraction at the same date.
-    let db = WhoisDb::build_from_world(&study.world, as_of, &DbBuildConfig::default());
-    let server = RdapServer::with_rate_limit(db.clone(), 1000);
-    let (rdap_delegs, rdap_stats) =
-        extract_delegations(&db, &server, &PipelineConfig::default());
-
-    let coverage = coverage_report(bgp_today, &rdap_delegs);
+    let coverage = coverage_report(bgp_today, rdap_delegs);
     let true_active_leases = study.world.true_leases_on(as_of).len();
 
     let rendered = format!(
@@ -71,7 +62,7 @@ pub fn run_with_study(study: &BgpStudy) -> S4Coverage {
     );
     S4Coverage {
         coverage,
-        rdap_stats,
+        rdap_stats: rdap_stats.clone(),
         true_active_leases,
         rendered,
     }

@@ -13,11 +13,7 @@ use crate::report::{pct, TextTable};
 use crate::study::StudyConfig;
 use delegation::combine::{market_coverage, CombinedEstimate, MarketCoverage};
 use delegation::config::InferenceConfig;
-use delegation::pipeline::{run_pipeline, PipelineInput};
 use nettypes::set::PrefixSet;
-use rdap::database::{DbBuildConfig, WhoisDb};
-use rdap::pipeline::{extract_delegations, PipelineConfig};
-use rdap::server::RdapServer;
 use rpki::delegation::infer_rpki_delegations;
 use rpki::snapshot::SnapshotSeries;
 
@@ -39,13 +35,11 @@ pub fn run_with_study(study: &BgpStudy, config: &StudyConfig) -> S7Combined {
     let as_of = span.end;
 
     // BGP lens.
-    let bgp_result = run_pipeline(
-        PipelineInput::Days(&study.days),
-        span,
-        &InferenceConfig::extended(),
-        Some(&study.as2org),
-    );
-    let bgp_today = bgp_result.on(as_of).unwrap_or(&[]).to_vec();
+    let bgp_today = study
+        .delegations(&InferenceConfig::extended())
+        .on(as_of)
+        .unwrap_or(&[])
+        .to_vec();
 
     // RPKI lens.
     let series = SnapshotSeries::generate(&study.world, &config.rpki);
@@ -55,12 +49,10 @@ pub fn run_with_study(study: &BgpStudy, config: &StudyConfig) -> S7Combined {
         .unwrap_or_default();
 
     // RDAP lens.
-    let db = WhoisDb::build_from_world(&study.world, as_of, &DbBuildConfig::default());
-    let server = RdapServer::new(db.clone());
-    let (rdap_today, _) = extract_delegations(&db, &server, &PipelineConfig::default());
+    let (rdap_today, _) = study.rdap_delegations();
 
     // Individual and combined estimates.
-    let estimate = CombinedEstimate::build(&bgp_today, &rpki_today, &rdap_today);
+    let estimate = CombinedEstimate::build(&bgp_today, &rpki_today, rdap_today);
     let bgp_set: PrefixSet = bgp_today.iter().map(|d| d.prefix).collect();
     let rpki_set: PrefixSet = rpki_today.iter().map(|d| d.prefix).collect();
     let rdap_set: PrefixSet = rdap_today

@@ -13,7 +13,6 @@ use crate::report::{f, pct, TextTable};
 use crate::study::StudyConfig;
 use delegation::config::InferenceConfig;
 use delegation::eval::{evaluate_against_truth, TruthEvaluation};
-use delegation::pipeline::{run_pipeline, PipelineInput};
 use serde::{Deserialize, Serialize};
 
 /// One sweep point.
@@ -41,15 +40,13 @@ pub struct Sensitivity {
 
 /// Run both sweeps on a shared study.
 pub fn run_with_study(study: &BgpStudy) -> Sensitivity {
-    let span = study.world.span;
-
     let mut threshold_sweep = Vec::new();
     for threshold in [0.1, 0.3, 0.5, 0.7, 0.9] {
         let cfg = InferenceConfig {
             visibility_threshold: threshold,
             ..InferenceConfig::baseline()
         };
-        let result = run_pipeline(PipelineInput::Days(&study.days), span, &cfg, None);
+        let result = study.delegations(&cfg);
         threshold_sweep.push(SweepPoint {
             value: threshold,
             total_delegations: result.days.iter().map(Vec::len).sum(),
@@ -75,12 +72,7 @@ pub fn run_with_study(study: &BgpStudy) -> Sensitivity {
             filter_intra_org: true,
             ..InferenceConfig::baseline()
         };
-        let result = run_pipeline(
-            PipelineInput::Days(&study.days),
-            span,
-            &cfg,
-            Some(&study.as2org),
-        );
+        let result = study.delegations(&cfg);
         fill_sweep.push(SweepPoint {
             value: window as f64,
             total_delegations: result.days.iter().map(Vec::len).sum(),

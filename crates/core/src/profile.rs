@@ -2,8 +2,8 @@
 //!
 //! Installs an [`obs::ProfileCollector`], runs an experiment, and
 //! renders the per-stage tree (wall time, item counts, throughput)
-//! plus the study-cache counters and build-time histogram from the
-//! process-wide metrics registry.
+//! plus the study-cache and inference-walk counters and the
+//! build-time histogram from the process-wide metrics registry.
 //!
 //! `fig6` gets the *faithful* chain: world + day rendering (through
 //! the study cache), MRT archive encoding, then the delegation
@@ -58,14 +58,18 @@ fn run_artifact(artifact: &str, config: &StudyConfig) -> Result<String, String> 
 }
 
 /// Run `artifact` under a profile collector and return the report:
-/// the stage tree, then the study-cache and build-time metrics.
+/// the stage tree, then the study-cache, inference-walk and
+/// build-time metrics.
 /// Returns `Err` for an unknown artifact name.
 pub fn run_profiled(artifact: &str, config: &StudyConfig) -> Result<String, String> {
     let registry = obs::metrics::global();
     let hits = registry.counter("study_cache_hits_total");
     let misses = registry.counter("study_cache_misses_total");
     let build = registry.histogram("study_build");
+    let walks_shared = registry.counter("study_walk_hits_total");
+    let walks_computed = registry.counter("study_walk_misses_total");
     let (hits0, misses0, builds0) = (hits.get(), misses.get(), build.count());
+    let (shared0, computed0) = (walks_shared.get(), walks_computed.get());
 
     let collector = Arc::new(obs::ProfileCollector::new());
     let guard = obs::subscribe(collector.clone());
@@ -80,6 +84,11 @@ pub fn run_profiled(artifact: &str, config: &StudyConfig) -> Result<String, Stri
         "\nstudy cache: {} hit(s), {} miss(es) this run\n",
         hits.get() - hits0,
         misses.get() - misses0,
+    ));
+    out.push_str(&format!(
+        "inference walks: {} computed, {} shared\n",
+        walks_computed.get() - computed0,
+        walks_shared.get() - shared0,
     ));
     if build.count() > builds0 {
         out.push_str(&format!(

@@ -60,6 +60,8 @@ impl TruthEvaluation {
 /// truth. A true positive requires matching (prefix, delegator,
 /// delegatee) of an *active, announced* lease on that day.
 pub fn evaluate_against_truth(world: &LeaseWorld, result: &DailyDelegations) -> TruthEvaluation {
+    let sp = obs::span!("truth_eval", unit = "days");
+    sp.add_items(result.days.len() as u64);
     let mut eval = TruthEvaluation::default();
     for (i, day) in result.days.iter().enumerate() {
         let date: Date = result.start + i as i64;

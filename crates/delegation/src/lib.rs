@@ -53,4 +53,4 @@ pub use compare::{coverage_report, CoverageReport};
 pub use config::InferenceConfig;
 pub use eval::{evaluate_against_truth, TruthEvaluation};
 pub use metrics::{daily_metrics, DailyMetrics};
-pub use pipeline::{run_pipeline, DailyDelegations, PipelineInput};
+pub use pipeline::{run_pipeline, walk_days, DailyDelegations, PipelineInput};

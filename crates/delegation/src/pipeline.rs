@@ -6,6 +6,13 @@
 //! (i)–(iv), apply extension (iv) per day and extension (v) across
 //! days.
 //!
+//! [`run_pipeline`] is two stages. [`walk_days`] is the per-day walk,
+//! steps (i)–(iv) plus extension (iv); [`DailyDelegations::filled`] is
+//! extension (v) over a walk's output. The walk depends only on
+//! `visibility_threshold` and `filter_intra_org`, so callers that try
+//! several fill windows over one set of observations can walk once
+//! and fill per window.
+//!
 //! Both inputs go through one walk. The span is split into one
 //! contiguous day range per worker (`bgpsim::par::chunk_ranges`); each
 //! worker walks its days in order, and chunk results merge in day
@@ -39,7 +46,7 @@ pub enum PipelineInput<'a> {
 }
 
 /// The pipeline result: per-day delegation sets plus bookkeeping.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DailyDelegations {
     /// First day of the span.
     pub start: Date,
@@ -62,6 +69,19 @@ impl DailyDelegations {
             return None;
         }
         self.days.get(idx as usize).map(Vec::as_slice)
+    }
+
+    /// Extension (v) over a walk's output: the same result with every
+    /// gap of at most `max_gap` days filled (see [`consistency_fill`]).
+    pub fn filled(&self, max_gap: usize) -> DailyDelegations {
+        let _sp = obs::span!("consistency_fill", max_gap = max_gap as u64);
+        DailyDelegations {
+            start: self.start,
+            days: consistency_fill(&self.days, max_gap),
+            fallback_days: self.fallback_days.clone(),
+            missing_days: self.missing_days.clone(),
+            intra_org_removed: self.intra_org_removed,
+        }
     }
 }
 
@@ -139,11 +159,31 @@ enum DayOutcome {
     },
 }
 
-/// Run the pipeline over `span`.
+/// Run the pipeline over `span`: the walk, then the consistency fill
+/// when `config.consistency_fill_days` is set.
 ///
 /// `as2org` is required when `config.filter_intra_org` is set; pass
 /// `None` to reproduce the baseline.
 pub fn run_pipeline(
+    input: PipelineInput<'_>,
+    span: DateRange,
+    config: &InferenceConfig,
+    as2org: Option<&As2OrgSeries>,
+) -> DailyDelegations {
+    let walk = walk_days(input, span, config, as2org);
+    match config.consistency_fill_days {
+        Some(max_gap) => walk.filled(max_gap),
+        None => walk,
+    }
+}
+
+/// The per-day walk over `span`: steps (i)–(iv) and extension (iv).
+/// `config.consistency_fill_days` is ignored; apply extension (v) with
+/// [`DailyDelegations::filled`].
+///
+/// `as2org` is required when `config.filter_intra_org` is set, and
+/// ignored otherwise.
+pub fn walk_days(
     input: PipelineInput<'_>,
     span: DateRange,
     config: &InferenceConfig,
@@ -216,14 +256,6 @@ pub fn run_pipeline(
             count = fallback_days.len(),
         );
     }
-
-    // Extension (v): sequential consistency fill across days.
-    let days = if let Some(max_gap) = config.consistency_fill_days {
-        let _fill_sp = obs::span!("consistency_fill", max_gap = max_gap as u64);
-        consistency_fill(&days, max_gap)
-    } else {
-        days
-    };
 
     DailyDelegations {
         start: span.start,
@@ -362,6 +394,24 @@ mod tests {
         for (b, f) in base.days.iter().zip(&filled.days) {
             assert!(f.len() >= b.len());
         }
+    }
+
+    #[test]
+    fn walk_ignores_the_fill_window() {
+        let (w, days) = world_and_days();
+        let filled = InferenceConfig {
+            consistency_fill_days: Some(10),
+            ..InferenceConfig::baseline()
+        };
+        let walk = walk_days(PipelineInput::Days(&days), w.span, &filled, None);
+        let unfilled = run_pipeline(
+            PipelineInput::Days(&days),
+            w.span,
+            &InferenceConfig::baseline(),
+            None,
+        );
+        assert_eq!(walk, unfilled);
+        assert_ne!(walk.filled(10), walk, "the fill must change this world");
     }
 
     #[test]

@@ -108,6 +108,7 @@ impl WhoisDb {
         as_of: Date,
         config: &DbBuildConfig,
     ) -> WhoisDb {
+        let _sp = obs::span!("whois_db_build");
         let mut rng = Pcg64Mcg::seed_from_u64(config.seed ^ 0x0DA7_ABA5_0000_0006);
         let mut db = WhoisDb::new();
 

@@ -15,11 +15,13 @@
 //! BGP-delegations in the paper's §4.
 
 use crate::database::WhoisDb;
+use crate::inetnum::Inetnum;
 use crate::server::{RdapError, RdapServer};
 use nettypes::prefix::Prefix;
 use nettypes::range::IpRange;
 use nettypes::set::PrefixSet;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Pipeline knobs.
 #[derive(Clone, Debug)]
@@ -83,19 +85,20 @@ pub fn extract_delegations(
     server: &RdapServer,
     config: &PipelineConfig,
 ) -> (Vec<RdapDelegation>, PipelineStats) {
+    let sp = obs::span!("rdap_extract", unit = "objects");
+    sp.add_items(snapshot.len() as u64);
     let mut stats = PipelineStats::default();
     let mut out = Vec::new();
 
     // Resolve org/admin handles of parents via a second query only if
     // needed; here the parent object lives in the same snapshot, so we
     // look it up by handle locally (the paper similarly uses its local
-    // snapshot for parent attributes).
-    let parent_by_handle = |handle: &str| {
-        snapshot
-            .objects()
-            .iter()
-            .find(|o| o.handle() == handle)
-    };
+    // snapshot for parent attributes). On a duplicate handle the first
+    // object in insertion order wins.
+    let mut parent_by_handle: HashMap<String, &Inetnum> = HashMap::with_capacity(snapshot.len());
+    for o in snapshot.objects() {
+        parent_by_handle.entry(o.handle()).or_insert(o);
+    }
 
     for obj in snapshot.objects() {
         if !obj.status.is_delegation_related() {
@@ -128,7 +131,7 @@ pub fn extract_delegations(
         let Some(parent_handle) = resp.parent_handle else {
             continue; // top-level object: not a delegation
         };
-        let Some(parent) = parent_by_handle(&parent_handle) else {
+        let Some(parent) = parent_by_handle.get(&parent_handle) else {
             continue;
         };
         // Intra-org filter: same registrant or same administrator.
@@ -248,6 +251,29 @@ mod tests {
         assert_eq!(stats.dropped_intra_org, 2);
         assert_eq!(delegations.len(), 1);
         assert_eq!(delegations[0].child_org, "CUST");
+        assert_eq!(delegations[0].parent_org, "LIR");
+    }
+
+    #[test]
+    fn duplicate_parent_handles_resolve_to_the_first_object() {
+        let mut db = WhoisDb::new();
+        let mk = |r: &str, status, org: &str, admin: &str| Inetnum {
+            range: r.parse().unwrap(),
+            netname: "X".into(),
+            status,
+            org: org.into(),
+            admin_c: admin.into(),
+            created: date("2018-01-01"),
+        };
+        // Two objects on one range share a handle; only the first is
+        // a different organization from the child.
+        db.insert(mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "LIR", "AC-L"));
+        db.insert(mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "CUST", "AC-C"));
+        db.insert(mk("10.0.2.0 - 10.0.2.255", InetnumStatus::AssignedPa, "CUST", "AC-C"));
+        let server = RdapServer::new(db.clone());
+        let (delegations, stats) = extract_delegations(&db, &server, &PipelineConfig::default());
+        assert_eq!(stats.dropped_intra_org, 0, "{stats:?}");
+        assert_eq!(delegations.len(), 1);
         assert_eq!(delegations[0].parent_org, "LIR");
     }
 

@@ -15,6 +15,9 @@ use delegation::config::InferenceConfig;
 use delegation::pipeline::{run_pipeline, PipelineInput};
 use drywells::experiments::{build_bgp_study, fig6};
 use drywells::{csv, StudyConfig};
+use rdap::database::{DbBuildConfig, WhoisDb};
+use rdap::pipeline::{extract_delegations, PipelineConfig};
+use rdap::server::RdapServer;
 
 #[test]
 fn rendered_days_and_mrt_bytes_are_thread_count_invariant() {
@@ -79,6 +82,96 @@ fn figure_outputs_are_thread_count_invariant() {
     let fig_par = fig6::run_with_study(&study_par);
     assert_eq!(fig_seq.rendered, fig_par.rendered);
     assert_eq!(csv::fig6_csv(&fig_seq), csv::fig6_csv(&fig_par));
+}
+
+/// Every inference config `run_all` asks a study for, in its order:
+/// fig6 (both presets), §4 and §7 (extended), then the sensitivity
+/// sweeps (five thresholds, five fill windows).
+fn run_all_inference_configs() -> Vec<InferenceConfig> {
+    let mut configs = vec![
+        InferenceConfig::baseline(),
+        InferenceConfig::extended(),
+        InferenceConfig::extended(),
+        InferenceConfig::extended(),
+    ];
+    for visibility_threshold in [0.1, 0.3, 0.5, 0.7, 0.9] {
+        configs.push(InferenceConfig {
+            visibility_threshold,
+            ..InferenceConfig::baseline()
+        });
+    }
+    for window in [0usize, 3, 10, 30, 60] {
+        configs.push(InferenceConfig {
+            consistency_fill_days: (window > 0).then_some(window),
+            filter_intra_org: true,
+            ..InferenceConfig::baseline()
+        });
+    }
+    configs
+}
+
+#[test]
+fn shared_study_inference_matches_the_pipeline_at_every_pool_size() {
+    let config = StudyConfig::quick_seeded(54);
+    let configs = run_all_inference_configs();
+    for threads in ["1", "2", "4"] {
+        std::env::set_var("DRYWELLS_THREADS", threads);
+        let reference_study = build_bgp_study(&config);
+        let span = reference_study.world.span;
+        let expected: Vec<_> = configs
+            .iter()
+            .map(|cfg| {
+                let input = PipelineInput::Days(&reference_study.days);
+                run_pipeline(input, span, cfg, Some(&reference_study.as2org))
+            })
+            .collect();
+        // Forward and reverse order: which request fills a memo slot
+        // must not matter.
+        for reverse in [false, true] {
+            let study = build_bgp_study(&config);
+            let mut order: Vec<usize> = (0..configs.len()).collect();
+            if reverse {
+                order.reverse();
+            }
+            for i in order {
+                assert_eq!(
+                    *study.delegations(&configs[i]),
+                    expected[i],
+                    "{:?} differs at {threads} threads (reverse: {reverse})",
+                    configs[i]
+                );
+            }
+            // Unfilled preset walks are shared, not recomputed.
+            let walk_only = InferenceConfig {
+                consistency_fill_days: None,
+                ..InferenceConfig::extended()
+            };
+            for cfg in [InferenceConfig::baseline(), walk_only] {
+                assert!(std::sync::Arc::ptr_eq(
+                    &study.delegations(&cfg),
+                    &study.delegations(&cfg)
+                ));
+            }
+        }
+    }
+    std::env::remove_var("DRYWELLS_THREADS");
+
+    // The shared RDAP extraction runs behind §4's rate-limited server;
+    // §7 reads it as its RDAP lens. Both equal an unlimited extraction.
+    let study = build_bgp_study(&config);
+    let db = WhoisDb::build_from_world(&study.world, study.world.span.end, &DbBuildConfig::default());
+    let unlimited = RdapServer::new(db.clone());
+    let (direct, _) = extract_delegations(&db, &unlimited, &PipelineConfig::default());
+    assert_eq!(study.rdap_delegations().0, direct.as_slice());
+    let s7 = drywells::experiments::s7_combined::run_with_study(&study, &config);
+    let direct_rdap: nettypes::set::PrefixSet =
+        direct.iter().flat_map(|d| d.child.to_cidrs()).collect();
+    let rdap_row = &s7.rows[2];
+    assert_eq!(rdap_row.0, "RDAP only");
+    assert_eq!(
+        rdap_row.1,
+        delegation::combine::market_coverage(&study.world, study.world.span.end, &direct_rdap)
+    );
 }
 
 #[test]

@@ -1,0 +1,33 @@
+//! Integration: `repro profile all` shows the shared inference.
+//!
+//! The profile collector and the metrics registry are process-wide, so
+//! this is the only test in its binary, and its seed is one no other
+//! test builds a study for: every walk it counts is its own.
+
+use drywells::profile::run_profiled;
+use drywells::StudyConfig;
+
+#[test]
+fn profile_all_walks_each_distinct_inference_once() {
+    let report = run_profiled("all", &StudyConfig::quick_seeded(61)).expect("all is known");
+    // Tree lines start with box-drawing guides, then the span name.
+    let spans = |name: &str| {
+        report
+            .lines()
+            .map(|l| l.trim_start_matches(|c: char| "├└─│ ".contains(c)))
+            .filter(|l| l.split_whitespace().next() == Some(name))
+            .count()
+    };
+    // Fourteen pipeline runs, six distinct walks: the five thresholds
+    // of the sensitivity sweep plus the extended walk.
+    assert_eq!(spans("sweep_infer_days"), 6, "{report}");
+    assert!(report.contains("inference walks: 6 computed, 8 shared"), "{report}");
+    // One WHOIS snapshot and one RDAP extraction serve s4 and s7.
+    assert_eq!(spans("whois_db_build"), 1, "{report}");
+    assert_eq!(spans("rdap_extract"), 1, "{report}");
+    // fig6 scores two results, the sensitivity sweeps ten.
+    assert_eq!(spans("truth_eval"), 12, "{report}");
+    for stage in ["fig6_baseline", "fig6_extended", "consistency_fill"] {
+        assert!(spans(stage) > 0, "missing {stage} in:\n{report}");
+    }
+}
