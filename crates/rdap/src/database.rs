@@ -7,13 +7,14 @@
 //! assignments (same registrant/admin as the parent) that the pipeline
 //! must filter out.
 
-use crate::inetnum::{Inetnum, InetnumStatus};
+use crate::index::RangeIndex;
+use crate::inetnum::{range_of_handle, Inetnum, InetnumStatus};
 use bgpsim::scenario::LeaseWorld;
 use nettypes::date::Date;
 use nettypes::range::IpRange;
 use rand::prelude::*;
 use rand_pcg::Pcg64Mcg;
-use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// Controls the synthetic database shape.
 #[derive(Clone, Debug)]
@@ -43,25 +44,28 @@ impl Default for DbBuildConfig {
     }
 }
 
-/// The WHOIS database: a flat object store with covering-object
-/// resolution.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// The WHOIS database: an immutable object store, indexed by range
+/// once when it is collected.
+///
+/// Every lookup answers as a scan in insertion order would: among the
+/// candidates, the smallest object wins and ties go to the object
+/// inserted first.
+#[derive(Clone, Debug)]
 pub struct WhoisDb {
     objects: Vec<Inetnum>,
+    index: RangeIndex,
+}
+
+impl FromIterator<Inetnum> for WhoisDb {
+    fn from_iter<I: IntoIterator<Item = Inetnum>>(iter: I) -> Self {
+        let objects: Vec<Inetnum> = iter.into_iter().collect();
+        let index = RangeIndex::new(objects.iter().map(|o| o.range));
+        WhoisDb { objects, index }
+    }
 }
 
 impl WhoisDb {
-    /// An empty database.
-    pub fn new() -> Self {
-        WhoisDb::default()
-    }
-
-    /// Add an object.
-    pub fn insert(&mut self, obj: Inetnum) {
-        self.objects.push(obj);
-    }
-
-    /// All objects.
+    /// All objects, in insertion order.
     pub fn objects(&self) -> &[Inetnum] {
         &self.objects
     }
@@ -83,16 +87,64 @@ impl WhoisDb {
 
     /// Find the object whose range exactly matches.
     pub fn exact(&self, range: IpRange) -> Option<&Inetnum> {
-        self.objects.iter().find(|o| o.range == range)
+        self.index.exact(range).and_then(|id| self.objects.get(id))
+    }
+
+    /// The object whose [`Inetnum::handle`] is `handle`; `None` for a
+    /// malformed handle.
+    pub fn by_handle(&self, handle: &str) -> Option<&Inetnum> {
+        self.exact(range_of_handle(handle)?)
     }
 
     /// The *smallest strictly-covering* object for a range — RDAP's
     /// notion of the parent network.
     pub fn parent_of(&self, range: IpRange) -> Option<&Inetnum> {
-        self.objects
-            .iter()
-            .filter(|o| o.range.contains_range(&range) && o.range != range)
-            .min_by_key(|o| o.num_addresses())
+        self.smallest_covering(range.start(), range.end(), Some(range))
+    }
+
+    /// The smallest object containing `range`, itself included.
+    pub fn smallest_containing(&self, range: IpRange) -> Option<&Inetnum> {
+        self.smallest_covering(range.start(), range.end(), None)
+    }
+
+    /// The smallest object containing the address `addr`.
+    pub fn smallest_containing_address(&self, addr: u32) -> Option<&Inetnum> {
+        self.smallest_covering(addr, addr, None)
+    }
+
+    /// Every object strictly containing `range`, least specific first.
+    pub fn less_specific(&self, range: IpRange) -> Vec<&Inetnum> {
+        let mut up = Vec::new();
+        self.index.covering(range.start(), range.end(), |r, id| {
+            if r != range {
+                up.push((Reverse(r.num_addresses()), id));
+            }
+        });
+        up.sort_unstable();
+        up.into_iter()
+            .filter_map(|(_, id)| self.objects.get(id))
+            .collect()
+    }
+
+    /// Every object strictly inside `range`, ordered by range.
+    pub fn more_specific(&self, range: IpRange) -> impl Iterator<Item = &Inetnum> {
+        self.index
+            .within(range)
+            .filter(move |&(r, _)| r != range)
+            .filter_map(|(_, id)| self.objects.get(id))
+    }
+
+    /// The smallest object covering `start..=end` other than one whose
+    /// range is `skip`.
+    fn smallest_covering(&self, start: u32, end: u32, skip: Option<IpRange>) -> Option<&Inetnum> {
+        let mut best: Option<(u64, usize)> = None;
+        self.index.covering(start, end, |r, id| {
+            if Some(r) != skip {
+                let key = (r.num_addresses(), id);
+                best = Some(best.map_or(key, |b| b.min(key)));
+            }
+        });
+        best.and_then(|(_, id)| self.objects.get(id))
     }
 
     /// Build the database for a world snapshot at `as_of`.
@@ -110,10 +162,10 @@ impl WhoisDb {
     ) -> WhoisDb {
         let _sp = obs::span!("whois_db_build");
         let mut rng = Pcg64Mcg::seed_from_u64(config.seed ^ 0x0DA7_ABA5_0000_0006);
-        let mut db = WhoisDb::new();
+        let mut objects = Vec::new();
 
         for (i, a) in world.allocations.iter().enumerate() {
-            db.insert(Inetnum {
+            objects.push(Inetnum {
                 range: IpRange::from_prefix(a.prefix),
                 netname: format!("ALLOC-{i}"),
                 status: InetnumStatus::AllocatedPa,
@@ -132,7 +184,7 @@ impl WhoisDb {
             } else {
                 InetnumStatus::AssignedPa
             };
-            db.insert(Inetnum {
+            objects.push(Inetnum {
                 range: IpRange::from_prefix(l.prefix),
                 netname: format!("LEASE-{}", l.id),
                 status,
@@ -161,7 +213,7 @@ impl WhoisDb {
             if leased.iter().any(|l| l.overlaps(&p)) {
                 continue;
             }
-            db.insert(Inetnum {
+            objects.push(Inetnum {
                 range: IpRange::from_prefix(p),
                 netname: format!("INFRA-{i}"),
                 status: InetnumStatus::AssignedPa,
@@ -173,9 +225,9 @@ impl WhoisDb {
 
         // Tiny assignments so that `tiny_assignment_fraction` of all
         // ASSIGNED PA objects are smaller than /24.
-        let assigned_ge24 = db
-            .of_status(InetnumStatus::AssignedPa)
-            .filter(|o| o.at_least_slash24())
+        let assigned_ge24 = objects
+            .iter()
+            .filter(|o| o.status == InetnumStatus::AssignedPa && o.at_least_slash24())
             .count();
         let f = config.tiny_assignment_fraction.clamp(0.0, 0.99);
         let tiny_target = ((assigned_ge24 as f64) * f / (1.0 - f)).round() as usize;
@@ -187,7 +239,7 @@ impl WhoisDb {
             let Ok(p) = a.prefix.subprefix(29, idx) else {
                 continue;
             };
-            db.insert(Inetnum {
+            objects.push(Inetnum {
                 range: IpRange::from_prefix(p),
                 netname: format!("CUST-{i}"),
                 status: InetnumStatus::AssignedPa,
@@ -197,7 +249,7 @@ impl WhoisDb {
             });
         }
 
-        db
+        objects.into_iter().collect()
     }
 }
 
@@ -227,7 +279,6 @@ mod tests {
 
     #[test]
     fn parent_resolution_picks_smallest_cover() {
-        let mut db = WhoisDb::new();
         let mk = |r: &str, status, org: &str| Inetnum {
             range: r.parse().unwrap(),
             netname: "X".into(),
@@ -236,9 +287,13 @@ mod tests {
             admin_c: "A".into(),
             created: date("2018-01-01"),
         };
-        db.insert(mk("10.0.0.0 - 10.255.255.255", InetnumStatus::AllocatedPa, "big"));
-        db.insert(mk("10.0.0.0 - 10.0.255.255", InetnumStatus::SubAllocatedPa, "mid"));
-        db.insert(mk("10.0.0.0 - 10.0.0.255", InetnumStatus::AssignedPa, "leaf"));
+        let db: WhoisDb = [
+            mk("10.0.0.0 - 10.255.255.255", InetnumStatus::AllocatedPa, "big"),
+            mk("10.0.0.0 - 10.0.255.255", InetnumStatus::SubAllocatedPa, "mid"),
+            mk("10.0.0.0 - 10.0.0.255", InetnumStatus::AssignedPa, "leaf"),
+        ]
+        .into_iter()
+        .collect();
         let child: IpRange = "10.0.0.0 - 10.0.0.255".parse().unwrap();
         let parent = db.parent_of(child).unwrap();
         assert_eq!(parent.org, "mid");

@@ -85,7 +85,8 @@ pub struct Inetnum {
 
 impl Inetnum {
     /// The RDAP object handle for this inetnum — RIR-unique, derived
-    /// from the range like real RIPE handles.
+    /// from the range like real RIPE handles. [`range_of_handle`] is
+    /// its inverse.
     pub fn handle(&self) -> String {
         format!(
             "SIM-NET-{:08X}-{:08X}",
@@ -107,10 +108,30 @@ impl Inetnum {
     }
 }
 
+/// The range an [`Inetnum::handle`] was derived from. Handles arrive
+/// in RDAP responses, outside input: anything [`Inetnum::handle`]
+/// would not print, such as lowercase hex or a reversed range, is
+/// `None`.
+pub fn range_of_handle(handle: &str) -> Option<IpRange> {
+    let (start, end) = handle.strip_prefix("SIM-NET-")?.split_once('-')?;
+    IpRange::new(handle_address(start)?, handle_address(end)?).ok()
+}
+
+/// Eight uppercase hex digits, as `{:08X}` prints them.
+fn handle_address(hex: &str) -> Option<u32> {
+    let printed = hex.len() == 8 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'A'..=b'F'));
+    if printed {
+        u32::from_str_radix(hex, 16).ok()
+    } else {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use nettypes::date::date;
+    use proptest::prelude::*;
 
     fn sample() -> Inetnum {
         Inetnum {
@@ -163,5 +184,55 @@ mod tests {
         assert!(!i.at_least_slash24());
         i.range = "10.0.0.0 - 10.0.1.255".parse().unwrap();
         assert!(i.at_least_slash24());
+    }
+
+    #[test]
+    fn malformed_handles_have_no_range() {
+        for h in [
+            "",
+            "SIM-NET-",
+            "SIM-NET-0A000000",
+            "SIM-NET-0a000000-0A0000FF",
+            "SIM-NET-+A000000-0A0000FF",
+            "SIM-NET-0A000000-0A0000FF-",
+            "SIM-NET-0A0000000-A0000FF",
+            "SIM-NET-0A0000FF-0A000000",
+            "sim-net-0A000000-0A0000FF",
+            "SIM-NET-0A00\u{e9}00-0A0000FF",
+        ] {
+            assert_eq!(range_of_handle(h), None, "{h:?}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn handle_range_handle_roundtrips(a in any::<u32>(), b in any::<u32>()) {
+            let mut i = sample();
+            i.range = IpRange::new(a.min(b), a.max(b)).unwrap();
+            let h = i.handle();
+            let r = range_of_handle(&h);
+            prop_assert_eq!(r, Some(i.range));
+            i.range = r.unwrap();
+            prop_assert_eq!(i.handle(), h);
+        }
+
+        #[test]
+        fn only_printed_handles_parse(
+            a in any::<u32>(),
+            at in 0usize..25,
+            c in proptest::sample::select(b"0129AFafGg-+ ".to_vec()),
+        ) {
+            // A handle with one byte replaced parses only if it is
+            // exactly what `handle` prints for the parsed range.
+            let mut i = sample();
+            i.range = IpRange::new(a / 2, a).unwrap();
+            let mut h = i.handle().into_bytes();
+            h[at] = c;
+            let h = String::from_utf8(h).unwrap();
+            if let Some(r) = range_of_handle(&h) {
+                i.range = r;
+                prop_assert_eq!(i.handle(), h);
+            }
+        }
     }
 }

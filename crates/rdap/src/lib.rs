@@ -8,9 +8,9 @@
 //!
 //! * [`inetnum`] — `inetnum` objects with the RIPE status hierarchy
 //!   (`ALLOCATED PA`, `SUB-ALLOCATED PA`, `ASSIGNED PA`, …),
-//! * [`database`] — an in-memory WHOIS database with covering-object
-//!   (parent) resolution, buildable from a ground-truth
-//!   [`bgpsim::scenario::LeaseWorld`],
+//! * [`database`] — an in-memory WHOIS database, indexed by range once
+//!   at construction, with covering-object (parent) resolution,
+//!   buildable from a ground-truth [`bgpsim::scenario::LeaseWorld`],
 //! * [`snapshot`] — the `ripe.db.inetnum` split-file text format,
 //! * [`server`] — an RDAP interface returning JSON responses with
 //!   `handle` / `parentHandle`, including the operational constraints
@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod database;
+mod index;
 pub mod inetnum;
 pub mod pipeline;
 pub mod server;

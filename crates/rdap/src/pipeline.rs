@@ -15,13 +15,11 @@
 //! BGP-delegations in the paper's §4.
 
 use crate::database::WhoisDb;
-use crate::inetnum::Inetnum;
 use crate::server::{RdapError, RdapServer};
 use nettypes::prefix::Prefix;
 use nettypes::range::IpRange;
 use nettypes::set::PrefixSet;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Pipeline knobs.
 #[derive(Clone, Debug)]
@@ -90,16 +88,6 @@ pub fn extract_delegations(
     let mut stats = PipelineStats::default();
     let mut out = Vec::new();
 
-    // Resolve org/admin handles of parents via a second query only if
-    // needed; here the parent object lives in the same snapshot, so we
-    // look it up by handle locally (the paper similarly uses its local
-    // snapshot for parent attributes). On a duplicate handle the first
-    // object in insertion order wins.
-    let mut parent_by_handle: HashMap<String, &Inetnum> = HashMap::with_capacity(snapshot.len());
-    for o in snapshot.objects() {
-        parent_by_handle.entry(o.handle()).or_insert(o);
-    }
-
     for obj in snapshot.objects() {
         if !obj.status.is_delegation_related() {
             continue;
@@ -131,7 +119,11 @@ pub fn extract_delegations(
         let Some(parent_handle) = resp.parent_handle else {
             continue; // top-level object: not a delegation
         };
-        let Some(parent) = parent_by_handle.get(&parent_handle) else {
+        // The parent object lives in the same snapshot, so its org and
+        // admin handles are read there rather than by a second RDAP
+        // query (the paper likewise uses its local snapshot for parent
+        // attributes). On a duplicate handle the first object wins.
+        let Some(parent) = snapshot.by_handle(&parent_handle) else {
             continue;
         };
         // Intra-org filter: same registrant or same administrator.
@@ -230,7 +222,6 @@ mod tests {
 
     #[test]
     fn drops_intra_org_delegations() {
-        let mut db = WhoisDb::new();
         let mk = |r: &str, status, org: &str, admin: &str| Inetnum {
             range: r.parse().unwrap(),
             netname: "X".into(),
@@ -239,13 +230,17 @@ mod tests {
             admin_c: admin.into(),
             created: date("2018-01-01"),
         };
-        db.insert(mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "LIR", "AC-L"));
-        // Same registrant — intra-org.
-        db.insert(mk("10.0.0.0 - 10.0.0.255", InetnumStatus::AssignedPa, "LIR", "AC-X"));
-        // Same admin — intra-org.
-        db.insert(mk("10.0.1.0 - 10.0.1.255", InetnumStatus::AssignedPa, "OTHER", "AC-L"));
-        // A genuine delegation.
-        db.insert(mk("10.0.2.0 - 10.0.2.255", InetnumStatus::AssignedPa, "CUST", "AC-C"));
+        let db: WhoisDb = [
+            mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "LIR", "AC-L"),
+            // Same registrant — intra-org.
+            mk("10.0.0.0 - 10.0.0.255", InetnumStatus::AssignedPa, "LIR", "AC-X"),
+            // Same admin — intra-org.
+            mk("10.0.1.0 - 10.0.1.255", InetnumStatus::AssignedPa, "OTHER", "AC-L"),
+            // A genuine delegation.
+            mk("10.0.2.0 - 10.0.2.255", InetnumStatus::AssignedPa, "CUST", "AC-C"),
+        ]
+        .into_iter()
+        .collect();
         let server = RdapServer::new(db.clone());
         let (delegations, stats) = extract_delegations(&db, &server, &PipelineConfig::default());
         assert_eq!(stats.dropped_intra_org, 2);
@@ -256,7 +251,6 @@ mod tests {
 
     #[test]
     fn duplicate_parent_handles_resolve_to_the_first_object() {
-        let mut db = WhoisDb::new();
         let mk = |r: &str, status, org: &str, admin: &str| Inetnum {
             range: r.parse().unwrap(),
             netname: "X".into(),
@@ -267,9 +261,13 @@ mod tests {
         };
         // Two objects on one range share a handle; only the first is
         // a different organization from the child.
-        db.insert(mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "LIR", "AC-L"));
-        db.insert(mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "CUST", "AC-C"));
-        db.insert(mk("10.0.2.0 - 10.0.2.255", InetnumStatus::AssignedPa, "CUST", "AC-C"));
+        let db: WhoisDb = [
+            mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "LIR", "AC-L"),
+            mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "CUST", "AC-C"),
+            mk("10.0.2.0 - 10.0.2.255", InetnumStatus::AssignedPa, "CUST", "AC-C"),
+        ]
+        .into_iter()
+        .collect();
         let server = RdapServer::new(db.clone());
         let (delegations, stats) = extract_delegations(&db, &server, &PipelineConfig::default());
         assert_eq!(stats.dropped_intra_org, 0, "{stats:?}");

@@ -209,18 +209,10 @@ impl RdapServer {
         self.admit()?;
         let obj = self
             .db
-            .objects()
-            .iter()
-            .filter(|o| o.range.contains_address(addr))
-            .min_by_key(|o| o.num_addresses())
+            .smallest_containing_address(addr)
             .ok_or(RdapError::NotFound)?;
         let parent = self.db.parent_of(obj.range);
         Ok(RdapResponse::from_object(obj, parent))
-    }
-
-    /// Render a response as RFC 7483 JSON text.
-    pub fn to_json(response: &RdapResponse) -> String {
-        serde_json::to_string_pretty(response).expect("serializable response")
     }
 
     /// The wrapped database (test/diagnostic access).
@@ -236,7 +228,6 @@ mod tests {
     use nettypes::date::date;
 
     fn db() -> WhoisDb {
-        let mut db = WhoisDb::new();
         let mk = |r: &str, status, org: &str, name: &str| Inetnum {
             range: r.parse().unwrap(),
             netname: name.into(),
@@ -245,9 +236,12 @@ mod tests {
             admin_c: format!("AC-{org}"),
             created: date("2018-01-01"),
         };
-        db.insert(mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "LIR1", "ALLOC"));
-        db.insert(mk("10.0.1.0 - 10.0.1.255", InetnumStatus::AssignedPa, "CUST1", "LEASE"));
-        db
+        [
+            mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "LIR1", "ALLOC"),
+            mk("10.0.1.0 - 10.0.1.255", InetnumStatus::AssignedPa, "CUST1", "LEASE"),
+        ]
+        .into_iter()
+        .collect()
     }
 
     #[test]
@@ -335,7 +329,7 @@ mod tests {
         let server = RdapServer::new(db());
         let r: IpRange = "10.0.1.0 - 10.0.1.255".parse().unwrap();
         let resp = server.query(r).unwrap();
-        let json = RdapServer::to_json(&resp);
+        let json = serde_json::to_string_pretty(&resp).unwrap();
         assert!(json.contains("\"objectClassName\": \"ip network\""));
         assert!(json.contains("\"parentHandle\""));
         assert!(json.contains("\"startAddress\": \"10.0.1.0\""));

@@ -127,19 +127,8 @@ impl<'a> WhoisServer<'a> {
     /// smallest enclosing object.
     fn primary(&self, target: QueryTarget) -> Option<&'a Inetnum> {
         match target {
-            QueryTarget::Range(r) => self.db.exact(r).or_else(|| {
-                self.db
-                    .objects()
-                    .iter()
-                    .filter(|o| o.range.contains_range(&r))
-                    .min_by_key(|o| o.num_addresses())
-            }),
-            QueryTarget::Address(a) => self
-                .db
-                .objects()
-                .iter()
-                .filter(|o| o.range.contains_address(a))
-                .min_by_key(|o| o.num_addresses()),
+            QueryTarget::Range(r) => self.db.smallest_containing(r),
+            QueryTarget::Address(a) => self.db.smallest_containing_address(a),
         }
     }
 
@@ -164,25 +153,10 @@ impl<'a> WhoisServer<'a> {
 
         if let Some(p) = primary {
             if query.less_specific_all {
-                let mut up: Vec<Inetnum> = self
-                    .db
-                    .objects()
-                    .iter()
-                    .filter(|o| o.range.contains_range(&p.range) && o.range != p.range)
-                    .cloned()
-                    .collect();
-                up.sort_by_key(|o| std::cmp::Reverse(o.num_addresses()));
-                results.extend(up);
+                results.extend(self.db.less_specific(p.range).into_iter().cloned());
             }
             if query.more_specific_one || query.more_specific_all {
-                let mut down: Vec<Inetnum> = self
-                    .db
-                    .objects()
-                    .iter()
-                    .filter(|o| p.range.contains_range(&o.range) && o.range != p.range)
-                    .cloned()
-                    .collect();
-                down.sort_by_key(|o| o.range);
+                let mut down: Vec<&Inetnum> = self.db.more_specific(p.range).collect();
                 if query.more_specific_one {
                     // Keep only objects whose direct parent is `p`.
                     let all = down.clone();
@@ -193,7 +167,7 @@ impl<'a> WhoisServer<'a> {
                         })
                     });
                 }
-                results.extend(down);
+                results.extend(down.into_iter().cloned());
             }
         }
 
@@ -213,7 +187,6 @@ mod tests {
     use nettypes::date::date;
 
     fn db() -> WhoisDb {
-        let mut db = WhoisDb::new();
         let mk = |r: &str, status, name: &str| Inetnum {
             range: r.parse().unwrap(),
             netname: name.into(),
@@ -222,11 +195,14 @@ mod tests {
             admin_c: format!("AC-{name}"),
             created: date("2018-01-01"),
         };
-        db.insert(mk("10.0.0.0 - 10.255.255.255", InetnumStatus::AllocatedPa, "TOP"));
-        db.insert(mk("10.0.0.0 - 10.0.255.255", InetnumStatus::SubAllocatedPa, "MID"));
-        db.insert(mk("10.0.1.0 - 10.0.1.255", InetnumStatus::AssignedPa, "LEAF-A"));
-        db.insert(mk("10.0.2.0 - 10.0.2.255", InetnumStatus::AssignedPa, "LEAF-B"));
-        db
+        [
+            mk("10.0.0.0 - 10.255.255.255", InetnumStatus::AllocatedPa, "TOP"),
+            mk("10.0.0.0 - 10.0.255.255", InetnumStatus::SubAllocatedPa, "MID"),
+            mk("10.0.1.0 - 10.0.1.255", InetnumStatus::AssignedPa, "LEAF-A"),
+            mk("10.0.2.0 - 10.0.2.255", InetnumStatus::AssignedPa, "LEAF-B"),
+        ]
+        .into_iter()
+        .collect()
     }
 
     #[test]

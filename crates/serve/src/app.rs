@@ -497,7 +497,6 @@ mod tests {
     use std::io::BufReader;
 
     fn test_db() -> WhoisDb {
-        let mut db = WhoisDb::new();
         let mk = |r: &str, status, org: &str, name: &str| Inetnum {
             range: r.parse().unwrap(),
             netname: name.into(),
@@ -506,9 +505,12 @@ mod tests {
             admin_c: format!("AC-{org}"),
             created: date("2018-01-01"),
         };
-        db.insert(mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "LIR1", "ALLOC"));
-        db.insert(mk("10.0.1.0 - 10.0.1.255", InetnumStatus::AssignedPa, "CUST1", "LEASE"));
-        db
+        [
+            mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "LIR1", "ALLOC"),
+            mk("10.0.1.0 - 10.0.1.255", InetnumStatus::AssignedPa, "CUST1", "LEASE"),
+        ]
+        .into_iter()
+        .collect()
     }
 
     fn test_log() -> TransferLog {

@@ -22,7 +22,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 fn test_db() -> WhoisDb {
-    let mut db = WhoisDb::new();
     let mk = |r: &str, status, name: &str| Inetnum {
         range: r.parse().unwrap(),
         netname: name.into(),
@@ -31,11 +30,14 @@ fn test_db() -> WhoisDb {
         admin_c: format!("AC-{name}"),
         created: date("2018-01-01"),
     };
-    db.insert(mk("10.0.0.0 - 10.255.255.255", InetnumStatus::AllocatedPa, "TOP"));
-    db.insert(mk("10.0.0.0 - 10.0.255.255", InetnumStatus::SubAllocatedPa, "MID"));
-    db.insert(mk("10.0.1.0 - 10.0.1.255", InetnumStatus::AssignedPa, "LEAF-A"));
-    db.insert(mk("10.0.2.0 - 10.0.2.255", InetnumStatus::AssignedPa, "LEAF-B"));
-    db
+    [
+        mk("10.0.0.0 - 10.255.255.255", InetnumStatus::AllocatedPa, "TOP"),
+        mk("10.0.0.0 - 10.0.255.255", InetnumStatus::SubAllocatedPa, "MID"),
+        mk("10.0.1.0 - 10.0.1.255", InetnumStatus::AssignedPa, "LEAF-A"),
+        mk("10.0.2.0 - 10.0.2.255", InetnumStatus::AssignedPa, "LEAF-B"),
+    ]
+    .into_iter()
+    .collect()
 }
 
 fn test_log() -> TransferLog {
