@@ -169,8 +169,8 @@ fn measure_obs_overhead(config: &StudyConfig) -> ObsOverhead {
     const ROUNDS: usize = 5;
     let recorder = obs::flight::global();
     // A study keeps the inference fig6 reads, so every timed run gets
-    // a fresh one, built outside the timed region: both arms run both
-    // walks, as fig6 does on a study's first use.
+    // a fresh one, built outside the timed region: both arms run the
+    // walk and extension (iv), as fig6 does on a study's first use.
     let fig6_wall = || {
         let study = experiments::build_bgp_study(config);
         obs::time(|| experiments::fig6::run_with_study(&study)).1

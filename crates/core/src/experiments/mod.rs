@@ -49,15 +49,17 @@ pub struct BgpStudy {
 }
 
 /// The inference results several runners read, each computed at most
-/// once per study: the per-day walks of the paper's two algorithms
-/// and the RDAP extraction at the span's last day. Other walks are not
-/// kept; each one holds megabytes of delegations at full scale.
+/// once per study: the per-day walk at the paper's threshold, its
+/// extension (iv) result, and the RDAP extraction at the span's last
+/// day. Walks at other thresholds are not kept; each one holds
+/// megabytes of delegations at full scale.
 #[derive(Default)]
 struct SharedInference {
     /// The walk of [`InferenceConfig::baseline`].
     baseline_walk: OnceLock<Arc<DailyDelegations>>,
-    /// The walk of [`InferenceConfig::extended`] (extension (iv) on).
-    extended_walk: OnceLock<Arc<DailyDelegations>>,
+    /// That walk with extension (iv) applied, the unfilled
+    /// [`InferenceConfig::extended`].
+    intra_org_filtered: OnceLock<Arc<DailyDelegations>>,
     rdap: OnceLock<(Vec<RdapDelegation>, PipelineStats)>,
 }
 
@@ -73,52 +75,36 @@ impl BgpStudy {
     /// `run_pipeline(PipelineInput::Days(&self.days), span, config,
     /// Some(&self.as2org))`.
     ///
-    /// The walks of the two presets are computed once per study and
-    /// shared; a config without a fill window gets the shared result
-    /// itself. Fill windows are applied per call, and any other walk
-    /// is computed per call and not kept.
+    /// The walk at the presets' threshold and its extension (iv)
+    /// result are computed once per study and shared; a config without
+    /// a fill window gets the shared result itself. Fill windows are
+    /// applied per call, and a walk at any other threshold is computed
+    /// per call and not kept.
     pub fn delegations(&self, config: &InferenceConfig) -> Arc<DailyDelegations> {
-        let walk = match self.shared_walk(config) {
-            Some(cell) => {
-                let mut computed = false;
-                let walk = cell.get_or_init(|| {
-                    computed = true;
-                    Arc::new(self.walk(config))
-                });
-                if !computed {
-                    obs::metrics::counter("study_walk_hits_total").inc();
-                }
-                Arc::clone(walk)
-            }
-            None => Arc::new(self.walk(config)),
+        let mut walked = false;
+        let preset = InferenceConfig::baseline().visibility_threshold.to_bits()
+            == config.visibility_threshold.to_bits();
+        let mut walk = || {
+            walked = true;
+            obs::metrics::counter("study_walk_misses_total").inc();
+            walk_days(PipelineInput::Days(&self.days), self.world.span, config)
         };
+        let result = match (preset, config.filter_intra_org) {
+            (true, false) => Arc::clone(self.shared.baseline_walk.get_or_init(|| Arc::new(walk()))),
+            (true, true) => Arc::clone(self.shared.intra_org_filtered.get_or_init(|| {
+                let baseline = self.shared.baseline_walk.get_or_init(|| Arc::new(walk()));
+                Arc::new(baseline.without_intra_org(&self.as2org))
+            })),
+            (false, false) => Arc::new(walk()),
+            (false, true) => Arc::new(walk().without_intra_org(&self.as2org)),
+        };
+        if !walked {
+            obs::metrics::counter("study_walk_hits_total").inc();
+        }
         match config.consistency_fill_days {
-            Some(max_gap) => Arc::new(walk.filled(max_gap)),
-            None => walk,
+            Some(max_gap) => Arc::new(result.filled(max_gap)),
+            None => result,
         }
-    }
-
-    /// The memo slot for `config`'s walk, if it is a preset's walk.
-    fn shared_walk(&self, config: &InferenceConfig) -> Option<&OnceLock<Arc<DailyDelegations>>> {
-        let preset = InferenceConfig::baseline();
-        if config.visibility_threshold.to_bits() != preset.visibility_threshold.to_bits() {
-            return None;
-        }
-        Some(if config.filter_intra_org {
-            &self.shared.extended_walk
-        } else {
-            &self.shared.baseline_walk
-        })
-    }
-
-    fn walk(&self, config: &InferenceConfig) -> DailyDelegations {
-        obs::metrics::counter("study_walk_misses_total").inc();
-        walk_days(
-            PipelineInput::Days(&self.days),
-            self.world.span,
-            config,
-            Some(&self.as2org),
-        )
     }
 
     /// The §4 RDAP extraction on the span's last day: the WHOIS

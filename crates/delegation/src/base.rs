@@ -5,7 +5,6 @@ use bgpsim::observe::{ObservationDay, RouteObservation};
 use nettypes::asn::{Asn, Origin};
 use nettypes::bogons::{route_is_clean, BogonFilter};
 use nettypes::prefix::Prefix;
-use nettypes::trie::PrefixTrie;
 use serde::{Deserialize, Serialize};
 
 /// An inferred delegation `P'_{S,T}`: S originates the covering P and
@@ -46,7 +45,7 @@ pub fn visible_prefix_origins(
     config: &InferenceConfig,
 ) -> Vec<(Prefix, Asn)> {
     let threshold = visibility_threshold(config, day.num_monitors);
-    let bogons = BogonFilter::new();
+    let bogons = BogonFilter::shared();
     let mut rows: Vec<&RouteObservation> = day.routes.iter().collect();
     rows.sort_unstable_by_key(|r| r.prefix);
     let mut out = Vec::new();
@@ -56,7 +55,7 @@ pub fn visible_prefix_origins(
         let (group, tail) = rest.split_at(rest.partition_point(|r| r.prefix == p));
         rest = tail;
         let group = group.iter().map(|r| (&r.origin, r.monitors_seen, &r.path[..]));
-        if let Some(a) = origin_for_prefix(&bogons, threshold, p, group) {
+        if let Some(a) = origin_for_prefix(bogons, threshold, p, group) {
             out.push((p, a));
         }
     }
@@ -103,23 +102,45 @@ pub fn origin_for_prefix<'a>(
 /// Step (iv) on already-reduced pairs: the delegator of P' is the
 /// origin of the *most specific* covering prefix with a different
 /// origin. Output is sorted, so pair order does not matter.
+///
+/// One sweep in `(network, len)` order, where every prefix comes after
+/// the prefixes covering it, keeps the chain of ancestors of the
+/// current pair on a stack. Unsorted input is stable-sorted first, so
+/// of two pairs with the same prefix both are inferred and the later
+/// one is the ancestor of their more-specifics.
 pub fn infer_from_pairs(pairs: &[(Prefix, Asn)]) -> Vec<Delegation> {
-    let trie: PrefixTrie<Asn> = pairs.iter().map(|&(p, a)| (p, a)).collect();
+    let sorted;
+    let pairs = if pairs.is_sorted_by_key(|&(p, _)| p) {
+        pairs
+    } else {
+        let mut copy = pairs.to_vec();
+        copy.sort_by_key(|&(p, _)| p);
+        sorted = copy;
+        &sorted[..]
+    };
 
     let mut out = Vec::new();
+    let mut ancestors: Vec<(Prefix, Asn)> = Vec::new();
     for &(prefix, delegatee) in pairs {
-        let covering = trie.covering(&prefix);
-        for (parent, &delegator) in covering.into_iter().rev() {
-            if delegator != delegatee {
-                out.push(Delegation {
-                    prefix,
-                    parent,
-                    delegator,
-                    delegatee,
-                });
-                break;
-            }
+        while ancestors
+            .last()
+            .is_some_and(|(top, _)| !top.covers_strictly(&prefix))
+        {
+            ancestors.pop();
         }
+        let delegator = ancestors
+            .iter()
+            .rev()
+            .find(|&&(_, origin)| origin != delegatee);
+        if let Some(&(parent, delegator)) = delegator {
+            out.push(Delegation {
+                prefix,
+                parent,
+                delegator,
+                delegatee,
+            });
+        }
+        ancestors.push((prefix, delegatee));
     }
     out.sort();
     out

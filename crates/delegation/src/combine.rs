@@ -34,7 +34,7 @@ pub struct SourceAttribution {
 impl SourceAttribution {
     /// Number of agreeing sources.
     pub fn count(&self) -> u8 {
-        self.bgp as u8 + self.rpki as u8 + self.rdap as u8
+        u8::from(self.bgp) + u8::from(self.rpki) + u8::from(self.rdap)
     }
 }
 

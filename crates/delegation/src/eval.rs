@@ -6,11 +6,12 @@
 //! were inferred). This is the harness that validates the extensions
 //! actually improve the estimate.
 
+use crate::base::Delegation;
 use crate::pipeline::DailyDelegations;
 use bgpsim::scenario::LeaseWorld;
-use nettypes::date::Date;
+use nettypes::asn::Asn;
+use nettypes::prefix::Prefix;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Precision/recall of inferred delegations against the world's truth.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -56,31 +57,79 @@ impl TruthEvaluation {
     }
 }
 
+/// A delegation's identity for scoring: `(P', S, T)`.
+type Key = (Prefix, Asn, Asn);
+
 /// Score a pipeline result day by day against the world's ground
 /// truth. A true positive requires matching (prefix, delegator,
 /// delegatee) of an *active, announced* lease on that day.
+///
+/// Every inferred delegation counts once, as a true or a false
+/// positive; a false negative is a true key no inferred delegation
+/// matches that day. The truth is one sweep over the span: each
+/// announced lease enters the active set on its first day in the span
+/// and leaves after its last, and each day's sorted keys are merged
+/// against the sorted active set.
 pub fn evaluate_against_truth(world: &LeaseWorld, result: &DailyDelegations) -> TruthEvaluation {
     let sp = obs::span!("truth_eval", unit = "days");
     sp.add_items(result.days.len() as u64);
+    let last_day = result.days.len() as i64 - 1;
+    // (span day index, key) of each lease entering and leaving.
+    let mut enter: Vec<(i64, Key)> = Vec::new();
+    let mut leave: Vec<(i64, Key)> = Vec::new();
+    for l in world.leases.iter().filter(|l| l.announced && !l.aggregated) {
+        let first = (l.active.start - result.start).max(0);
+        let last = (l.active.end - result.start).min(last_day);
+        if first <= last {
+            let key = (l.prefix, l.delegator_asn, l.delegatee_asn);
+            enter.push((first, key));
+            leave.push((last + 1, key));
+        }
+    }
+    enter.sort_unstable();
+    leave.sort_unstable();
+    let (mut enter, mut leave) = (enter.into_iter().peekable(), leave.into_iter().peekable());
+
     let mut eval = TruthEvaluation::default();
-    for (i, day) in result.days.iter().enumerate() {
-        let date: Date = result.start + i as i64;
-        let truth: HashSet<(nettypes::prefix::Prefix, nettypes::asn::Asn, nettypes::asn::Asn)> =
-            world
-                .true_bgp_delegations_on(date)
-                .into_iter()
-                .collect();
-        let mut matched: HashSet<_> = HashSet::new();
-        for d in day {
-            let key = (d.prefix, d.delegator, d.delegatee);
-            if truth.contains(&key) {
+    // The distinct keys of the leases active today, sorted, each with
+    // its number of leases.
+    let mut active: Vec<(Key, u32)> = Vec::new();
+    let mut inferred: Vec<Key> = Vec::new();
+    for (i, day) in (0i64..).zip(&result.days) {
+        while let Some((_, key)) = leave.next_if(|&(d, _)| d == i) {
+            if let Ok(at) = active.binary_search_by_key(&key, |&(k, _)| k) {
+                active[at].1 -= 1;
+                if active[at].1 == 0 {
+                    active.remove(at);
+                }
+            }
+        }
+        while let Some((_, key)) = enter.next_if(|&(d, _)| d == i) {
+            match active.binary_search_by_key(&key, |&(k, _)| k) {
+                Ok(at) => active[at].1 += 1,
+                Err(at) => active.insert(at, (key, 1)),
+            }
+        }
+
+        inferred.clear();
+        inferred.extend(day.iter().map(Delegation::key));
+        inferred.sort_unstable();
+        let mut truth = active.iter().map(|&(k, _)| k).peekable();
+        let mut matched = 0;
+        let mut last_match = None;
+        for &key in &inferred {
+            while truth.next_if(|&k| k < key).is_some() {}
+            if truth.peek() == Some(&key) {
                 eval.true_positives += 1;
-                matched.insert(key);
+                if last_match != Some(key) {
+                    matched += 1;
+                    last_match = Some(key);
+                }
             } else {
                 eval.false_positives += 1;
             }
         }
-        eval.false_negatives += (truth.len() - matched.len()) as u64;
+        eval.false_negatives += (active.len() - matched) as u64;
     }
     eval
 }

@@ -2,24 +2,22 @@
 
 use crate::as2org::As2OrgSeries;
 use crate::base::Delegation;
-use nettypes::asn::Asn;
 use nettypes::date::Date;
-use nettypes::prefix::Prefix;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Extension (iv): remove delegations between ASes of the same
 /// organization, using the AS-to-Org snapshot applicable to `day`
 /// ("the next available snapshot"). Returns the surviving delegations
 /// and the number removed.
 pub fn filter_intra_org(
-    delegations: Vec<Delegation>,
+    delegations: &[Delegation],
     as2org: &As2OrgSeries,
     day: Date,
 ) -> (Vec<Delegation>, usize) {
     let before = delegations.len();
     let kept: Vec<Delegation> = delegations
-        .into_iter()
+        .iter()
         .filter(|d| !as2org.same_org(day, d.delegator, d.delegatee))
+        .copied()
         .collect();
     let removed = before - kept.len();
     (kept, removed)
@@ -34,64 +32,53 @@ pub fn filter_intra_org(
 ///
 /// Input and output are day-indexed delegation sets (`days[i]`
 /// corresponds to `start + i`).
-pub fn consistency_fill(
-    days: &[Vec<Delegation>],
-    max_gap_days: usize,
-) -> Vec<Vec<Delegation>> {
-    let n = days.len();
-    // Key → sorted day indices where the key is observed.
-    let mut observed: BTreeMap<(Prefix, Asn, Asn), Vec<usize>> = BTreeMap::new();
-    // Full Delegation by key (parent may differ slightly between days;
-    // keep the first).
-    let mut canonical: BTreeMap<(Prefix, Asn, Asn), Delegation> = BTreeMap::new();
-    // Prefix → per-day delegatee sets for conflict checks.
-    let mut by_prefix: BTreeMap<Prefix, Vec<Vec<Asn>>> = BTreeMap::new();
-
-    for (di, day) in days.iter().enumerate() {
-        for d in day {
-            let key = d.key();
-            observed.entry(key).or_default().push(di);
-            canonical.entry(key).or_insert(*d);
-            let slots = by_prefix
-                .entry(d.prefix)
-                .or_insert_with(|| vec![Vec::new(); n]);
-            if !slots[di].contains(&d.delegatee) {
-                slots[di].push(d.delegatee);
-            }
-        }
-    }
-
-    // Collect fills.
-    let mut fills: Vec<(usize, Delegation)> = Vec::new();
-    for (key, day_idxs) in &observed {
-        let (prefix, _s, t) = *key;
-        let slots = &by_prefix[&prefix];
-        let delegation = canonical[key];
-        for w in day_idxs.windows(2) {
-            let (x, y) = (w[0], w[1]);
-            if y - x <= 1 || y - x > max_gap_days {
-                continue;
-            }
-            // Conflict check in (x, y) exclusive.
-            let conflict = (x + 1..y).any(|di| slots[di].iter().any(|&tt| tt != t));
-            if conflict {
-                continue;
-            }
-            for di in x + 1..y {
-                fills.push((di, delegation));
-            }
-        }
-    }
-
-    // Apply fills (dedup against existing entries).
-    let mut out: Vec<Vec<Delegation>> = days.to_vec();
-    let mut present: Vec<BTreeSet<(Prefix, Asn, Asn)>> = days
+///
+/// One stable sort puts every observation in `(P', day)` order. Each
+/// prefix's observations are then scanned once, one day at a time,
+/// with a cursor per key: the day the key was last seen and whether a
+/// conflicting delegatee has appeared since. A filled day lies
+/// strictly between two consecutive observations of its key, so the
+/// key is never already present there.
+pub fn consistency_fill(days: &[Vec<Delegation>], max_gap_days: usize) -> Vec<Vec<Delegation>> {
+    let mut observations: Vec<(usize, &Delegation)> = days
         .iter()
-        .map(|d| d.iter().map(Delegation::key).collect())
+        .enumerate()
+        .flat_map(|(di, day)| day.iter().map(move |d| (di, d)))
         .collect();
-    for (di, d) in fills {
-        if present[di].insert(d.key()) {
-            out[di].push(d);
+    observations.sort_by_key(|&(di, d)| (d.prefix, di));
+
+    let mut out: Vec<Vec<Delegation>> = days.to_vec();
+    let mut cursors: Vec<KeyCursor> = Vec::new();
+    for group in observations.chunk_by(|a, b| a.1.prefix == b.1.prefix) {
+        cursors.clear();
+        for on_day in group.chunk_by(|a, b| a.0 == b.0) {
+            let day = on_day[0].0;
+            // The first observation of a key is its canonical form
+            // (the parent may differ between days).
+            for &(_, d) in on_day {
+                if !cursors.iter().any(|c| c.is(d)) {
+                    cursors.push(KeyCursor {
+                        delegation: *d,
+                        last_seen: day,
+                        conflict: false,
+                    });
+                }
+            }
+            for c in &mut cursors {
+                if !on_day.iter().any(|&(_, d)| c.is(d)) {
+                    let t = c.delegation.delegatee;
+                    c.conflict |= on_day.iter().any(|&(_, d)| d.delegatee != t);
+                    continue;
+                }
+                let gap = day - c.last_seen;
+                if gap > 1 && gap <= max_gap_days && !c.conflict {
+                    for filled in &mut out[c.last_seen + 1..day] {
+                        filled.push(c.delegation);
+                    }
+                }
+                c.last_seen = day;
+                c.conflict = false;
+            }
         }
     }
     for day in &mut out {
@@ -100,9 +87,26 @@ pub fn consistency_fill(
     out
 }
 
+/// One key's state while [`consistency_fill`] scans its prefix.
+struct KeyCursor {
+    /// The key's first observation.
+    delegation: Delegation,
+    /// The last day the key was observed.
+    last_seen: usize,
+    /// Whether the prefix went to another delegatee since `last_seen`.
+    conflict: bool,
+}
+
+impl KeyCursor {
+    fn is(&self, d: &Delegation) -> bool {
+        d.key() == self.delegation.key()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nettypes::asn::Asn;
     use nettypes::date::date;
     use nettypes::prefix::pfx;
     use registry::org::OrgId;
@@ -126,7 +130,7 @@ mod tests {
                 .collect(),
         );
         let delegs = vec![deleg("64.0.1.0/24", 1, 2), deleg("64.0.2.0/24", 1, 3)];
-        let (kept, removed) = filter_intra_org(delegs, &s, date("2017-12-15"));
+        let (kept, removed) = filter_intra_org(&delegs, &s, date("2017-12-15"));
         assert_eq!(removed, 1);
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].delegatee, Asn(3));

@@ -6,12 +6,12 @@
 //! (i)–(iv), apply extension (iv) per day and extension (v) across
 //! days.
 //!
-//! [`run_pipeline`] is two stages. [`walk_days`] is the per-day walk,
-//! steps (i)–(iv) plus extension (iv); [`DailyDelegations::filled`] is
-//! extension (v) over a walk's output. The walk depends only on
-//! `visibility_threshold` and `filter_intra_org`, so callers that try
-//! several fill windows over one set of observations can walk once
-//! and fill per window.
+//! [`run_pipeline`] is three stages. [`walk_days`] is the per-day
+//! walk, steps (i)–(iv); [`DailyDelegations::without_intra_org`] is
+//! extension (iv) and [`DailyDelegations::filled`] extension (v) over
+//! a walk's output. The walk depends only on `visibility_threshold`,
+//! so callers that try both algorithms or several fill windows over
+//! one set of observations can walk once per threshold.
 //!
 //! Both inputs go through one walk. The span is split into one
 //! contiguous day range per worker (`bgpsim::par::chunk_ranges`); each
@@ -71,6 +71,31 @@ impl DailyDelegations {
         self.days.get(idx as usize).map(Vec::as_slice)
     }
 
+    /// Extension (iv) over a walk's output: the same result without
+    /// the delegations between ASes of one organization on each day
+    /// (see [`filter_intra_org`]), adding their number to
+    /// `intra_org_removed`.
+    pub fn without_intra_org(&self, as2org: &As2OrgSeries) -> DailyDelegations {
+        let sp = obs::span!("intra_org_filter", unit = "days");
+        sp.add_items(self.days.len() as u64);
+        let mut removed = 0;
+        let days = (0i64..)
+            .zip(&self.days)
+            .map(|(i, day)| {
+                let (kept, n) = filter_intra_org(day, as2org, self.start + i);
+                removed += n;
+                kept
+            })
+            .collect();
+        DailyDelegations {
+            start: self.start,
+            days,
+            fallback_days: self.fallback_days.clone(),
+            missing_days: self.missing_days.clone(),
+            intra_org_removed: self.intra_org_removed + removed,
+        }
+    }
+
     /// Extension (v) over a walk's output: the same result with every
     /// gap of at most `max_gap` days filled (see [`consistency_fill`]).
     pub fn filled(&self, max_gap: usize) -> DailyDelegations {
@@ -94,7 +119,6 @@ enum DayRows<'a> {
     /// the sweep reports changed.
     Sweep {
         sweep: Box<ObservationSweep<'a>>,
-        bogons: BogonFilter,
         pairs: BTreeMap<Prefix, Asn>,
     },
     /// Every day reduced from scratch.
@@ -106,7 +130,6 @@ impl<'a> DayRows<'a> {
         match input {
             PipelineInput::MrtArchive(archive) => DayRows::Sweep {
                 sweep: Box::new(archive.sweep()),
-                bogons: BogonFilter::new(),
                 pairs: BTreeMap::new(),
             },
             PipelineInput::Days(days) => DayRows::Days(days),
@@ -123,15 +146,11 @@ impl<'a> DayRows<'a> {
         i: usize,
         d: Date,
     ) -> Option<(Vec<(Prefix, Asn)>, bool)> {
-        let (sweep, bogons, pairs) = match self {
+        let (sweep, pairs) = match self {
             DayRows::Days(days) => {
                 return days.get(i).map(|day| (visible_prefix_origins(day, config), false));
             }
-            DayRows::Sweep {
-                sweep,
-                bogons,
-                pairs,
-            } => (sweep, bogons, pairs),
+            DayRows::Sweep { sweep, pairs } => (sweep, pairs),
         };
         let delta = sweep.advance(d).ok()?;
         // The threshold moves only with the peer table, and a
@@ -139,7 +158,7 @@ impl<'a> DayRows<'a> {
         let threshold = visibility_threshold(config, sweep.num_monitors());
         for p in delta.changed {
             let rows = sweep.routes_for(p).map(|(o, seen)| (o, seen, &[][..]));
-            match origin_for_prefix(bogons, threshold, p, rows) {
+            match origin_for_prefix(BogonFilter::shared(), threshold, p, rows) {
                 Some(a) => pairs.insert(p, a),
                 None => pairs.remove(&p),
             };
@@ -154,13 +173,13 @@ enum DayOutcome {
     Missing,
     Served {
         delegations: Vec<Delegation>,
-        removed: usize,
         fallback: bool,
     },
 }
 
-/// Run the pipeline over `span`: the walk, then the consistency fill
-/// when `config.consistency_fill_days` is set.
+/// Run the pipeline over `span`: the walk, then extension (iv) when
+/// `config.filter_intra_org` is set, then extension (v) when
+/// `config.consistency_fill_days` is set.
 ///
 /// `as2org` is required when `config.filter_intra_org` is set; pass
 /// `None` to reproduce the baseline.
@@ -170,31 +189,31 @@ pub fn run_pipeline(
     config: &InferenceConfig,
     as2org: Option<&As2OrgSeries>,
 ) -> DailyDelegations {
-    let walk = walk_days(input, span, config, as2org);
+    let as2org = as2org.filter(|_| config.filter_intra_org);
+    assert!(
+        !config.filter_intra_org || as2org.is_some(),
+        "extension (iv) requires an AS-to-Org series"
+    );
+    let walk = walk_days(input, span, config);
+    let walk = match as2org {
+        Some(as2org) => walk.without_intra_org(as2org),
+        None => walk,
+    };
     match config.consistency_fill_days {
         Some(max_gap) => walk.filled(max_gap),
         None => walk,
     }
 }
 
-/// The per-day walk over `span`: steps (i)–(iv) and extension (iv).
-/// `config.consistency_fill_days` is ignored; apply extension (v) with
+/// The per-day walk over `span`: steps (i)–(iv). Only
+/// `config.visibility_threshold` is read; apply extension (iv) with
+/// [`DailyDelegations::without_intra_org`] and extension (v) with
 /// [`DailyDelegations::filled`].
-///
-/// `as2org` is required when `config.filter_intra_org` is set, and
-/// ignored otherwise.
 pub fn walk_days(
     input: PipelineInput<'_>,
     span: DateRange,
     config: &InferenceConfig,
-    as2org: Option<&As2OrgSeries>,
 ) -> DailyDelegations {
-    assert!(
-        !config.filter_intra_org || as2org.is_some(),
-        "extension (iv) requires an AS-to-Org series"
-    );
-    let as2org = as2org.filter(|_| config.filter_intra_org);
-
     let sp = obs::span!("delegation_inference", days = span.num_days() as u64, unit = "days");
     sp.add_items(span.num_days() as u64);
 
@@ -211,14 +230,8 @@ pub fn walk_days(
             let Some((pairs, fallback)) = rows.pairs(config, i, d) else {
                 return DayOutcome::Missing;
             };
-            let mut delegations = infer_from_pairs(&pairs);
-            let mut removed = 0;
-            if let Some(as2org) = as2org {
-                (delegations, removed) = filter_intra_org(delegations, as2org, d);
-            }
             DayOutcome::Served {
-                delegations,
-                removed,
+                delegations: infer_from_pairs(&pairs),
                 fallback,
             }
         })
@@ -229,7 +242,6 @@ pub fn walk_days(
     let mut days: Vec<Vec<Delegation>> = Vec::with_capacity(n);
     let mut fallback_days = Vec::new();
     let mut missing_days = Vec::new();
-    let mut intra_org_removed = 0usize;
     for (i, outcome) in per_day.into_iter().enumerate() {
         match outcome {
             DayOutcome::Missing => {
@@ -238,13 +250,11 @@ pub fn walk_days(
             }
             DayOutcome::Served {
                 delegations,
-                removed,
                 fallback,
             } => {
                 if fallback {
                     fallback_days.push(days_vec[i]);
                 }
-                intra_org_removed += removed;
                 days.push(delegations);
             }
         }
@@ -262,7 +272,7 @@ pub fn walk_days(
         days,
         fallback_days,
         missing_days,
-        intra_org_removed,
+        intra_org_removed: 0,
     }
 }
 
@@ -403,7 +413,7 @@ mod tests {
             consistency_fill_days: Some(10),
             ..InferenceConfig::baseline()
         };
-        let walk = walk_days(PipelineInput::Days(&days), w.span, &filled, None);
+        let walk = walk_days(PipelineInput::Days(&days), w.span, &filled);
         let unfilled = run_pipeline(
             PipelineInput::Days(&days),
             w.span,

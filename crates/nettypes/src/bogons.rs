@@ -7,30 +7,35 @@
 
 use crate::asn::Asn;
 use crate::prefix::Prefix;
-use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// The IANA special-purpose IPv4 registry entries (the "full bogon"
-/// prefix list as distributed by Team Cymru's bogon reference).
+/// prefix list as distributed by Team Cymru's bogon reference), as
+/// `(network, length)`.
+const BOGON_TABLE: [(u32, u8); 14] = [
+    (0x0000_0000, 8),  // 0.0.0.0/8, "this network", RFC 791
+    (0x0A00_0000, 8),  // 10.0.0.0/8, private, RFC 1918
+    (0x6440_0000, 10), // 100.64.0.0/10, CGN shared space, RFC 6598
+    (0x7F00_0000, 8),  // 127.0.0.0/8, loopback, RFC 1122
+    (0xA9FE_0000, 16), // 169.254.0.0/16, link local, RFC 3927
+    (0xAC10_0000, 12), // 172.16.0.0/12, private, RFC 1918
+    (0xC000_0000, 24), // 192.0.0.0/24, IETF protocol assignments, RFC 6890
+    (0xC000_0200, 24), // 192.0.2.0/24, TEST-NET-1, RFC 5737
+    (0xC0A8_0000, 16), // 192.168.0.0/16, private, RFC 1918
+    (0xC612_0000, 15), // 198.18.0.0/15, benchmarking, RFC 2544
+    (0xC633_6400, 24), // 198.51.100.0/24, TEST-NET-2, RFC 5737
+    (0xCB00_7100, 24), // 203.0.113.0/24, TEST-NET-3, RFC 5737
+    (0xE000_0000, 4),  // 224.0.0.0/4, multicast, RFC 5771
+    (0xF000_0000, 4),  // 240.0.0.0/4, reserved, RFC 1112
+];
+
+/// The bogon table as prefixes. Every entry is canonical, so none is
+/// dropped (`tests::table_matches_the_cidr_strings` pins all 14).
 pub fn bogon_prefixes() -> Vec<Prefix> {
-    [
-        "0.0.0.0/8",        // "this network", RFC 791
-        "10.0.0.0/8",       // private, RFC 1918
-        "100.64.0.0/10",    // CGN shared space, RFC 6598
-        "127.0.0.0/8",      // loopback, RFC 1122
-        "169.254.0.0/16",   // link local, RFC 3927
-        "172.16.0.0/12",    // private, RFC 1918
-        "192.0.0.0/24",     // IETF protocol assignments, RFC 6890
-        "192.0.2.0/24",     // TEST-NET-1, RFC 5737
-        "192.168.0.0/16",   // private, RFC 1918
-        "198.18.0.0/15",    // benchmarking, RFC 2544
-        "198.51.100.0/24",  // TEST-NET-2, RFC 5737
-        "203.0.113.0/24",   // TEST-NET-3, RFC 5737
-        "224.0.0.0/4",      // multicast, RFC 5771
-        "240.0.0.0/4",      // reserved, RFC 1112
-    ]
-    .iter()
-    .map(|s| s.parse().expect("static bogon table"))
-    .collect()
+    BOGON_TABLE
+        .iter()
+        .filter_map(|&(network, len)| Prefix::new(network, len).ok())
+        .collect()
 }
 
 /// A compiled bogon filter for fast per-route checks.
@@ -53,13 +58,18 @@ impl BogonFilter {
         }
     }
 
+    /// The process-wide filter, built on first use.
+    pub fn shared() -> &'static BogonFilter {
+        static SHARED: OnceLock<BogonFilter> = OnceLock::new();
+        SHARED.get_or_init(BogonFilter::new)
+    }
+
     /// True if the prefix overlaps any bogon block (i.e. the route must
     /// be discarded). Rejections are counted
     /// (`bogon_routes_dropped_total`); the accept path stays untouched.
     pub fn is_bogon(&self, prefix: &Prefix) -> bool {
         let hit = self.bogons.iter().any(|b| b.overlaps(prefix));
         if hit {
-            use std::sync::OnceLock;
             static DROPPED: OnceLock<std::sync::Arc<obs::metrics::Counter>> = OnceLock::new();
             DROPPED
                 .get_or_init(|| obs::metrics::counter("bogon_routes_dropped_total"))
@@ -76,20 +86,10 @@ pub fn path_has_reserved_asn(path: &[Asn]) -> bool {
 
 /// True if the AS path contains a loop: the same ASN appearing in two
 /// non-contiguous runs (legitimate prepending — the same ASN repeated
-/// consecutively — is not a loop).
+/// consecutively — is not a loop). A hop that starts a new run is a
+/// loop when its ASN already occurs earlier in the path.
 pub fn path_has_loop(path: &[Asn]) -> bool {
-    let mut seen: HashSet<Asn> = HashSet::new();
-    let mut prev: Option<Asn> = None;
-    for &asn in path {
-        if prev == Some(asn) {
-            continue; // prepending
-        }
-        if !seen.insert(asn) {
-            return true;
-        }
-        prev = Some(asn);
-    }
-    false
+    (1..path.len()).any(|i| path[i] != path[i - 1] && path[..i - 1].contains(&path[i]))
 }
 
 /// The full route-sanitization predicate from §4 of the paper: keep a
@@ -121,6 +121,56 @@ mod tests {
         assert!(!f.is_bogon(&pfx("193.0.0.0/21"))); // RIPE NCC
         assert!(!f.is_bogon(&pfx("8.8.8.0/24")));
         assert!(!f.is_bogon(&pfx("1.0.0.0/24")));
+    }
+
+    #[test]
+    fn table_matches_the_cidr_strings() {
+        let cidrs = [
+            "0.0.0.0/8",
+            "10.0.0.0/8",
+            "100.64.0.0/10",
+            "127.0.0.0/8",
+            "169.254.0.0/16",
+            "172.16.0.0/12",
+            "192.0.0.0/24",
+            "192.0.2.0/24",
+            "192.168.0.0/16",
+            "198.18.0.0/15",
+            "198.51.100.0/24",
+            "203.0.113.0/24",
+            "224.0.0.0/4",
+            "240.0.0.0/4",
+        ];
+        let parsed: Vec<Prefix> = cidrs.iter().map(|s| pfx(s)).collect();
+        assert_eq!(bogon_prefixes(), parsed);
+    }
+
+    /// The set-based loop check: remember every ASN run seen so far.
+    fn path_has_loop_oracle(path: &[Asn]) -> bool {
+        let mut seen = std::collections::HashSet::new();
+        let mut prev = None;
+        for &asn in path {
+            if prev == Some(asn) {
+                continue; // prepending
+            }
+            if !seen.insert(asn) {
+                return true;
+            }
+            prev = Some(asn);
+        }
+        false
+    }
+
+    proptest::proptest! {
+        /// Paths over a 4-ASN alphabet, so prepending runs, loops and
+        /// loops through a prepended run are all common.
+        #[test]
+        fn prop_loop_check_matches_the_set_oracle(
+            hops in proptest::collection::vec(0u32..4, 0..10),
+        ) {
+            let path: Vec<Asn> = hops.iter().map(|&h| Asn(64_000 + h)).collect();
+            proptest::prop_assert_eq!(path_has_loop(&path), path_has_loop_oracle(&path));
+        }
     }
 
     #[test]

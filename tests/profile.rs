@@ -18,10 +18,15 @@ fn profile_all_walks_each_distinct_inference_once() {
             .filter(|l| l.split_whitespace().next() == Some(name))
             .count()
     };
-    // Fourteen pipeline runs, six distinct walks: the five thresholds
-    // of the sensitivity sweep plus the extended walk.
-    assert_eq!(spans("sweep_infer_days"), 6, "{report}");
-    assert!(report.contains("inference walks: 6 computed, 8 shared"), "{report}");
+    // Fourteen pipeline runs, five walks: one per threshold of the
+    // sensitivity sweep. The extended algorithm applies extension (iv)
+    // once to the walk at the paper's threshold.
+    assert_eq!(spans("sweep_infer_days"), 5, "{report}");
+    assert_eq!(spans("intra_org_filter"), 1, "{report}");
+    assert!(
+        report.contains("inference walks: 5 computed, 9 shared"),
+        "{report}"
+    );
     // One WHOIS snapshot and one RDAP extraction serve s4 and s7.
     assert_eq!(spans("whois_db_build"), 1, "{report}");
     assert_eq!(spans("rdap_extract"), 1, "{report}");
