@@ -24,6 +24,7 @@ use crate::study::StudyConfig;
 use bgpsim::observe::{render_days, ObservationDay, VisibilityModel};
 use bgpsim::scenario::LeaseWorld;
 use delegation::as2org::As2OrgSeries;
+use delegation::base::{reduce_days, ReducedDay};
 use delegation::config::InferenceConfig;
 use delegation::pipeline::{walk_days, DailyDelegations, PipelineInput};
 use rdap::database::{DbBuildConfig, WhoisDb};
@@ -49,12 +50,15 @@ pub struct BgpStudy {
 }
 
 /// The inference results several runners read, each computed at most
-/// once per study: the per-day walk at the paper's threshold, its
-/// extension (iv) result, and the RDAP extraction at the span's last
-/// day. Walks at other thresholds are not kept; each one holds
+/// once per study: the reduction of every day, which every walk reads
+/// whatever its threshold, the per-day walk at the paper's threshold,
+/// its extension (iv) result, and the RDAP extraction at the span's
+/// last day. Walks at other thresholds are not kept; each one holds
 /// megabytes of delegations at full scale.
 #[derive(Default)]
 struct SharedInference {
+    /// [`reduce_days`] over the study's days, 8 bytes per kept prefix.
+    reduced: OnceLock<Vec<ReducedDay>>,
     /// The walk of [`InferenceConfig::baseline`].
     baseline_walk: OnceLock<Arc<DailyDelegations>>,
     /// That walk with extension (iv) applied, the unfilled
@@ -79,7 +83,8 @@ impl BgpStudy {
     /// result are computed once per study and shared; a config without
     /// a fill window gets the shared result itself. Fill windows are
     /// applied per call, and a walk at any other threshold is computed
-    /// per call and not kept.
+    /// per call and not kept. Every walk reads one reduction of the
+    /// days, made by the first walk and kept with the study.
     pub fn delegations(&self, config: &InferenceConfig) -> Arc<DailyDelegations> {
         let mut walked = false;
         let preset = InferenceConfig::baseline().visibility_threshold.to_bits()
@@ -87,7 +92,12 @@ impl BgpStudy {
         let mut walk = || {
             walked = true;
             obs::metrics::counter("study_walk_misses_total").inc();
-            walk_days(PipelineInput::Days(&self.days), self.world.span, config)
+            let reduced = self.shared.reduced.get_or_init(|| reduce_days(&self.days));
+            let input = PipelineInput::Reduced {
+                days: &self.days,
+                reduced,
+            };
+            walk_days(input, self.world.span, config)
         };
         let result = match (preset, config.filter_intra_org) {
             (true, false) => Arc::clone(self.shared.baseline_walk.get_or_init(|| Arc::new(walk()))),

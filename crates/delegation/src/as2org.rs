@@ -79,11 +79,8 @@ impl As2OrgSeries {
     ) -> As2OrgSeries {
         let _span = obs::span!("as2org_build", every_days = every_days);
         let mut series = As2OrgSeries::new();
-        let mapping: HashMap<Asn, OrgId> = topology
-            .nodes()
-            .iter()
-            .map(|n| (n.asn, n.org))
-            .collect();
+        let mapping: HashMap<Asn, OrgId> =
+            topology.nodes().iter().map(|n| (n.asn, n.org)).collect();
         let mut d = start;
         while d <= end {
             series.insert_snapshot(d, mapping.clone());

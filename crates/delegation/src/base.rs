@@ -1,7 +1,7 @@
 //! Steps (i)–(iv) of the per-day inference.
 
 use crate::config::InferenceConfig;
-use bgpsim::observe::{ObservationDay, RouteObservation};
+use bgpsim::observe::ObservationDay;
 use nettypes::asn::{Asn, Origin};
 use nettypes::bogons::{route_is_clean, BogonFilter};
 use nettypes::prefix::Prefix;
@@ -36,30 +36,71 @@ pub(crate) fn visibility_threshold(config: &InferenceConfig, num_monitors: u16) 
     (config.visibility_threshold * num_monitors as f64).ceil() as u16
 }
 
-/// Sanitize and reduce a day's observations to globally-visible,
-/// single-origin prefix-origin pairs (steps i–iii plus the route
-/// sanitization from §4: no bogons, no reserved ASNs, no AS-path
-/// loops), sorted by prefix.
-pub fn visible_prefix_origins(
-    day: &ObservationDay,
-    config: &InferenceConfig,
-) -> Vec<(Prefix, Asn)> {
-    let threshold = visibility_threshold(config, day.num_monitors);
-    let bogons = BogonFilter::shared();
-    let mut rows: Vec<&RouteObservation> = day.routes.iter().collect();
-    rows.sort_unstable_by_key(|r| r.prefix);
-    let mut out = Vec::new();
-    let mut rest = &rows[..];
-    while let Some(first) = rest.first() {
-        let p = first.prefix;
-        let (group, tail) = rest.split_at(rest.partition_point(|r| r.prefix == p));
-        rest = tail;
-        let group = group.iter().map(|r| (&r.origin, r.monitors_seen, &r.path[..]));
-        if let Some(a) = origin_for_prefix(bogons, threshold, p, group) {
-            out.push((p, a));
+/// The §4 route sanitization of one row, which no threshold changes:
+/// a single-origin row is dropped when its route is not clean (bogon
+/// prefix, reserved ASN or loop on the path) or its origin is
+/// reserved. AS_SET rows are all kept, clean or not: a visible one
+/// drops its prefix (step (iii)).
+fn row_is_kept(bogons: &BogonFilter, prefix: &Prefix, origin: &Origin, path: &[Asn]) -> bool {
+    match origin {
+        Origin::Set(_) => true,
+        Origin::Single(asn) => route_is_clean(bogons, prefix, path) && !asn.is_reserved(),
+    }
+}
+
+/// The two monitor counts that decide steps (ii) and (iii) for one
+/// prefix at every threshold: `best`, the count of the strongest clean
+/// origin, and `block`, the highest count of any AS_SET row or of any
+/// clean row with another origin.
+#[derive(Clone, Copy, Debug)]
+struct Visibility {
+    best: u16,
+    block: u16,
+}
+
+impl Visibility {
+    /// Whether the strongest origin survives at `threshold` monitors:
+    /// it is visible and nothing that would drop the prefix is. With
+    /// `t = max(threshold, 1)` that is `best >= t > block`.
+    fn at(self, threshold: u16) -> bool {
+        let t = threshold.max(1);
+        self.best >= t && self.block < t
+    }
+}
+
+/// Fold one prefix's kept rows `(key, origin, monitors seen)`, in any
+/// order, into its strongest origin, the key of that origin's first
+/// row with the highest count, and the [`Visibility`] counts. `None`
+/// when no threshold keeps the prefix (`best <= block`).
+fn summarize<'a, K: Copy>(
+    rows: impl IntoIterator<Item = (K, &'a Origin, u16)>,
+) -> Option<(K, Asn, Visibility)> {
+    let mut top: Option<(K, Asn, u16)> = None;
+    let mut block = 0;
+    for (key, origin, seen) in rows {
+        let asn = match origin {
+            Origin::Set(_) => {
+                block = block.max(seen);
+                continue;
+            }
+            Origin::Single(asn) => *asn,
+        };
+        match top {
+            Some((_, a, best)) if a == asn => {
+                if seen > best {
+                    top = Some((key, asn, seen));
+                }
+            }
+            Some((_, _, best)) if seen <= best => block = block.max(seen),
+            Some((_, _, best)) => {
+                block = block.max(best);
+                top = Some((key, asn, seen));
+            }
+            None => top = Some((key, asn, seen)),
         }
     }
-    out
+    let (key, origin, best) = top?;
+    (best > block).then_some((key, origin, Visibility { best, block }))
 }
 
 /// Steps (i)–(iii) for a single prefix, fed its observation rows
@@ -72,31 +113,103 @@ pub fn visible_prefix_origins(
 /// sanitization — bogon prefix, reserved ASN or loop on the path, or
 /// a reserved origin (archive rows carry no path) — are ignored. The
 /// result does not depend on row order.
+///
+/// The rows are summarized first, independently of the threshold, the
+/// way [`ReducedDay`] summarizes every prefix of a day.
 pub fn origin_for_prefix<'a>(
     bogons: &BogonFilter,
     threshold: u16,
     prefix: Prefix,
     rows: impl IntoIterator<Item = (&'a Origin, u16, &'a [Asn])>,
 ) -> Option<Asn> {
-    let mut origin = None;
-    for (o, seen, path) in rows {
-        if seen < threshold.max(1) {
-            continue; // step (ii)
-        }
-        match o {
-            Origin::Set(_) => return None, // step (iii), AS_SET
-            Origin::Single(asn) => {
-                if !route_is_clean(bogons, &prefix, path) || asn.is_reserved() {
-                    continue;
-                }
-                if origin.is_some_and(|a| a != *asn) {
-                    return None; // step (iii), MOAS
-                }
-                origin = Some(*asn);
-            }
+    let kept = rows
+        .into_iter()
+        .filter(|&(origin, _, path)| row_is_kept(bogons, &prefix, origin, path))
+        .map(|(origin, seen, _)| ((), origin, seen));
+    summarize(kept)
+        .filter(|&(_, _, vis)| vis.at(threshold))
+        .map(|(_, origin, _)| origin)
+}
+
+/// One observation day reduced for every visibility threshold at once:
+/// the sanitization and steps (i) and (iii) are done, step (ii) is
+/// [`ReducedDay::pairs`].
+///
+/// It holds one row per prefix that some threshold keeps, in prefix
+/// order: the index of the prefix's strongest route in `day.routes`
+/// and its [`Visibility`] counts, 8 bytes in all. Prefix and origin
+/// are read back from the route, so a reduced day is read against the
+/// day it was reduced from.
+#[derive(Clone, Debug)]
+pub struct ReducedDay {
+    /// `day.routes.len()` of the day it was reduced from.
+    routes: usize,
+    rows: Box<[ReducedRow]>,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct ReducedRow {
+    route: u32,
+    vis: Visibility,
+}
+
+impl ReducedDay {
+    /// Sanitize the day's rows, sort the kept ones by prefix and
+    /// summarize each prefix.
+    pub fn new(day: &ObservationDay) -> ReducedDay {
+        let bogons = BogonFilter::shared();
+        // A day's routes are in memory, so their count fits u32.
+        let mut kept: Vec<(Prefix, u32)> = (0u32..)
+            .zip(&day.routes)
+            .filter(|(_, r)| row_is_kept(bogons, &r.prefix, &r.origin, &r.path))
+            .map(|(i, r)| (r.prefix, i))
+            .collect();
+        kept.sort_unstable();
+        let rows: Vec<ReducedRow> = kept
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter_map(|group| {
+                let group = group.iter().map(|&(_, i)| {
+                    let r = &day.routes[i as usize];
+                    (i, &r.origin, r.monitors_seen)
+                });
+                summarize(group).map(|(route, _, vis)| ReducedRow { route, vis })
+            })
+            .collect();
+        ReducedDay {
+            routes: day.routes.len(),
+            rows: rows.into_boxed_slice(),
         }
     }
-    origin
+
+    /// Step (ii) at `config`'s visibility threshold: the surviving
+    /// prefix-origin pairs of `day`, the day this was reduced from, in
+    /// prefix order.
+    pub fn pairs(&self, day: &ObservationDay, config: &InferenceConfig) -> Vec<(Prefix, Asn)> {
+        assert_eq!(
+            day.routes.len(),
+            self.routes,
+            "a reduced day is read against the day it was reduced from"
+        );
+        let threshold = visibility_threshold(config, day.num_monitors);
+        self.rows
+            .iter()
+            .filter(|row| row.vis.at(threshold))
+            .filter_map(|row| {
+                let r = &day.routes[row.route as usize];
+                r.origin.as_single().map(|asn| (r.prefix, asn))
+            })
+            .collect()
+    }
+}
+
+/// Reduce every day (see [`ReducedDay::new`]), fanned out over the
+/// worker pool in contiguous day ranges.
+pub fn reduce_days(days: &[ObservationDay]) -> Vec<ReducedDay> {
+    let sp = obs::span!("reduce_days", days = days.len() as u64, unit = "days");
+    sp.add_items(days.len() as u64);
+    bgpsim::par::map_chunked(days.len(), bgpsim::par::num_threads(), |r| {
+        days[r].iter().map(ReducedDay::new).collect()
+    })
 }
 
 /// Step (iv) on already-reduced pairs: the delegator of P' is the
@@ -146,16 +259,16 @@ pub fn infer_from_pairs(pairs: &[(Prefix, Asn)]) -> Vec<Delegation> {
     out
 }
 
-/// Step (iv): infer delegations from the surviving prefix-origin
-/// pairs.
+/// Steps (i)–(iv) for one day: reduce it, keep the pairs visible at
+/// `config`'s threshold and infer delegations from them.
 pub fn infer_base_delegations(day: &ObservationDay, config: &InferenceConfig) -> Vec<Delegation> {
-    let pairs = visible_prefix_origins(day, config);
-    infer_from_pairs(&pairs)
+    infer_from_pairs(&ReducedDay::new(day).pairs(day, config))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgpsim::observe::RouteObservation;
     use nettypes::date::Date;
     use nettypes::prefix::pfx;
 
@@ -179,7 +292,10 @@ mod tests {
 
     #[test]
     fn basic_inference() {
-        let d = day(vec![obs("64.0.0.0/16", 1001, 40), obs("64.0.1.0/24", 1002, 38)]);
+        let d = day(vec![
+            obs("64.0.0.0/16", 1001, 40),
+            obs("64.0.1.0/24", 1002, 38),
+        ]);
         let cfg = InferenceConfig::baseline();
         let delegs = infer_base_delegations(&d, &cfg);
         assert_eq!(
@@ -253,18 +369,27 @@ mod tests {
         ]);
         let cfg = InferenceConfig::baseline();
         let delegs = infer_base_delegations(&d, &cfg);
-        let d24 = delegs.iter().find(|d| d.prefix == pfx("64.0.1.0/24")).unwrap();
+        let d24 = delegs
+            .iter()
+            .find(|d| d.prefix == pfx("64.0.1.0/24"))
+            .unwrap();
         assert_eq!(d24.delegator, Asn(1001));
         assert_eq!(d24.parent, pfx("64.0.0.0/16"));
         // The /16 itself is delegated by the /12.
-        let d16 = delegs.iter().find(|d| d.prefix == pfx("64.0.0.0/16")).unwrap();
+        let d16 = delegs
+            .iter()
+            .find(|d| d.prefix == pfx("64.0.0.0/16"))
+            .unwrap();
         assert_eq!(d16.delegator, Asn(1000));
     }
 
     #[test]
     fn same_origin_more_specific_is_not_a_delegation() {
         // Traffic engineering: same AS announces both.
-        let d = day(vec![obs("64.0.0.0/16", 1001, 40), obs("64.0.1.0/24", 1001, 38)]);
+        let d = day(vec![
+            obs("64.0.0.0/16", 1001, 40),
+            obs("64.0.1.0/24", 1001, 38),
+        ]);
         let cfg = InferenceConfig::baseline();
         assert!(infer_base_delegations(&d, &cfg).is_empty());
     }
@@ -279,7 +404,10 @@ mod tests {
         ]);
         let cfg = InferenceConfig::baseline();
         let delegs = infer_base_delegations(&d, &cfg);
-        let d24 = delegs.iter().find(|d| d.prefix == pfx("64.0.1.0/24")).unwrap();
+        let d24 = delegs
+            .iter()
+            .find(|d| d.prefix == pfx("64.0.1.0/24"))
+            .unwrap();
         assert_eq!(d24.delegator, Asn(1000));
         assert_eq!(d24.parent, pfx("64.0.0.0/12"));
     }
@@ -287,10 +415,10 @@ mod tests {
     #[test]
     fn bogon_and_reserved_asn_routes_sanitized() {
         let d = day(vec![
-            obs("10.0.0.0/8", 1001, 40),      // bogon prefix
-            obs("10.0.1.0/24", 1002, 38),     // bogon prefix
+            obs("10.0.0.0/8", 1001, 40),  // bogon prefix
+            obs("10.0.1.0/24", 1002, 38), // bogon prefix
             obs("64.0.0.0/16", 1001, 40),
-            obs("64.0.1.0/24", 64512, 38),    // reserved origin ASN
+            obs("64.0.1.0/24", 64512, 38), // reserved origin ASN
         ]);
         let cfg = InferenceConfig::baseline();
         assert!(infer_base_delegations(&d, &cfg).is_empty());
@@ -390,7 +518,11 @@ mod tests {
             obs("64.0.1.0/24", 1002, 10), // below threshold
             obs("64.1.0.0/16", 1003, 40),
         ]);
-        let pairs = visible_prefix_origins(&d, &InferenceConfig::baseline());
+        // The reduction keeps the /24 for lower thresholds; step (ii)
+        // at 50 % drops it.
+        let reduced = ReducedDay::new(&d);
+        assert_eq!(reduced.rows.len(), 3);
+        let pairs = reduced.pairs(&d, &InferenceConfig::baseline());
         assert_eq!(pairs.len(), 2);
     }
 }

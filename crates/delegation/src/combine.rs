@@ -88,11 +88,7 @@ impl CombinedEstimate {
                 .collect::<PrefixSet>()
                 .num_addresses()
         };
-        [
-            only(|a| a.bgp),
-            only(|a| a.rpki),
-            only(|a| a.rdap),
-        ]
+        [only(|a| a.bgp), only(|a| a.rpki), only(|a| a.rdap)]
     }
 
     /// Number of blocks seen by at least `k` sources.
@@ -119,11 +115,7 @@ pub struct MarketCoverage {
 
 /// Score an address set against the true leases active on `day`.
 pub fn market_coverage(world: &LeaseWorld, day: Date, estimate: &PrefixSet) -> MarketCoverage {
-    let truth: PrefixSet = world
-        .true_leases_on(day)
-        .iter()
-        .map(|l| l.prefix)
-        .collect();
+    let truth: PrefixSet = world.true_leases_on(day).iter().map(|l| l.prefix).collect();
     let captured = truth.intersection_size(estimate);
     let true_addresses = truth.num_addresses();
     let estimated_addresses = estimate.num_addresses();
@@ -205,9 +197,9 @@ mod tests {
     #[test]
     fn exclusive_contributions() {
         let est = CombinedEstimate::build(
-            &[bgp("64.0.1.0/24")],                     // BGP-only
-            &[rpki("64.0.2.0/23")],                    // RPKI-only, bigger
-            &[rdap("64.0.4.0 - 64.0.7.255")],          // RDAP-only /22
+            &[bgp("64.0.1.0/24")],            // BGP-only
+            &[rpki("64.0.2.0/23")],           // RPKI-only, bigger
+            &[rdap("64.0.4.0 - 64.0.7.255")], // RDAP-only /22
         );
         let [b, k, r] = est.exclusive_addresses();
         assert_eq!(b, 256);

@@ -34,10 +34,7 @@ pub struct CoverageReport {
 /// and the RDAP extraction.
 pub fn coverage_report(bgp: &[Delegation], rdap: &[RdapDelegation]) -> CoverageReport {
     let bgp_set: PrefixSet = bgp.iter().map(|d| d.prefix).collect();
-    let rdap_set: PrefixSet = rdap
-        .iter()
-        .flat_map(|d| d.child.to_cidrs())
-        .collect();
+    let rdap_set: PrefixSet = rdap.iter().flat_map(|d| d.child.to_cidrs()).collect();
     let intersection = bgp_set.intersection_size(&rdap_set);
     CoverageReport {
         bgp_addresses: bgp_set.num_addresses(),
@@ -83,8 +80,8 @@ mod tests {
     fn two_way_coverage() {
         let bgp_delegs = vec![bgp("64.0.1.0/24"), bgp("64.0.2.0/24")];
         let rdap_delegs = vec![
-            rd("64.0.1.0 - 64.0.1.255"),     // shared with BGP
-            rd("64.0.16.0 - 64.0.31.255"),   // RDAP-only /20
+            rd("64.0.1.0 - 64.0.1.255"),   // shared with BGP
+            rd("64.0.16.0 - 64.0.31.255"), // RDAP-only /20
         ];
         let r = coverage_report(&bgp_delegs, &rdap_delegs);
         assert_eq!(r.bgp_addresses, 512);

@@ -152,8 +152,8 @@ pub fn ablation_row(
     result: &DailyDelegations,
 ) -> AblationRow {
     let eval = evaluate_against_truth(world, result);
-    let mean = result.days.iter().map(Vec::len).sum::<usize>() as f64
-        / result.days.len().max(1) as f64;
+    let mean =
+        result.days.iter().map(Vec::len).sum::<usize>() as f64 / result.days.len().max(1) as f64;
     AblationRow {
         label: label.into(),
         eval,
@@ -215,12 +215,8 @@ mod tests {
     #[test]
     fn extended_beats_baseline() {
         let (w, days) = world_and_days();
-        let as2org = crate::as2org::As2OrgSeries::from_topology(
-            &w.topology,
-            w.span.start,
-            w.span.end,
-            90,
-        );
+        let as2org =
+            crate::as2org::As2OrgSeries::from_topology(&w.topology, w.span.start, w.span.end, 90);
         let base = run_pipeline(
             PipelineInput::Days(&days),
             w.span,

@@ -221,7 +221,11 @@ mod tests {
         let mut days = Vec::new();
         for i in 0..20 {
             let n = if i < 10 { 100 } else { 107 };
-            days.push((0..n).map(|j| deleg(&format!("64.{}.{}.0/24", j / 256, j % 256))).collect());
+            days.push(
+                (0..n)
+                    .map(|j| deleg(&format!("64.{}.{}.0/24", j / 256, j % 256)))
+                    .collect(),
+            );
         }
         let r = result(days);
         let s = summarize(&daily_metrics(&r), 10);

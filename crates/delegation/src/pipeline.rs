@@ -11,9 +11,13 @@
 //! extension (iv) and [`DailyDelegations::filled`] extension (v) over
 //! a walk's output. The walk depends only on `visibility_threshold`,
 //! so callers that try both algorithms or several fill windows over
-//! one set of observations can walk once per threshold.
+//! one set of observations can walk once per threshold. The walk over
+//! pre-rendered days reduces each day first (`base::ReducedDay`), and
+//! the reduction does not depend on the threshold either: callers
+//! that walk several thresholds reduce once (`base::reduce_days`) and
+//! pass [`PipelineInput::Reduced`].
 //!
-//! Both inputs go through one walk. The span is split into one
+//! Every input goes through one walk. The span is split into one
 //! contiguous day range per worker (`bgpsim::par::chunk_ranges`); each
 //! worker walks its days in order, and chunk results merge in day
 //! order before the sequential consistency fill, so any worker count
@@ -21,7 +25,7 @@
 
 use crate::as2org::As2OrgSeries;
 use crate::base::{
-    infer_from_pairs, origin_for_prefix, visibility_threshold, visible_prefix_origins, Delegation,
+    infer_from_pairs, origin_for_prefix, visibility_threshold, Delegation, ReducedDay,
 };
 use crate::config::InferenceConfig;
 use crate::extensions::{consistency_fill, filter_intra_org};
@@ -41,8 +45,19 @@ pub enum PipelineInput<'a> {
     /// daily `BGP4MP` update files, reconstructed per the paper's
     /// procedure (the most faithful input path).
     MrtArchive(&'a CollectorArchiveV2),
-    /// Pre-rendered observation days (index 0 = span start).
+    /// Pre-rendered observation days (index 0 = span start). The walk
+    /// reduces each day as it reaches it.
     Days(&'a [ObservationDay]),
+    /// Pre-rendered days with their reduction
+    /// ([`crate::base::reduce_days`]), for callers that walk the same
+    /// days at several thresholds. `reduced[i]` is the reduction of
+    /// `days[i]`.
+    Reduced {
+        /// The observation days (index 0 = span start).
+        days: &'a [ObservationDay],
+        /// Their reduction, one entry per day.
+        reduced: &'a [ReducedDay],
+    },
 }
 
 /// The pipeline result: per-day delegation sets plus bookkeeping.
@@ -111,7 +126,7 @@ impl DailyDelegations {
 }
 
 /// How one worker's days arrive: as the deltas of a persistent archive
-/// sweep, or as full re-reduces of the borrowed pre-rendered days.
+/// sweep, or as reductions of the borrowed pre-rendered days.
 enum DayRows<'a> {
     /// A [`bgpsim::updates::ObservationSweep`]: one RIB load at the
     /// chunk start, then one update-file decode per day. The maintained
@@ -123,6 +138,8 @@ enum DayRows<'a> {
     },
     /// Every day reduced from scratch.
     Days(&'a [ObservationDay]),
+    /// Days reduced beforehand.
+    Reduced(&'a [ObservationDay], &'a [ReducedDay]),
 }
 
 impl<'a> DayRows<'a> {
@@ -133,6 +150,10 @@ impl<'a> DayRows<'a> {
                 pairs: BTreeMap::new(),
             },
             PipelineInput::Days(days) => DayRows::Days(days),
+            PipelineInput::Reduced { days, reduced } => {
+                assert_eq!(days.len(), reduced.len(), "one reduction per day");
+                DayRows::Reduced(days, reduced)
+            }
         }
     }
 
@@ -148,7 +169,14 @@ impl<'a> DayRows<'a> {
     ) -> Option<(Vec<(Prefix, Asn)>, bool)> {
         let (sweep, pairs) = match self {
             DayRows::Days(days) => {
-                return days.get(i).map(|day| (visible_prefix_origins(day, config), false));
+                return days
+                    .get(i)
+                    .map(|day| (ReducedDay::new(day).pairs(day, config), false));
+            }
+            DayRows::Reduced(days, reduced) => {
+                return days
+                    .get(i)
+                    .map(|day| (reduced[i].pairs(day, config), false));
             }
             DayRows::Sweep { sweep, pairs } => (sweep, pairs),
         };
@@ -214,7 +242,11 @@ pub fn walk_days(
     span: DateRange,
     config: &InferenceConfig,
 ) -> DailyDelegations {
-    let sp = obs::span!("delegation_inference", days = span.num_days() as u64, unit = "days");
+    let sp = obs::span!(
+        "delegation_inference",
+        days = span.num_days() as u64,
+        unit = "days"
+    );
     sp.add_items(span.num_days() as u64);
 
     let days_vec: Vec<Date> = span.iter().collect();
@@ -342,8 +374,7 @@ mod tests {
     #[test]
     fn extension_iv_reduces_counts() {
         let (w, days) = world_and_days();
-        let as2org =
-            As2OrgSeries::from_topology(&w.topology, w.span.start, w.span.end, 90);
+        let as2org = As2OrgSeries::from_topology(&w.topology, w.span.start, w.span.end, 90);
         let base = run_pipeline(
             PipelineInput::Days(&days),
             w.span,
@@ -355,7 +386,10 @@ mod tests {
             ..InferenceConfig::baseline()
         };
         let ext = run_pipeline(PipelineInput::Days(&days), w.span, &cfg_iv, Some(&as2org));
-        assert!(ext.intra_org_removed > 0, "no intra-org delegations removed");
+        assert!(
+            ext.intra_org_removed > 0,
+            "no intra-org delegations removed"
+        );
         let base_total: usize = base.days.iter().map(Vec::len).sum();
         let ext_total: usize = ext.days.iter().map(Vec::len).sum();
         assert!(ext_total < base_total);
@@ -465,7 +499,9 @@ mod tests {
             vec![date("2018-02-26"), date("2018-02-27"), date("2018-02-28")]
         );
         assert!(result.fallback_days.is_empty());
-        assert!(result.days[result.days.len() - 3..].iter().all(Vec::is_empty));
+        assert!(result.days[result.days.len() - 3..]
+            .iter()
+            .all(Vec::is_empty));
     }
 
     #[test]

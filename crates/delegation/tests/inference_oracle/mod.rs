@@ -1,21 +1,83 @@
-//! The per-element implementations of step (iv), extension (v) and
-//! the truth scoring that `delegation` ran before its linear passes,
-//! kept as test oracles for them.
+//! The per-element implementations of steps (i)–(iv), extension (v)
+//! and the truth scoring that `delegation` ran before its linear
+//! passes and its per-study reduction, kept as test oracles for them.
 //!
-//! Each one indexes everything first (a trie of all pairs, a map of
+//! Steps (i)–(iii) run per walk at one threshold: each day's rows are
+//! sorted by prefix and every prefix is folded with early returns.
+//! The others index everything first (a trie of all pairs, a map of
 //! every key's days, every lease checked on every day) and then
-//! answers per element. Duplicates follow the index: a trie insert
+//! answer per element. Duplicates follow the index: a trie insert
 //! replaces the value, a map entry keeps its first value, and a set
 //! counts a key once.
 
+use bgpsim::observe::{ObservationDay, RouteObservation};
 use bgpsim::scenario::LeaseWorld;
 use delegation::base::Delegation;
+use delegation::config::InferenceConfig;
 use delegation::eval::TruthEvaluation;
 use delegation::pipeline::DailyDelegations;
-use nettypes::asn::Asn;
+use nettypes::asn::{Asn, Origin};
+use nettypes::bogons::{route_is_clean, BogonFilter};
 use nettypes::prefix::Prefix;
 use nettypes::trie::PrefixTrie;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+
+/// Steps (i)–(iii) for one day at `config`'s threshold: the rows
+/// sorted by prefix, each prefix folded by [`origin_for_prefix`].
+pub fn visible_prefix_origins(
+    day: &ObservationDay,
+    config: &InferenceConfig,
+) -> Vec<(Prefix, Asn)> {
+    let threshold = (config.visibility_threshold * day.num_monitors as f64).ceil() as u16;
+    let bogons = BogonFilter::shared();
+    let mut rows: Vec<&RouteObservation> = day.routes.iter().collect();
+    rows.sort_unstable_by_key(|r| r.prefix);
+    let mut out = Vec::new();
+    let mut rest = &rows[..];
+    while let Some(first) = rest.first() {
+        let p = first.prefix;
+        let (group, tail) = rest.split_at(rest.partition_point(|r| r.prefix == p));
+        rest = tail;
+        let group = group
+            .iter()
+            .map(|r| (&r.origin, r.monitors_seen, &r.path[..]));
+        if let Some(a) = origin_for_prefix(bogons, threshold, p, group) {
+            out.push((p, a));
+        }
+    }
+    out
+}
+
+/// Steps (i)–(iii) for one prefix at one threshold, an early-return
+/// fold: skip rows below the threshold, drop the prefix on a visible
+/// AS_SET row or a second visible clean origin, and ignore unclean
+/// single-origin rows.
+pub fn origin_for_prefix<'a>(
+    bogons: &BogonFilter,
+    threshold: u16,
+    prefix: Prefix,
+    rows: impl IntoIterator<Item = (&'a Origin, u16, &'a [Asn])>,
+) -> Option<Asn> {
+    let mut origin = None;
+    for (o, seen, path) in rows {
+        if seen < threshold.max(1) {
+            continue; // step (ii)
+        }
+        match o {
+            Origin::Set(_) => return None, // step (iii), AS_SET
+            Origin::Single(asn) => {
+                if !route_is_clean(bogons, &prefix, path) || asn.is_reserved() {
+                    continue;
+                }
+                if origin.is_some_and(|a| a != *asn) {
+                    return None; // step (iii), MOAS
+                }
+                origin = Some(*asn);
+            }
+        }
+    }
+    origin
+}
 
 /// Step (iv): every pair looks up its covering prefixes in a trie of
 /// all pairs and takes the most specific one with another origin.

@@ -1,23 +1,110 @@
-//! The linear passes of step (iv), extension (v) and the truth scoring
-//! against their per-element oracles, on random inputs with the cases
-//! the passes treat specially: unsorted and duplicate input, conflicts
-//! at the edges of the fill window, leases reaching past the span and
-//! empty results.
+//! The per-study reduction of steps (i)–(iii), the linear passes of
+//! step (iv), extension (v) and the truth scoring against their
+//! per-walk and per-element oracles, on random inputs with the cases
+//! they treat specially: shuffled rows, duplicate prefix-origin rows,
+//! AS_SETs, MOAS, unclean routes, thresholds at both ends, unsorted
+//! and duplicate pairs, conflicts at the edges of the fill window,
+//! leases reaching past the span and empty results.
 
 mod inference_oracle;
 
+use bgpsim::observe::{ObservationDay, RouteObservation};
 use bgpsim::scenario::{Lease, LeaseWorld, WorldConfig};
 use bgpsim::topology::TopologyConfig;
-use delegation::base::{infer_from_pairs, Delegation};
+use delegation::base::{
+    infer_base_delegations, infer_from_pairs, origin_for_prefix, reduce_days, Delegation,
+    ReducedDay,
+};
+use delegation::config::InferenceConfig;
 use delegation::eval::evaluate_against_truth;
 use delegation::extensions::consistency_fill;
 use delegation::pipeline::DailyDelegations;
-use nettypes::asn::Asn;
+use nettypes::asn::{Asn, Origin};
+use nettypes::bogons::BogonFilter;
 use nettypes::date::{date, DateRange};
 use nettypes::prefix::Prefix;
 use proptest::prelude::*;
 use registry::org::OrgId;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+
+/// The thresholds every reduction is read at: both ends, where
+/// `ceil` gives 0 or every monitor, and the paper's sweep points.
+const THRESHOLDS: [f64; 5] = [0.0, 0.1, 0.5, 0.9, 1.0];
+
+/// Row prefixes: four nested prefixes of 64.0.0.0/16 and two bogons.
+fn row_prefix(i: usize) -> Prefix {
+    let (network, len) = [
+        (0x4000_0000, 16),
+        (0x4000_0000, 22),
+        (0x4000_0100, 24),
+        (0x4000_0200, 24),
+        (0x0A00_0000, 8),
+        (0xC0A8_0100, 24),
+    ][i];
+    Prefix::new_unchecked_masked(network, len)
+}
+
+/// Row origins: three ASes (the first two twice as likely), a
+/// reserved one and two AS_SETs.
+fn row_origin(i: u32) -> Origin {
+    match i {
+        0 | 1 => Origin::Single(Asn(1001)),
+        2 | 3 => Origin::Single(Asn(1002)),
+        4 => Origin::Single(Asn(1003)),
+        5 => Origin::Single(Asn(64512)),
+        6 => Origin::Set(vec![Asn(1001), Asn(1002)]),
+        _ => Origin::Set(vec![Asn(1002), Asn(1003)]),
+    }
+}
+
+/// Row paths ending in `origin`: empty, clean (three times as likely),
+/// prepended, looped, or through a reserved ASN.
+fn row_path(i: u32, origin: &Origin) -> Arc<[Asn]> {
+    let o = origin.as_single().unwrap_or(Asn(1001));
+    match i {
+        0 => vec![],
+        1..=3 => vec![Asn(1050), o],
+        4 => vec![Asn(1050), Asn(1050), o],
+        5 => vec![Asn(1050), Asn(1060), Asn(1050), o],
+        _ => vec![Asn(1050), Asn(64512), o],
+    }
+    .into()
+}
+
+/// Rows `(prefix, origin, path, monitors seen)`: with 6 prefixes and
+/// 3 clean origins, duplicate prefix-origin rows at different counts,
+/// MOAS and AS_SETs beside clean rows are all common.
+fn rows_strategy() -> impl Strategy<Value = Vec<(usize, u32, u32, u16)>> {
+    proptest::collection::vec((0usize..6, 0u32..8, 0u32..7, 0u16..=40), 0..16)
+}
+
+/// One day of `num_monitors` monitors; counts wrap into `0..=num_monitors`.
+fn observation_day(rows: &[(usize, u32, u32, u16)], num_monitors: u16) -> ObservationDay {
+    ObservationDay {
+        date: date("2019-01-01"),
+        num_monitors,
+        routes: rows
+            .iter()
+            .map(|&(p, o, path, seen)| {
+                let origin = row_origin(o);
+                RouteObservation {
+                    prefix: row_prefix(p),
+                    path: row_path(path, &origin),
+                    origin,
+                    monitors_seen: seen % (num_monitors + 1),
+                    class: None,
+                }
+            })
+            .collect(),
+    }
+}
+
+fn at(threshold: f64) -> InferenceConfig {
+    InferenceConfig {
+        visibility_threshold: threshold,
+        ..InferenceConfig::baseline()
+    }
+}
 
 /// A prefix of 64.0.0.0/20 from a small pool, so nesting and
 /// duplicates are common: `net` picks one of 16 /24s and `len` is
@@ -58,6 +145,56 @@ fn days_strategy() -> impl Strategy<Value = Vec<Vec<Delegation>>> {
 }
 
 proptest! {
+    /// One reduction read at every threshold equals the per-walk fold
+    /// at that threshold, for the rows in any order.
+    #[test]
+    fn prop_reduction_matches_the_per_walk_fold(
+        rows in rows_strategy(),
+        num_monitors in proptest::sample::select(vec![1u16, 40]),
+    ) {
+        let day = observation_day(&rows, num_monitors);
+        let mut reversed = day.clone();
+        reversed.routes.reverse();
+        let mut rotated = day.clone();
+        rotated.routes.rotate_left(rows.len() / 2);
+        let days = [day, reversed, rotated];
+        let reduced = reduce_days(&days);
+        for threshold in THRESHOLDS {
+            let cfg = at(threshold);
+            let expected = inference_oracle::visible_prefix_origins(&days[0], &cfg);
+            for (day, reduced) in days.iter().zip(&reduced) {
+                prop_assert_eq!(&reduced.pairs(day, &cfg), &expected, "threshold {}", threshold);
+                prop_assert_eq!(
+                    infer_base_delegations(day, &cfg),
+                    inference_oracle::infer_from_pairs(&expected)
+                );
+            }
+        }
+    }
+
+    /// The summarize-then-test fold of one prefix equals the
+    /// early-return fold at every threshold, in both row orders.
+    #[test]
+    fn prop_summary_matches_the_early_return_fold(
+        prefix in 0usize..6,
+        raw in proptest::collection::vec((0u32..8, 0u32..7, 0u16..=40), 0..8),
+        threshold in 0u16..=41,
+    ) {
+        let prefix = row_prefix(prefix);
+        let rows: Vec<(Origin, u16, Arc<[Asn]>)> = raw
+            .iter()
+            .map(|&(o, path, seen)| {
+                let origin = row_origin(o);
+                (origin.clone(), seen, row_path(path, &origin))
+            })
+            .collect();
+        let view = || rows.iter().map(|(o, seen, path)| (o, *seen, &path[..]));
+        let bogons = BogonFilter::shared();
+        let expected = inference_oracle::origin_for_prefix(bogons, threshold, prefix, view());
+        prop_assert_eq!(origin_for_prefix(bogons, threshold, prefix, view()), expected);
+        prop_assert_eq!(origin_for_prefix(bogons, threshold, prefix, view().rev()), expected);
+    }
+
     #[test]
     fn prop_stack_sweep_matches_the_trie(
         raw in proptest::collection::vec(
@@ -118,6 +255,35 @@ proptest! {
             inference_oracle::evaluate_against_truth(&world, &result)
         );
     }
+}
+
+/// A prefix whose second origin is visible only at low thresholds
+/// survives only in between: MOAS below, too few monitors above.
+#[test]
+fn moas_visible_only_at_low_thresholds_is_non_monotone() {
+    // 64.0.1.0/24: AS 1001 from 30 of 40 monitors, AS 1002 from 5, and
+    // a looped route of AS 1003 from all 40, which sanitization drops.
+    let day = observation_day(&[(2, 0, 1, 30), (2, 2, 1, 5), (2, 4, 5, 40)], 40);
+    let reduced = ReducedDay::new(&day);
+    for (threshold, survives) in [(0.1, false), (0.5, true), (0.75, true), (0.9, false)] {
+        let cfg = at(threshold);
+        let pairs = reduced.pairs(&day, &cfg);
+        assert_eq!(pairs, inference_oracle::visible_prefix_origins(&day, &cfg));
+        let expected = if survives {
+            vec![(row_prefix(2), Asn(1001))]
+        } else {
+            vec![]
+        };
+        assert_eq!(pairs, expected, "threshold {threshold}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "reduced from")]
+fn reduced_day_is_read_against_its_own_day() {
+    let day = observation_day(&[(0, 0, 1, 30)], 40);
+    let other = observation_day(&[(0, 0, 1, 30), (1, 2, 1, 30)], 40);
+    ReducedDay::new(&day).pairs(&other, &InferenceConfig::baseline());
 }
 
 #[test]

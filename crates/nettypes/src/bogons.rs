@@ -29,6 +29,26 @@ const BOGON_TABLE: [(u32, u8); 14] = [
     (0xF000_0000, 4),  // 240.0.0.0/4, reserved, RFC 1112
 ];
 
+/// For each first octet `o`, whether `o.0.0.0/8` overlaps a bogon
+/// block. A prefix of length 8 or more lies inside the /8 of its first
+/// octet, so it can overlap a bogon only if that octet is marked.
+const BOGON_FIRST_OCTETS: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut i = 0;
+    while i < BOGON_TABLE.len() {
+        let (network, len) = BOGON_TABLE[i];
+        let first = (network >> 24) as usize;
+        let octets = if len >= 8 { 1 } else { 1 << (8 - len) };
+        let mut o = first;
+        while o < first + octets {
+            table[o] = true;
+            o += 1;
+        }
+        i += 1;
+    }
+    table
+};
+
 /// The bogon table as prefixes. Every entry is canonical, so none is
 /// dropped (`tests::table_matches_the_cidr_strings` pins all 14).
 pub fn bogon_prefixes() -> Vec<Prefix> {
@@ -65,10 +85,17 @@ impl BogonFilter {
     }
 
     /// True if the prefix overlaps any bogon block (i.e. the route must
-    /// be discarded). Rejections are counted
-    /// (`bogon_routes_dropped_total`); the accept path stays untouched.
+    /// be discarded). A prefix of length 8 or more whose first octet no
+    /// bogon block reaches is accepted without scanning the table.
+    ///
+    /// Rejections are counted (`bogon_routes_dropped_total`); the
+    /// accept path stays untouched. The inference checks every row of
+    /// a day once when it reduces the day, before any visibility
+    /// threshold, so the counter grows by each bogon row once per
+    /// reduction, whatever the threshold.
     pub fn is_bogon(&self, prefix: &Prefix) -> bool {
-        let hit = self.bogons.iter().any(|b| b.overlaps(prefix));
+        let may_hit = prefix.len() < 8 || BOGON_FIRST_OCTETS[(prefix.network() >> 24) as usize];
+        let hit = may_hit && self.bogons.iter().any(|b| b.overlaps(prefix));
         if hit {
             static DROPPED: OnceLock<std::sync::Arc<obs::metrics::Counter>> = OnceLock::new();
             DROPPED
@@ -143,6 +170,28 @@ mod tests {
         ];
         let parsed: Vec<Prefix> = cidrs.iter().map(|s| pfx(s)).collect();
         assert_eq!(bogon_prefixes(), parsed);
+    }
+
+    proptest::proptest! {
+        /// The first-octet prefilter never changes the answer of the
+        /// table scan: prefixes of every length, half of them drawn
+        /// from the octets bogon blocks reach.
+        #[test]
+        fn prop_prefilter_matches_the_scan(
+            octet in proptest::sample::select(vec![
+                0u32, 9, 10, 100, 127, 169, 172, 192, 198, 203, 223, 224, 255,
+            ]),
+            rest in 0u32..(1 << 24),
+            random in proptest::any::<u32>(),
+            pick in proptest::any::<bool>(),
+            len in 0u8..=32,
+        ) {
+            let network = if pick { octet << 24 | rest } else { random };
+            let prefix = Prefix::new_unchecked_masked(network, len);
+            let f = BogonFilter::new();
+            let scan = f.bogons.iter().any(|b| b.overlaps(&prefix));
+            proptest::prop_assert_eq!(f.is_bogon(&prefix), scan, "{:?}", prefix);
+        }
     }
 
     /// The set-based loop check: remember every ASN run seen so far.

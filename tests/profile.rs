@@ -19,8 +19,10 @@ fn profile_all_walks_each_distinct_inference_once() {
             .count()
     };
     // Fourteen pipeline runs, five walks: one per threshold of the
-    // sensitivity sweep. The extended algorithm applies extension (iv)
-    // once to the walk at the paper's threshold.
+    // sensitivity sweep, all reading one reduction of the days. The
+    // extended algorithm applies extension (iv) once to the walk at
+    // the paper's threshold.
+    assert_eq!(spans("reduce_days"), 1, "{report}");
     assert_eq!(spans("sweep_infer_days"), 5, "{report}");
     assert_eq!(spans("intra_org_filter"), 1, "{report}");
     assert!(
