@@ -210,12 +210,12 @@ impl<'w> RenderEngine<'w> {
                 + world.as_sets.len(),
         );
         let push = |entities: &mut Vec<RouteEntity>,
-                        prefix: Prefix,
-                        origin: Origin,
-                        vis: f64,
-                        class: Option<RouteClass>,
-                        active: Option<DateRange>,
-                        cycle: Option<LeaseCycle>| {
+                    prefix: Prefix,
+                    origin: Origin,
+                    vis: f64,
+                    class: Option<RouteClass>,
+                    active: Option<DateRange>,
+                    cycle: Option<LeaseCycle>| {
             let origin_node = match &origin {
                 Origin::Single(o) => topo.index_of(*o),
                 Origin::Set(_) => None,
@@ -361,10 +361,16 @@ impl<'w> RenderEngine<'w> {
             if e_off < 0 || s_off >= num_days as i64 {
                 continue;
             }
-            per_day[s_off as usize].push(EventDelta { entity: ei, add: true });
+            per_day[s_off as usize].push(EventDelta {
+                entity: ei,
+                add: true,
+            });
             let rem = e_off + 1;
             if rem < num_days as i64 {
-                per_day[rem as usize].push(EventDelta { entity: ei, add: false });
+                per_day[rem as usize].push(EventDelta {
+                    entity: ei,
+                    add: false,
+                });
             }
         }
         let mut event_starts = Vec::with_capacity(num_days + 1);
@@ -474,7 +480,13 @@ impl<'w> RenderEngine<'w> {
 
     /// The interned monitor→origin path (empty when no valley-free
     /// path exists).
-    fn interned_path(&self, paths: &mut [PathSlot], m: usize, origin: Asn, oi: usize) -> Arc<[Asn]> {
+    fn interned_path(
+        &self,
+        paths: &mut [PathSlot],
+        m: usize,
+        origin: Asn,
+        oi: usize,
+    ) -> Arc<[Asn]> {
         let slot = m * self.n_nodes + oi;
         match &paths[slot] {
             PathSlot::Interned(p) => Arc::clone(p),
@@ -600,7 +612,9 @@ impl<'w> RenderEngine<'w> {
         // index).
         let nm = self.monitors.len();
         {
-            let RenderScratch { active, pm_bufs, .. } = scratch;
+            let RenderScratch {
+                active, pm_bufs, ..
+            } = scratch;
             let mut consider = |ei: usize| {
                 let base = ei * nm;
                 let prefix = self.entities[ei].prefix;
@@ -790,7 +804,9 @@ impl<'w> RenderEngine<'w> {
                 continue;
             }
             state.patch[m].sort_unstable_by_key(|e| (e.0, e.1, e.2));
-            let MonitorState { cand, patch, spare, .. } = state;
+            let MonitorState {
+                cand, patch, spare, ..
+            } = state;
             self.apply_patch(&mut cand[m], &patch[m], spare, &mut changes[m]);
         }
         state.day = new_day;
@@ -911,13 +927,15 @@ impl<'w> RenderEngine<'w> {
                 continue;
             }
             let origin_changed = match (old, new) {
-                (Some(o), Some(n)) => {
-                    self.entities[o].origin != self.entities[n].origin
-                }
+                (Some(o), Some(n)) => self.entities[o].origin != self.entities[n].origin,
                 _ => true,
             };
             if origin_changed {
-                out.push(SelChange { prefix: p, old, new });
+                out.push(SelChange {
+                    prefix: p,
+                    old,
+                    new,
+                });
             }
         }
     }
@@ -982,7 +1000,10 @@ mod tests {
         // Forward order…
         let mut forward = engine.scratch();
         let days: Vec<Date> = w.span.iter().collect();
-        let f: Vec<ObservationDay> = days.iter().map(|&d| engine.render_day(&mut forward, d)).collect();
+        let f: Vec<ObservationDay> = days
+            .iter()
+            .map(|&d| engine.render_day(&mut forward, d))
+            .collect();
         // …vs a scratch queried backwards (forces resets).
         let mut backward = engine.scratch();
         let b: Vec<ObservationDay> = days

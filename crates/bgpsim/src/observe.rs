@@ -132,7 +132,12 @@ pub fn render_days_with_threads(
     threads: usize,
 ) -> Vec<ObservationDay> {
     let days: Vec<Date> = span.iter().collect();
-    let span_obs = obs::span!("render_days", days = days.len(), threads = threads, unit = "days");
+    let span_obs = obs::span!(
+        "render_days",
+        days = days.len(),
+        threads = threads,
+        unit = "days"
+    );
     span_obs.add_items(days.len() as u64);
     let engine = RenderEngine::new(world, model);
     crate::par::map_indexed_local(

@@ -67,7 +67,12 @@ impl FanoutObs {
     fn finish(self, worker_pulls: &[usize]) {
         if self.span.is_enabled() {
             for (worker, &pulled) in worker_pulls.iter().enumerate() {
-                obs::event!(obs::Level::Debug, "par_worker", worker = worker, pulled = pulled);
+                obs::event!(
+                    obs::Level::Debug,
+                    "par_worker",
+                    worker = worker,
+                    pulled = pulled
+                );
             }
         }
         if obs::enabled() {
@@ -318,7 +323,9 @@ mod tests {
             let reps = if i.is_multiple_of(7) { 5000 } else { 50 };
             let mut acc = i as u64;
             for _ in 0..reps {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                acc = acc
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
             }
             acc
         };
@@ -338,9 +345,7 @@ mod tests {
         // A memoizing worker-local cache must not change results.
         use std::collections::HashMap;
         let work = |cache: &mut HashMap<usize, u64>, i: usize| -> u64 {
-            let base = *cache
-                .entry(i % 5)
-                .or_insert_with(|| (i % 5) as u64 * 1000);
+            let base = *cache.entry(i % 5).or_insert_with(|| (i % 5) as u64 * 1000);
             base + i as u64
         };
         let seq = map_indexed_local(50, 1, HashMap::new, work);

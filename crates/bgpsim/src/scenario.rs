@@ -437,8 +437,8 @@ impl LeaseWorld {
             } else {
                 0.0
             };
-            let target = (config.initial_active_leases as f64
-                * (1.0 + config.growth * progress)) as usize;
+            let target =
+                (config.initial_active_leases as f64 * (1.0 + config.growth * progress)) as usize;
 
             // Terminations: geometric hazard on each active lease.
             let hazard = 1.0 / config.mean_lease_days;
@@ -841,7 +841,12 @@ mod tests {
         let w = LeaseWorld::generate(&tiny_config());
         for (i, a) in w.allocations.iter().enumerate() {
             for b in &w.allocations[i + 1..] {
-                assert!(!a.prefix.overlaps(&b.prefix), "{} vs {}", a.prefix, b.prefix);
+                assert!(
+                    !a.prefix.overlaps(&b.prefix),
+                    "{} vs {}",
+                    a.prefix,
+                    b.prefix
+                );
             }
         }
     }
@@ -851,12 +856,22 @@ mod tests {
         let w = LeaseWorld::generate(&tiny_config());
         assert!(!w.leases.is_empty());
         for l in &w.leases {
-            assert!(l.parent.covers_strictly(&l.prefix), "{} !⊂ {}", l.prefix, l.parent);
+            assert!(
+                l.parent.covers_strictly(&l.prefix),
+                "{} !⊂ {}",
+                l.prefix,
+                l.parent
+            );
             assert_ne!(l.delegator_org, l.delegatee_org, "lease within one org");
         }
         for (i, a) in w.leases.iter().enumerate() {
             for b in &w.leases[i + 1..] {
-                assert!(!a.prefix.overlaps(&b.prefix), "{} vs {}", a.prefix, b.prefix);
+                assert!(
+                    !a.prefix.overlaps(&b.prefix),
+                    "{} vs {}",
+                    a.prefix,
+                    b.prefix
+                );
             }
         }
     }

@@ -109,7 +109,12 @@ fn dense_adjacency(
         .iter()
         .map(|n| {
             map.get(&n.asn)
-                .map(|neighbors| neighbors.iter().filter_map(|a| index.get(a).copied()).collect())
+                .map(|neighbors| {
+                    neighbors
+                        .iter()
+                        .filter_map(|a| index.get(a).copied())
+                        .collect()
+                })
                 .unwrap_or_default()
         })
         .collect()
@@ -213,11 +218,8 @@ impl Topology {
             }
         }
 
-        let index: BTreeMap<Asn, usize> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.asn, i))
-            .collect();
+        let index: BTreeMap<Asn, usize> =
+            nodes.iter().enumerate().map(|(i, n)| (n.asn, i)).collect();
 
         let dense_providers = dense_adjacency(&nodes, &index, &providers);
         let dense_peers = dense_adjacency(&nodes, &index, &peers);
@@ -517,7 +519,11 @@ mod tests {
         for n in t.nodes() {
             match n.tier {
                 Tier::Tier1 => assert!(t.providers_of(n.asn).is_empty()),
-                _ => assert!(!t.providers_of(n.asn).is_empty(), "{} lacks providers", n.asn),
+                _ => assert!(
+                    !t.providers_of(n.asn).is_empty(),
+                    "{} lacks providers",
+                    n.asn
+                ),
             }
         }
     }
