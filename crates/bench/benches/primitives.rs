@@ -84,21 +84,33 @@ fn bench_paths(c: &mut Criterion) {
 }
 
 fn bench_bgp_wire(c: &mut Criterion) {
-    use bgpsim::bgp::{decode_message, encode_message, BgpMessage, UpdateMessage};
+    use bgpsim::bgp::{encode_path_attributes, parse_message, Segment};
+    use bgpsim::mrt2::{Bgp4mpSession, MrtWriter};
     use nettypes::asn::Asn;
-    let msg = BgpMessage::Update(UpdateMessage::announce(
-        (0..20)
-            .map(|i| Prefix::new_unchecked_masked(0x4000_0000 + (i << 8), 24))
-            .collect(),
-        vec![Asn(64500), Asn(3333), Asn(1299)],
-        0x0A000001,
-    ));
-    let bytes = encode_message(&msg);
+    let nlri: Vec<Prefix> = (0..20)
+        .map(|i| Prefix::new_unchecked_masked(0x4000_0000 + (i << 8), 24))
+        .collect();
+    let path = [Asn(64500), Asn(3333), Asn(1299)];
+    let attrs = encode_path_attributes(&[Segment::Sequence(&path)], 0x0A000001).unwrap();
+    let session = Bgp4mpSession {
+        peer_as: Asn(64500),
+        local_as: Asn(12654),
+        interface: 0,
+        peer_ip: 0x0A000001,
+        local_ip: 0x0A0000FE,
+    };
+    let write = || {
+        let mut w = MrtWriter::new();
+        w.update(0, &session, &[], &attrs, &nlri).unwrap();
+        w.finish()
+    };
+    // The BGP message behind the MRT (12) and BGP4MP (20) headers.
+    let bytes = write()[32..].to_vec();
     c.bench_function("primitives/bgp_encode_update", |b| {
-        b.iter(|| black_box(encode_message(&msg)))
+        b.iter(|| black_box(write()))
     });
     c.bench_function("primitives/bgp_decode_update", |b| {
-        b.iter(|| black_box(decode_message(&bytes).unwrap()))
+        b.iter(|| black_box(parse_message(&bytes).unwrap()))
     });
 }
 

@@ -3,9 +3,10 @@
 //! where the paper defines a fallback — produce near-identical
 //! results.
 
+mod mrt_oracle;
 mod query_oracle;
 
-use bgpsim::mrt2::{decode_file, decode_file_lossy, Mrt2Error};
+use bgpsim::mrt2::Mrt2Error;
 use bgpsim::query::{run_query, FileKind, Filter, QueryFile, QueryOptions};
 use bgpsim::updates::{ArchiveV2Config, CollectorArchiveV2};
 use bytes::Bytes;
@@ -14,6 +15,7 @@ use delegation::eval::evaluate_against_truth;
 use delegation::pipeline::{run_pipeline, PipelineInput};
 use drywells::experiments::{build_bgp_study, BgpStudy};
 use drywells::StudyConfig;
+use mrt_oracle::{decode_file, decode_file_lossy};
 use rdap::database::{DbBuildConfig, WhoisDb};
 use rdap::pipeline::{extract_delegations, PipelineConfig};
 use rdap::server::RdapServer;

@@ -2,6 +2,7 @@
 //! archive (TABLE_DUMP_V2 RIBs + BGP4MP update files) and compare
 //! with the direct-rendering input path.
 
+mod mrt_oracle;
 mod replay_oracle;
 
 use bgpsim::engine::RenderEngine;

@@ -6,6 +6,7 @@
 //! rendered figures, CSV exports — may depend on the thread count.
 //! These tests pin that contract end to end.
 
+mod mrt_oracle;
 mod query_oracle;
 mod replay_oracle;
 
@@ -609,19 +610,21 @@ fn served_fig6_csv_is_byte_identical_to_direct_export_at_any_pool_size() {
 
 // ---------------------------------------------------------------------------
 // Legacy oracle: an independent reimplementation of the pre-engine
-// per-day rendering and MRT encoding, kept here (and only here) as the
-// comparison harness for the hoisted `RenderEngine`. It deliberately
+// per-day rendering and MRT encoding (on the owned record model of
+// `tests/mrt_oracle`), kept here (and only here) as the comparison
+// harness for the hoisted `RenderEngine` and `MrtWriter`. It deliberately
 // re-derives everything per day — full event scans, fresh hash maps,
 // uncached BFS — so any divergence in the engine's precomputation
 // (interval index, visibility bitsets, interned paths, cached
 // attribute blobs) shows up as a byte difference.
 // ---------------------------------------------------------------------------
 mod legacy_oracle {
-    use bgpsim::bgp::{self, AsPathSegment, BgpMessage, OriginType, PathAttribute, UpdateMessage};
-    use bgpsim::mrt2::{
-        encode_file, Bgp4mpMessage, Mrt2Error, MrtRecord, PeerEntry, PeerIndexTable, RibEntry,
-        RibIpv4Unicast, TimestampedRecord,
+    use crate::mrt_oracle::{
+        encode_attributes, encode_file, AsPathSegment, Bgp4mpMessage, BgpMessage, MrtRecord,
+        OriginType, PathAttribute, PeerIndexTable, RibEntry, RibIpv4Unicast, TimestampedRecord,
+        UpdateMessage,
     };
+    use bgpsim::mrt2::{Mrt2Error, PeerEntry};
     use bgpsim::observe::{monitor_ases, ObservationDay, RouteObservation, VisibilityModel};
     use bgpsim::scenario::LeaseWorld;
     use bgpsim::updates::ArchiveV2Config;
@@ -838,7 +841,7 @@ mod legacy_oracle {
                 .map(|(pi, origin)| RibEntry {
                     peer_index: pi,
                     originated_time: ts.saturating_sub(86_400),
-                    attributes: bgp::encode_attributes(&path_attributes(
+                    attributes: encode_attributes(&path_attributes(
                         world,
                         peers[pi as usize].asn,
                         &origin,

@@ -2,8 +2,9 @@
 //! in `bgpsim::query`.
 //!
 //! It does everything the engine avoids: each file is decoded whole
-//! into owned records (`mrt2::decode_file`, or `decode_file_lossy` in
-//! lossy mode), each RIB entry's attributes into owned
+//! into owned records (`mrt_oracle::decode_file`, or
+//! `decode_file_lossy` in lossy mode), each RIB entry's attributes into
+//! owned
 //! `PathAttribute`s, each element into an owned struct with its own
 //! path vector (cloned per NLRI), and each row is formatted through
 //! `Display` and `write!`. Files are scanned one by one, in order.
@@ -11,8 +12,8 @@
 //! so a shortcut in the engine's clause evaluation shows up as a row
 //! or count difference.
 
-use bgpsim::bgp::{self, AsPathSegment, BgpMessage, PathAttribute};
-use bgpsim::mrt2::{self, LossyStats, MrtRecord, TimestampedRecord};
+use crate::mrt_oracle::{self, AsPathSegment, BgpMessage, MrtRecord, PathAttribute, TimestampedRecord};
+use bgpsim::mrt2::LossyStats;
 use bgpsim::query::{
     ElemKind, Filter, OutputFormat, PrefixMatch, QueryError, QueryFile, QueryOptions, QueryOutput,
     QueryStats, CSV_HEADER,
@@ -165,7 +166,7 @@ fn scan_records(
             MrtRecord::PeerIndexTable(t) => peers = t.peers.iter().map(|p| p.asn).collect(),
             MrtRecord::RibIpv4Unicast(r) => {
                 for entry in &r.entries {
-                    let attrs = match bgp::decode_attributes(&entry.attributes) {
+                    let attrs = match mrt_oracle::decode_attributes(&entry.attributes) {
                         Ok(a) => a,
                         Err(_) if opts.lossy => {
                             scan.lossy.skipped_bgp += 1;
@@ -222,11 +223,12 @@ fn scan_records(
 fn scan_file(file: &QueryFile, opts: &QueryOptions) -> Result<Scan, QueryError> {
     let mut scan = Scan::default();
     if opts.lossy {
-        let (records, stats) = mrt2::decode_file_lossy(&file.bytes);
+        let (records, stats) = mrt_oracle::decode_file_lossy(&file.bytes);
         scan_records(file, &records, opts, &mut scan)?;
         scan.lossy.merge(&stats);
     } else {
-        let records = mrt2::decode_file(&file.bytes).map_err(|e| decode_error(file.day, e))?;
+        let records =
+            mrt_oracle::decode_file(&file.bytes).map_err(|e| decode_error(file.day, e))?;
         scan_records(file, &records, opts, &mut scan)?;
     }
     Ok(scan)

@@ -6,11 +6,11 @@
 //! update file since in order, and when an update file is missing,
 //! serve the first RIB after it instead. Nothing carries over from one
 //! day to the next. Files are decoded whole into owned records
-//! (`mrt2::decode_file_lossy`), and origins are read from the owned
-//! `PathAttribute::AsPath` segments.
+//! (`mrt_oracle::decode_file_lossy`), and origins are read from the
+//! owned `PathAttribute::AsPath` segments.
 
-use bgpsim::bgp::{self, AsPathSegment, BgpMessage, PathAttribute};
-use bgpsim::mrt2::{self, MrtRecord, PeerEntry};
+use crate::mrt_oracle::{self, AsPathSegment, BgpMessage, MrtRecord, PathAttribute};
+use bgpsim::mrt2::PeerEntry;
 use bgpsim::observe::{ObservationDay, RouteObservation};
 use bgpsim::updates::{ArchiveError, CollectorArchiveV2, Provenance};
 use nettypes::asn::{Asn, Origin};
@@ -71,7 +71,7 @@ fn origin(attrs: &[PathAttribute]) -> Option<Origin> {
 
 /// Decode a RIB file; `None` when it has no peer table.
 fn load_rib(archive: &CollectorArchiveV2, d: Date) -> Option<(Vec<PeerEntry>, PeerRoutes)> {
-    let (records, _) = mrt2::decode_file_lossy(archive.rib_bytes(d)?);
+    let (records, _) = mrt_oracle::decode_file_lossy(archive.rib_bytes(d)?);
     let mut peers = Vec::new();
     let mut routes: PeerRoutes = Vec::new();
     for rec in records {
@@ -85,7 +85,7 @@ fn load_rib(archive: &CollectorArchiveV2, d: Date) -> Option<(Vec<PeerEntry>, Pe
                     let Some(table) = routes.get_mut(usize::from(e.peer_index)) else {
                         continue;
                     };
-                    let attrs = bgp::decode_attributes(&e.attributes).unwrap_or_default();
+                    let attrs = mrt_oracle::decode_attributes(&e.attributes).unwrap_or_default();
                     if let Some(o) = origin(&attrs) {
                         table.insert(r.prefix, o);
                     }
@@ -100,7 +100,7 @@ fn load_rib(archive: &CollectorArchiveV2, d: Date) -> Option<(Vec<PeerEntry>, Pe
 /// Apply one update file: records in timestamp order (stable), each
 /// UPDATE's withdrawals first, then its announcements.
 fn apply_updates(bytes: &[u8], peers: &[PeerEntry], routes: &mut PeerRoutes) {
-    let (mut records, _) = mrt2::decode_file_lossy(bytes);
+    let (mut records, _) = mrt_oracle::decode_file_lossy(bytes);
     records.sort_by_key(|r| r.timestamp);
     let index_of: HashMap<(u32, Asn), usize> = peers
         .iter()
