@@ -141,8 +141,8 @@ fn run_scale(config: &StudyConfig, scale: &'static str) -> Result<ScaleReport, S
             .map_err(|e| format!("bench: cannot read cwd for the lint scan: {e}"))?;
         let root = lint::find_workspace_root(&cwd)
             .ok_or("bench: no [workspace] Cargo.toml above cwd for the lint scan")?;
-        let findings = lint::collect_findings(&root)
-            .map_err(|e| format!("bench: lint scan failed: {e}"))?;
+        let findings =
+            lint::collect_findings(&root).map_err(|e| format!("bench: lint scan failed: {e}"))?;
         // An empty workspace scan means the roots moved, not cleanliness.
         if findings.is_empty() && lint::collect_sources(&root).map_or(true, |s| s.is_empty()) {
             return Err("bench: lint scan saw no source files".into());
@@ -440,7 +440,10 @@ mod tests {
             v.get("schema").and_then(|s| s.as_str()),
             Some("drywells-bench-v1")
         );
-        let quick = v.get("scales").and_then(|s| s.get("quick")).expect("quick block");
+        let quick = v
+            .get("scales")
+            .and_then(|s| s.get("quick"))
+            .expect("quick block");
         assert_eq!(
             quick.get("render_days_ms").and_then(|x| x.as_f64()),
             Some(2.5)
@@ -479,7 +482,10 @@ mod tests {
             r.scales[0].stages = vec![
                 ("render_days", Duration::from_secs_f64(walls[0] / 1e3)),
                 ("mrt_encode", Duration::from_secs_f64(walls[1] / 1e3)),
-                ("delegation_pipeline", Duration::from_secs_f64(walls[2] / 1e3)),
+                (
+                    "delegation_pipeline",
+                    Duration::from_secs_f64(walls[2] / 1e3),
+                ),
             ];
             let err = check_regression(&r, baseline, 2.0).expect_err("over bound");
             assert!(err.contains(stage), "{err}");

@@ -96,7 +96,11 @@ pub fn fig6_csv(r: &fig6::Fig6) -> String {
         for m in series {
             out.push_str(&format!(
                 "{},{},{},{},{:.4},{:.4}\n",
-                m.date, label, m.delegations, m.delegated_addresses, m.slash24_share,
+                m.date,
+                label,
+                m.delegations,
+                m.delegated_addresses,
+                m.slash24_share,
                 m.slash20_share
             ));
         }

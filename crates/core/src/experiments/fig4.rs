@@ -33,7 +33,10 @@ pub fn run() -> Fig4 {
     let mut table = TextTable::new(&["date", "providers", "min $/IP/mo", "max $/IP/mo"]);
     for &day in &sample_dates {
         let visible = prices_on(&catalog, day);
-        let min = visible.iter().map(|(_, v)| *v).fold(f64::INFINITY, f64::min);
+        let min = visible
+            .iter()
+            .map(|(_, v)| *v)
+            .fold(f64::INFINITY, f64::min);
         let max = visible.iter().map(|(_, v)| *v).fold(0.0f64, f64::max);
         table.row(vec![
             day.to_string(),

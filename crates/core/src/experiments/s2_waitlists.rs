@@ -24,7 +24,11 @@ pub struct S2Waitlists {
 pub fn run(config: &StudyConfig) -> S2Waitlists {
     let reports = simulate_waitlists(config.seed, date("2020-10-25"));
     let mut table = TextTable::new(&[
-        "RIR", "peak depth", "paper peak", "max wait (days)", "pending",
+        "RIR",
+        "peak depth",
+        "paper peak",
+        "max wait (days)",
+        "pending",
     ]);
     for r in &reports {
         let paper_peak = match r.rir {
@@ -37,7 +41,9 @@ pub fn run(config: &StudyConfig) -> S2Waitlists {
             r.rir.name().to_string(),
             r.max_depth.to_string(),
             paper_peak.to_string(),
-            r.max_waiting_days.map(|d| d.to_string()).unwrap_or_else(|| "-".into()),
+            r.max_waiting_days
+                .map(|d| d.to_string())
+                .unwrap_or_else(|| "-".into()),
             r.pending.to_string(),
         ]);
     }

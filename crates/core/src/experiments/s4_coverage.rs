@@ -97,9 +97,11 @@ mod tests {
             r.coverage.rdap_coverage_of_bgp
         );
         // The ~91.4 % small-object skip shows up.
-        let skip_frac =
-            r.rdap_stats.skipped_small as f64 / r.rdap_stats.candidate_objects as f64;
-        assert!((0.85..=0.95).contains(&skip_frac), "skip fraction {skip_frac}");
+        let skip_frac = r.rdap_stats.skipped_small as f64 / r.rdap_stats.candidate_objects as f64;
+        assert!(
+            (0.85..=0.95).contains(&skip_frac),
+            "skip fraction {skip_frac}"
+        );
         // Neither source reaches the true market size.
         assert!(r.coverage.rdap_delegations < r.true_active_leases);
         assert!(r.coverage.bgp_delegations < r.coverage.rdap_delegations);

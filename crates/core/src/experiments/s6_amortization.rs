@@ -23,7 +23,12 @@ pub struct S6Amortization {
 pub fn run() -> S6Amortization {
     let scenarios = section6_scenarios();
     let mut table = TextTable::new(&[
-        "scenario", "buy $/IP", "lease $/IP/mo", "maint $/IP/mo", "months", "years",
+        "scenario",
+        "buy $/IP",
+        "lease $/IP/mo",
+        "maint $/IP/mo",
+        "months",
+        "years",
     ]);
     for s in &scenarios {
         let (months, years) = match (s.months(), s.years()) {
@@ -44,7 +49,9 @@ pub fn run() -> S6Amortization {
     // Fee-derived rows: the maintenance cost comes from the RIR
     // schedules instead of being assumed.
     let mut fee_table = TextTable::new(&[
-        "holder", "RIR fee-derived maint $/IP/mo", "amortization at $0.50 lease",
+        "holder",
+        "RIR fee-derived maint $/IP/mo",
+        "amortization at $0.50 lease",
     ]);
     for (label, rir, addresses) in [
         ("/24-only RIPE LIR", Rir::RipeNcc, 256u64),

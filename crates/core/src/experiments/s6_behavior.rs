@@ -28,8 +28,14 @@ pub fn run(config: &StudyConfig) -> S6Behavior {
     let profiles = profile_by_kind(&trace);
 
     let mut table = TextTable::new(&[
-        "business model", "buys", "mean bought IPs", "leases", "mean months",
-        "rotations/lease", "terminations", "lease-backs",
+        "business model",
+        "buys",
+        "mean bought IPs",
+        "leases",
+        "mean months",
+        "rotations/lease",
+        "terminations",
+        "lease-backs",
     ]);
     for (kind, p) in &profiles {
         table.row(vec![

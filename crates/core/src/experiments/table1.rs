@@ -30,8 +30,17 @@ mod tests {
             assert!(t.rendered.contains(rir.name()));
         }
         // Paper milestones, verbatim dates.
-        for d in ["2011-04-15", "2012-09-14", "2014-04-23", "2017-02-15", "2017-03-31",
-                  "2014-07-27", "2015-09-24", "2019-11-25", "2020-08-19"] {
+        for d in [
+            "2011-04-15",
+            "2012-09-14",
+            "2014-04-23",
+            "2017-02-15",
+            "2017-03-31",
+            "2014-07-27",
+            "2015-09-24",
+            "2019-11-25",
+            "2020-08-19",
+        ] {
             assert!(t.rendered.contains(d), "missing {d} in:\n{}", t.rendered);
         }
         assert_eq!(t.events.len(), 10);

@@ -56,21 +56,60 @@ pub fn run_all(config: &StudyConfig) -> String {
     let mut add = |title: &str, body: String| {
         out.push_str(&format!("\n=== {title} ===\n\n{body}\n"));
     };
-    add("Table 1: IPv4 exhaustion timeline", experiments::table1::run().rendered);
-    add("S2: waiting lists", experiments::s2_waitlists::run(config).rendered);
-    add("Figure 1: price per IP", experiments::fig1::run(config).rendered);
-    add("Figure 2: market transfers", experiments::fig2::run(config).rendered);
-    add("Figure 3: inter-RIR transfers", experiments::fig3::run(config).rendered);
-    add("Figure 4: advertised leasing prices", experiments::fig4::run().rendered);
-    add("Figure 5: RPKI consistency rules", experiments::fig5::run(config).rendered);
-    add("Figure 6: BGP delegations", experiments::fig6::run(config).rendered);
-    add("S4: BGP vs RDAP coverage", experiments::s4_coverage::run(config).rendered);
+    add(
+        "Table 1: IPv4 exhaustion timeline",
+        experiments::table1::run().rendered,
+    );
+    add(
+        "S2: waiting lists",
+        experiments::s2_waitlists::run(config).rendered,
+    );
+    add(
+        "Figure 1: price per IP",
+        experiments::fig1::run(config).rendered,
+    );
+    add(
+        "Figure 2: market transfers",
+        experiments::fig2::run(config).rendered,
+    );
+    add(
+        "Figure 3: inter-RIR transfers",
+        experiments::fig3::run(config).rendered,
+    );
+    add(
+        "Figure 4: advertised leasing prices",
+        experiments::fig4::run().rendered,
+    );
+    add(
+        "Figure 5: RPKI consistency rules",
+        experiments::fig5::run(config).rendered,
+    );
+    add(
+        "Figure 6: BGP delegations",
+        experiments::fig6::run(config).rendered,
+    );
+    add(
+        "S4: BGP vs RDAP coverage",
+        experiments::s4_coverage::run(config).rendered,
+    );
     if let Some(s5) = experiments::s5_prediction::run(config) {
         add("S5: related-work prediction models", s5.rendered);
     }
-    add("S6: amortization", experiments::s6_amortization::run().rendered);
-    add("S6: market behaviour by business model", experiments::s6_behavior::run(config).rendered);
-    add("S7: combined BGP+RPKI+RDAP estimator", experiments::s7_combined::run(config).rendered);
-    add("Sensitivity: thresholds and fill windows", experiments::sensitivity::run(config).rendered);
+    add(
+        "S6: amortization",
+        experiments::s6_amortization::run().rendered,
+    );
+    add(
+        "S6: market behaviour by business model",
+        experiments::s6_behavior::run(config).rendered,
+    );
+    add(
+        "S7: combined BGP+RPKI+RDAP estimator",
+        experiments::s7_combined::run(config).rendered,
+    );
+    add(
+        "Sensitivity: thresholds and fill windows",
+        experiments::sensitivity::run(config).rendered,
+    );
     out
 }

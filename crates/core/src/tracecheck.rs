@@ -188,7 +188,10 @@ mod tests {
     fn unclosed_span_fails_validation() {
         let bad: String = GOOD.lines().take(4).collect::<Vec<_>>().join("\n");
         let errs = check_trace(&bad).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("still has open spans")), "{errs:?}");
+        assert!(
+            errs.iter().any(|e| e.contains("still has open spans")),
+            "{errs:?}"
+        );
     }
 
     #[test]
@@ -210,8 +213,14 @@ mod tests {
 {"type":"span_close","id":1,"thread":0,"t_us":4,"name":"a","wall_us":3,"items":0}
 "#;
         let errs = check_trace(bad).unwrap_err();
-        assert!(errs.iter().any(|e| e.contains("duplicate span id")), "{errs:?}");
-        assert!(errs.iter().any(|e| e.contains("does not match")), "{errs:?}");
+        assert!(
+            errs.iter().any(|e| e.contains("duplicate span id")),
+            "{errs:?}"
+        );
+        assert!(
+            errs.iter().any(|e| e.contains("does not match")),
+            "{errs:?}"
+        );
     }
 
     #[test]

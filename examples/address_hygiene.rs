@@ -33,7 +33,10 @@ fn main() {
             println!("\n2020-03-01: operator cleans up; block delisted");
         }
         println!("\n--- {label} ({when}) ---");
-        for (records, desc) in [(vec![delegated], "with SWIP records"), (vec![], "without records")] {
+        for (records, desc) in [
+            (vec![delegated], "with SWIP records"),
+            (vec![], "without records"),
+        ] {
             let rep = residual_reputation(&provider_block, &records, &blacklist, when);
             let value_per_ip = 22.50 * rep.price_multiplier();
             println!(

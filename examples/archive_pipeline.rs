@@ -61,7 +61,11 @@ fn main() {
 
     // The registry side, through the classic WHOIS text protocol.
     println!("\nWHOIS lookups against the registry snapshot:");
-    let db = WhoisDb::build_from_world(&study.world, study.world.span.end, &DbBuildConfig::default());
+    let db = WhoisDb::build_from_world(
+        &study.world,
+        study.world.span.end,
+        &DbBuildConfig::default(),
+    );
     let server = WhoisServer::new(&db);
     let as_of = study.world.span.end;
     if let Some(lease) = study

@@ -31,8 +31,16 @@ fn main() {
 
     // Run both algorithm variants.
     for (label, cfg, as2org) in [
-        ("baseline (Krenc-Feldmann)", InferenceConfig::baseline(), None),
-        ("extended (this paper)", InferenceConfig::extended(), Some(&study.as2org)),
+        (
+            "baseline (Krenc-Feldmann)",
+            InferenceConfig::baseline(),
+            None,
+        ),
+        (
+            "extended (this paper)",
+            InferenceConfig::extended(),
+            Some(&study.as2org),
+        ),
     ] {
         let result = run_pipeline(
             PipelineInput::Days(&study.days),

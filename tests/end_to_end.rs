@@ -22,7 +22,10 @@ fn run_all_produces_complete_report() {
     }
     // Landmark facts from the paper surface in the report.
     assert!(report.contains("2019-11-25"), "RIPE run-out date");
-    assert!(report.contains("no significant difference"), "regional price claim");
+    assert!(
+        report.contains("no significant difference"),
+        "regional price claim"
+    );
     assert!(report.contains("consolidation phase from 2019"));
     assert!(report.contains("Heficed: $0.65 → $0.40"));
     assert!(report.contains("chosen rule (M=10, N=0)"));
@@ -76,7 +79,12 @@ fn quick_run_all_text_is_pinned() {
     ];
     let got: Vec<(u64, u64)> = pins
         .iter()
-        .map(|&(seed, _)| (seed, fnv1a(run_all(&StudyConfig::quick_seeded(seed)).as_bytes())))
+        .map(|&(seed, _)| {
+            (
+                seed,
+                fnv1a(run_all(&StudyConfig::quick_seeded(seed)).as_bytes()),
+            )
+        })
         .collect();
     assert_eq!(got, pins, "run_all text changed (seed, digest)");
 }

@@ -53,9 +53,18 @@ fn archive_gaps_barely_move_the_results() {
     }
 
     let cfg = InferenceConfig::extended();
-    let clean_run = run_pipeline(PipelineInput::MrtArchive(&clean), span, &cfg, Some(&study.as2org));
-    let damaged_run =
-        run_pipeline(PipelineInput::MrtArchive(&damaged), span, &cfg, Some(&study.as2org));
+    let clean_run = run_pipeline(
+        PipelineInput::MrtArchive(&clean),
+        span,
+        &cfg,
+        Some(&study.as2org),
+    );
+    let damaged_run = run_pipeline(
+        PipelineInput::MrtArchive(&damaged),
+        span,
+        &cfg,
+        Some(&study.as2org),
+    );
     assert!(clean_run.fallback_days.is_empty());
     assert!(!damaged_run.fallback_days.is_empty());
 
@@ -127,7 +136,11 @@ fn check_queries(what: &str, file: QueryFile) {
     let want = query_oracle::run_query(&files, &lossy).expect("lossy oracle never fails");
     assert_eq!(got.stats, want.stats, "{what}: lossy stats");
     let l = got.stats.lossy;
-    assert_eq!(l.bytes_scanned + l.bytes_unscanned, files[0].bytes.len(), "{what}");
+    assert_eq!(
+        l.bytes_scanned + l.bytes_unscanned,
+        files[0].bytes.len(),
+        "{what}"
+    );
 }
 
 /// Every cut and a spread of bit flips over one file: strict decoding
@@ -161,7 +174,11 @@ fn sweep_damage(name: &str, file: &QueryFile) {
             }
         }
         assert_eq!(lossy[..], full[..lossy.len()], "{name}: cut at {cut}");
-        assert_eq!(stats.bytes_scanned + stats.bytes_unscanned, cut, "{name}: cut at {cut}");
+        assert_eq!(
+            stats.bytes_scanned + stats.bytes_unscanned,
+            cut,
+            "{name}: cut at {cut}"
+        );
         check_queries(&format!("{name}: cut at {cut}"), variant(part));
     }
     // Bit flips: strict decoding either yields records or fails with a
@@ -171,10 +188,17 @@ fn sweep_damage(name: &str, file: &QueryFile) {
         let mut b = bytes.to_vec();
         b[i] ^= 0x40;
         if let Err(e) = decode_file(&b) {
-            assert!(!matches!(e, Mrt2Error::TooLong { .. }), "{name}: flip at {i}: {e:?}");
+            assert!(
+                !matches!(e, Mrt2Error::TooLong { .. }),
+                "{name}: flip at {i}: {e:?}"
+            );
         }
         let (_, stats) = decode_file_lossy(&b);
-        assert_eq!(stats.bytes_scanned + stats.bytes_unscanned, b.len(), "{name}: flip at {i}");
+        assert_eq!(
+            stats.bytes_scanned + stats.bytes_unscanned,
+            b.len(),
+            "{name}: flip at {i}"
+        );
         check_queries(&format!("{name}: flip at {i}"), variant(&b));
     }
 }
@@ -191,7 +215,10 @@ fn mrt_bitflips_never_panic_and_roundtrip_detects() {
         bytes: bytes.expect("archive file").clone(),
     };
     sweep_damage("rib", &file(FileKind::Rib, rib, archive.rib_bytes(rib)));
-    sweep_damage("updates", &file(FileKind::Updates, day, archive.update_bytes(day)));
+    sweep_damage(
+        "updates",
+        &file(FileKind::Updates, day, archive.update_bytes(day)),
+    );
 }
 
 #[test]

@@ -25,7 +25,11 @@ fn extended_pipeline_quality_bands() {
         "precision {:.3} below band",
         eval.precision()
     );
-    assert!(eval.recall() > 0.7, "recall {:.3} below band", eval.recall());
+    assert!(
+        eval.recall() > 0.7,
+        "recall {:.3} below band",
+        eval.recall()
+    );
 }
 
 #[test]
@@ -40,7 +44,12 @@ fn visibility_threshold_is_uncritical_between_10_and_90_percent() {
             visibility_threshold: threshold,
             ..InferenceConfig::baseline()
         };
-        let result = run_pipeline(PipelineInput::Days(&study.days), study.world.span, &cfg, None);
+        let result = run_pipeline(
+            PipelineInput::Days(&study.days),
+            study.world.span,
+            &cfg,
+            None,
+        );
         let total: usize = result.days.iter().map(Vec::len).sum();
         totals.push((threshold, total));
     }

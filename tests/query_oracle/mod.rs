@@ -12,7 +12,9 @@
 //! so a shortcut in the engine's clause evaluation shows up as a row
 //! or count difference.
 
-use crate::mrt_oracle::{self, AsPathSegment, BgpMessage, MrtRecord, PathAttribute, TimestampedRecord};
+use crate::mrt_oracle::{
+    self, AsPathSegment, BgpMessage, MrtRecord, PathAttribute, TimestampedRecord,
+};
 use bgpsim::mrt2::LossyStats;
 use bgpsim::query::{
     ElemKind, Filter, OutputFormat, PrefixMatch, QueryError, QueryFile, QueryOptions, QueryOutput,
