@@ -35,6 +35,7 @@
 use crate::bgp;
 use bytes::{BufMut, Bytes};
 use nettypes::asn::Asn;
+use nettypes::date::Date;
 use nettypes::prefix::Prefix;
 
 /// MRT type `TABLE_DUMP_V2`.
@@ -70,6 +71,10 @@ pub enum Mrt2Error {
     /// place (a gap or an overlap before it), or the days left
     /// uncovered, or covered past the span's end.
     UntiledChunk(std::ops::Range<usize>),
+    /// Encode-side: a record of this day would be stamped past the
+    /// last second a 32-bit MRT timestamp holds (2106-02-07 06:28:15
+    /// UTC). Refused rather than saturated or wrapped to 1970.
+    TimestampOverflow(Date),
 }
 
 impl std::fmt::Display for Mrt2Error {
@@ -83,6 +88,9 @@ impl std::fmt::Display for Mrt2Error {
             }
             Mrt2Error::UntiledChunk(r) => {
                 write!(f, "day range {r:?} breaks the tiling of the archive span")
+            }
+            Mrt2Error::TimestampOverflow(d) => {
+                write!(f, "a record of {d} overflows the 32-bit MRT timestamp")
             }
         }
     }
@@ -587,9 +595,10 @@ impl LossyStats {
         match e {
             Mrt2Error::Truncated => self.skipped_truncated += 1,
             Mrt2Error::Bgp(_) => self.skipped_bgp += 1,
-            Mrt2Error::Malformed(_) | Mrt2Error::TooLong { .. } | Mrt2Error::UntiledChunk(_) => {
-                self.skipped_malformed += 1
-            }
+            Mrt2Error::Malformed(_)
+            | Mrt2Error::TooLong { .. }
+            | Mrt2Error::UntiledChunk(_)
+            | Mrt2Error::TimestampOverflow(_) => self.skipped_malformed += 1,
         }
     }
 

@@ -102,11 +102,12 @@ pub struct CollectorArchiveV2 {
     peers: Vec<PeerEntry>,
 }
 
-/// 00:00 UTC of `d` as a Unix timestamp. MRT timestamps are 32-bit;
-/// dates past 2106 saturate rather than wrap.
-fn midnight(d: Date) -> u32 {
+/// 00:00 UTC of `d` as a Unix timestamp. MRT timestamps are 32-bit:
+/// days from 2106-02-08 on are refused with
+/// [`Mrt2Error::TimestampOverflow`].
+fn midnight(d: Date) -> Result<u32, Mrt2Error> {
     let secs = d.days_since_epoch().max(0) as u64 * 86_400;
-    u32::try_from(secs).unwrap_or(u32::MAX)
+    u32::try_from(secs).map_err(|_| Mrt2Error::TimestampOverflow(d))
 }
 
 /// The NEXT_HOP of every simulated route.
@@ -872,7 +873,7 @@ fn encode_rib(
     day: Date,
     state: &[Vec<(Prefix, Origin)>],
 ) -> Result<Bytes, Mrt2Error> {
-    let ts = midnight(day);
+    let ts = midnight(day)?;
     let mut w = MrtWriter::new();
     w.peer_table(ts, config.collector_bgp_id, "drywells", peers)?;
     // Group by prefix → (peer index, origin), peers in index order.
@@ -940,7 +941,7 @@ fn encode_updates_delta(
     day: Date,
     changes: &[Vec<SelChange>],
 ) -> Result<Bytes, Mrt2Error> {
-    let base_ts = midnight(day);
+    let base_ts = midnight(day)?;
     let mut pending: Vec<PendingUpdate<'_>> = Vec::new();
     for (pi, peer_changes) in changes.iter().enumerate().take(peers.len()) {
         let pi32 = u32::try_from(pi).map_err(|_| Mrt2Error::TooLong {
@@ -962,13 +963,15 @@ fn encode_updates_delta(
                 None => withdrawn.push(c.prefix),
             }
         }
-        let mut timestamp = base_ts + 60 + pi32;
+        // A message is refused only if its own timestamp overflows.
+        let mut next = base_ts.checked_add(60).and_then(|t| t.checked_add(pi32));
         let withdrawal = (!withdrawn.is_empty()).then_some((withdrawn, None, Vec::new()));
         let announcements = announced.into_values().map(|(origin, mut nlri)| {
             nlri.sort();
             (Vec::new(), Some(origin), nlri)
         });
         for (withdrawn, origin, nlri) in withdrawal.into_iter().chain(announcements) {
+            let timestamp = next.ok_or(Mrt2Error::TimestampOverflow(day))?;
             pending.push(PendingUpdate {
                 timestamp,
                 peer: pi,
@@ -976,7 +979,7 @@ fn encode_updates_delta(
                 origin,
                 nlri,
             });
-            timestamp += 13;
+            next = timestamp.checked_add(13);
         }
     }
     pending.sort_by_key(|u| u.timestamp);
@@ -1008,9 +1011,13 @@ mod tests {
     use nettypes::date::date;
 
     fn world() -> LeaseWorld {
+        world_over(DateRange::new(date("2018-01-01"), date("2018-01-31")))
+    }
+
+    fn world_over(span: DateRange) -> LeaseWorld {
         LeaseWorld::generate(&WorldConfig {
             seed: 33,
-            span: DateRange::new(date("2018-01-01"), date("2018-01-31")),
+            span,
             topology: TopologyConfig {
                 seed: 33,
                 num_tier1: 4,
@@ -1496,5 +1503,44 @@ mod tests {
         assert!(updates > 0, "no BGP4MP updates in the file");
         // Timestamps are sorted within the file.
         assert!(records.windows(2).all(|w| w[0].timestamp <= w[1].timestamp));
+    }
+
+    /// The last second a 32-bit MRT timestamp holds is 2106-02-07
+    /// 06:28:15 UTC. An archive whose update file falls on that day
+    /// encodes with its real timestamps; one that reaches the next
+    /// day is refused instead of saturating or wrapping to 1970.
+    #[test]
+    fn timestamps_past_2106_are_refused() {
+        let model = VisibilityModel {
+            num_monitors: 12,
+            daily_flicker: 0.01,
+            seed: 33,
+        };
+        let archive_over = |start: &str, end: &str| {
+            let w = world_over(DateRange::new(date(start), date(end)));
+            CollectorArchiveV2::generate(&w, &model, w.span, &ArchiveV2Config::default())
+        };
+        let archive = archive_over("2106-02-06", "2106-02-07").expect("2106-02-07 encodes");
+        let last = midnight(date("2106-02-07")).expect("fits");
+        assert_eq!(last, 49_710 * 86_400);
+        let rib = archive.rib_bytes(date("2106-02-06")).expect("RIB on day 0");
+        let bytes = archive
+            .update_bytes(date("2106-02-07"))
+            .expect("update file");
+        let rib_ts: Vec<u32> = records(rib).map(|r| r.expect("parses").timestamp).collect();
+        let update_ts: Vec<u32> = records(bytes)
+            .map(|r| r.expect("parses").timestamp)
+            .collect();
+        assert!(rib_ts.iter().all(|&t| t == last - 86_400), "{rib_ts:?}");
+        assert!(!update_ts.is_empty(), "no messages on 2106-02-07");
+        assert!(update_ts.iter().all(|&t| t > last), "{update_ts:?}");
+        assert_eq!(
+            archive_over("2106-02-07", "2106-02-08").err(),
+            Some(Mrt2Error::TimestampOverflow(date("2106-02-08")))
+        );
+        assert_eq!(
+            midnight(date("2106-02-08")),
+            Err(Mrt2Error::TimestampOverflow(date("2106-02-08")))
+        );
     }
 }
