@@ -1,15 +1,17 @@
 //! Figure 2: number of market transfers per region over time.
 
+use crate::experiments::substrate;
 use crate::report::TextTable;
 use crate::study::StudyConfig;
 use registry::policy::AllocationPolicy;
-use registry::simulate::{simulate, RegistryHistory};
+use registry::simulate::RegistryHistory;
 use registry::stats::{market_start_dates, quarterly_counts, QuarterlyCount};
+use std::sync::Arc;
 
 /// Figure 2 output.
 pub struct Fig2 {
-    /// The simulated registry history.
-    pub history: RegistryHistory,
+    /// The simulated registry history, shared with Figure 3.
+    pub history: Arc<RegistryHistory>,
     /// Per-quarter, per-region transfer counts (M&A-filtered, as the
     /// paper's preprocessing does where labels allow).
     pub counts: Vec<QuarterlyCount>,
@@ -19,7 +21,7 @@ pub struct Fig2 {
 
 /// Regenerate Figure 2.
 pub fn run(config: &StudyConfig) -> Fig2 {
-    let history = simulate(&config.registry);
+    let history = substrate(config).registry();
     // The analysis sees the *published* feeds and filters labelled M&A.
     let published = history.log.published().without_labelled_mna();
     let counts = quarterly_counts(&published);

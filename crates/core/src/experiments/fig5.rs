@@ -1,12 +1,10 @@
 //! Figure 5: validation of consistency-rule values on RPKI
 //! delegations.
 
+use crate::experiments::substrate;
 use crate::report::{pct, TextTable};
 use crate::study::StudyConfig;
-use bgpsim::scenario::LeaseWorld;
 use rpki::consistency::{evaluate_rule, fail_rate_curves, ConsistencyReport};
-use rpki::delegation::infer_series;
-use rpki::snapshot::SnapshotSeries;
 
 /// Figure 5 output.
 pub struct Fig5 {
@@ -31,12 +29,11 @@ pub fn grids(scale_days: i64) -> (Vec<usize>, Vec<usize>) {
 
 /// Regenerate Figure 5.
 pub fn run(config: &StudyConfig) -> Fig5 {
-    let world = LeaseWorld::generate(&config.world);
-    let series = SnapshotSeries::generate(&world, &config.rpki);
-    let daily = infer_series(&series.days);
-    let (ms, ns) = grids(world.span.num_days());
-    let curves = fail_rate_curves(&daily, &ms, &ns);
-    let chosen = evaluate_rule(&daily, 10, 0);
+    let substrate = substrate(config);
+    let daily = &substrate.rpki().days;
+    let (ms, ns) = grids(substrate.world().span.num_days());
+    let curves = fail_rate_curves(daily, &ms, &ns);
+    let chosen = evaluate_rule(daily, 10, 0);
 
     let mut header: Vec<String> = vec!["M (days)".to_string()];
     header.extend(ns.iter().map(|n| format!("N={n}")));

@@ -12,7 +12,7 @@ use crate::experiments::{build_bgp_study_cached, BgpStudy};
 use crate::report::{f, pct, TextTable};
 use crate::study::StudyConfig;
 use delegation::config::InferenceConfig;
-use delegation::eval::{evaluate_against_truth, TruthEvaluation};
+use delegation::eval::TruthEvaluation;
 use serde::{Deserialize, Serialize};
 
 /// One sweep point.
@@ -50,7 +50,7 @@ pub fn run_with_study(study: &BgpStudy) -> Sensitivity {
         threshold_sweep.push(SweepPoint {
             value: threshold,
             total_delegations: result.days.iter().map(Vec::len).sum(),
-            eval: evaluate_against_truth(&study.world, &result),
+            eval: study.evaluate(&result),
         });
     }
     let max = threshold_sweep
@@ -65,20 +65,20 @@ pub fn run_with_study(study: &BgpStudy) -> Sensitivity {
         .unwrap_or(0) as f64;
     let threshold_spread = if max > 0.0 { (max - min) / max } else { 0.0 };
 
+    // Extension (iv) at every window; one sort serves the windows the
+    // study does not keep.
+    let filtered = InferenceConfig {
+        filter_intra_org: true,
+        ..InferenceConfig::baseline()
+    };
     let mut fill_sweep = Vec::new();
-    for window in [0usize, 3, 10, 30, 60] {
-        let cfg = InferenceConfig {
-            consistency_fill_days: (window > 0).then_some(window),
-            filter_intra_org: true,
-            ..InferenceConfig::baseline()
-        };
-        let result = study.delegations(&cfg);
+    study.for_each_fill_window(&filtered, &[0, 3, 10, 30, 60], |window, result| {
         fill_sweep.push(SweepPoint {
             value: window as f64,
             total_delegations: result.days.iter().map(Vec::len).sum(),
-            eval: evaluate_against_truth(&study.world, &result),
+            eval: study.evaluate(result),
         });
-    }
+    });
 
     let mut rendered = String::from("visibility-threshold sweep (baseline algorithm):\n");
     let mut t = TextTable::new(&["threshold", "delegation-days", "precision", "recall"]);

@@ -256,6 +256,8 @@ pub fn infer_from_pairs(pairs: &[(Prefix, Asn)]) -> Vec<Delegation> {
         ancestors.push((prefix, delegatee));
     }
     out.sort();
+    // A study keeps some walks for its lifetime: no spare capacity.
+    out.shrink_to_fit();
     out
 }
 

@@ -14,11 +14,14 @@ pub fn filter_intra_org(
     day: Date,
 ) -> (Vec<Delegation>, usize) {
     let before = delegations.len();
-    let kept: Vec<Delegation> = delegations
+    let mut kept: Vec<Delegation> = delegations
         .iter()
         .filter(|d| !as2org.same_org(day, d.delegator, d.delegatee))
         .copied()
         .collect();
+    // A study keeps the filtered walk for its lifetime: no spare
+    // capacity.
+    kept.shrink_to_fit();
     let removed = before - kept.len();
     (kept, removed)
 }
@@ -40,14 +43,33 @@ pub fn filter_intra_org(
 /// strictly between two consecutive observations of its key, so the
 /// key is never already present there.
 pub fn consistency_fill(days: &[Vec<Delegation>], max_gap_days: usize) -> Vec<Vec<Delegation>> {
+    fill_scan(days, &observations_by_prefix(days), max_gap_days)
+}
+
+/// Every `(day index, delegation)` of `days`, stably sorted by
+/// `(P', day)`. They are collected in day order, so a stable sort by
+/// P' alone keeps each prefix's observations in day order.
+pub(crate) fn observations_by_prefix(days: &[Vec<Delegation>]) -> Vec<(usize, &Delegation)> {
     let mut observations: Vec<(usize, &Delegation)> = days
         .iter()
         .enumerate()
         .flat_map(|(di, day)| day.iter().map(move |d| (di, d)))
         .collect();
-    observations.sort_by_key(|&(di, d)| (d.prefix, di));
+    observations.sort_by_key(|&(_, d)| d.prefix);
+    observations
+}
 
-    let mut out: Vec<Vec<Delegation>> = days.to_vec();
+/// The fill of one window: `observations` are `days`' own, sorted by
+/// [`observations_by_prefix`], so one sort serves any number of
+/// windows. The scan collects the filled `(day, delegation)`s; each
+/// output day is then its input day plus its fills, sorted, in a
+/// vector of exactly that length.
+pub(crate) fn fill_scan(
+    days: &[Vec<Delegation>],
+    observations: &[(usize, &Delegation)],
+    max_gap_days: usize,
+) -> Vec<Vec<Delegation>> {
+    let mut fills: Vec<(usize, Delegation)> = Vec::new();
     let mut cursors: Vec<KeyCursor> = Vec::new();
     for group in observations.chunk_by(|a, b| a.1.prefix == b.1.prefix) {
         cursors.clear();
@@ -72,19 +94,27 @@ pub fn consistency_fill(days: &[Vec<Delegation>], max_gap_days: usize) -> Vec<Ve
                 }
                 let gap = day - c.last_seen;
                 if gap > 1 && gap <= max_gap_days && !c.conflict {
-                    for filled in &mut out[c.last_seen + 1..day] {
-                        filled.push(c.delegation);
-                    }
+                    fills.extend((c.last_seen + 1..day).map(|filled| (filled, c.delegation)));
                 }
                 c.last_seen = day;
                 c.conflict = false;
             }
         }
     }
-    for day in &mut out {
-        day.sort();
-    }
-    out
+    fills.sort_unstable_by_key(|&(day, _)| day);
+    let mut fills = fills.as_slice();
+    (0..)
+        .zip(days)
+        .map(|(i, day)| {
+            let (today, rest) = fills.split_at(fills.partition_point(|&(d, _)| d == i));
+            fills = rest;
+            let mut out = Vec::with_capacity(day.len() + today.len());
+            out.extend_from_slice(day);
+            out.extend(today.iter().map(|&(_, d)| d));
+            out.sort();
+            out
+        })
+        .collect()
 }
 
 /// One key's state while [`consistency_fill`] scans its prefix.

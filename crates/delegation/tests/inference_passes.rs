@@ -222,6 +222,44 @@ proptest! {
         );
     }
 
+    /// One sort serves every window: each result of `filled_many`
+    /// equals its own fill, for gap lists holding 0, 1, duplicates and
+    /// any order.
+    #[test]
+    fn prop_filled_many_matches_one_fill_per_window(
+        days in days_strategy(),
+        gaps in proptest::collection::vec(
+            proptest::sample::select(vec![0usize, 1, 2, 3, 5, 10]),
+            0..6,
+        ),
+    ) {
+        let result = DailyDelegations {
+            start: span_start(),
+            days,
+            fallback_days: vec![span_start()],
+            missing_days: Vec::new(),
+            intra_org_removed: 3,
+        };
+        for gaps in [gaps, vec![10, 0, 3, 10, 1]] {
+            let many: Vec<DailyDelegations> = result.filled_many(&gaps).collect();
+            prop_assert_eq!(many.len(), gaps.len());
+            for (filled, &gap) in many.iter().zip(&gaps) {
+                prop_assert_eq!(&filled.days, &consistency_fill(&result.days, gap));
+                prop_assert_eq!(filled, &result.filled(gap));
+            }
+        }
+        // A series long enough that sorting its observations is not
+        // an insertion sort, against the map oracle.
+        let long = DailyDelegations {
+            days: result.days.iter().cycle().take(8 * result.days.len()).cloned().collect(),
+            ..result
+        };
+        let gaps = [2, 10, 5];
+        for (filled, &gap) in long.filled_many(&gaps).zip(&gaps) {
+            prop_assert_eq!(filled.days, inference_oracle::consistency_fill(&long.days, gap));
+        }
+    }
+
     #[test]
     fn prop_lease_sweep_matches_the_lease_scan(
         leases in proptest::collection::vec(
