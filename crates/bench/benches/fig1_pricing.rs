@@ -14,7 +14,9 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(generate_transactions(&cfg)))
     });
     let txs = generate_transactions(&cfg);
-    c.bench_function("fig1/boxplot_grid", |b| b.iter(|| black_box(boxplot_grid(&txs))));
+    c.bench_function("fig1/boxplot_grid", |b| {
+        b.iter(|| black_box(boxplot_grid(&txs)))
+    });
     c.bench_function("fig1/regional_mwu_test", |b| {
         b.iter(|| black_box(regional_difference_test(&txs)))
     });

@@ -40,7 +40,9 @@ fn bench(c: &mut Criterion) {
         &InferenceConfig::extended(),
         Some(&study.as2org),
     );
-    g.bench_function("daily_metrics", |b| b.iter(|| black_box(daily_metrics(&result))));
+    g.bench_function("daily_metrics", |b| {
+        b.iter(|| black_box(daily_metrics(&result)))
+    });
     g.finish();
 }
 

@@ -31,7 +31,9 @@ fn bench_trie(c: &mut Criterion) {
         })
         .collect();
     let trie: PrefixTrie<u32> = entries.iter().copied().collect();
-    let probes: Vec<u32> = (0..1_000).map(|_| (xorshift(&mut s) >> 16) as u32).collect();
+    let probes: Vec<u32> = (0..1_000)
+        .map(|_| (xorshift(&mut s) >> 16) as u32)
+        .collect();
 
     c.bench_function("primitives/trie_insert_100k", |b| {
         b.iter(|| {

@@ -18,13 +18,23 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("s4");
     g.sample_size(10);
     g.bench_function("whois_db_build", |b| {
-        b.iter(|| black_box(WhoisDb::build_from_world(&study.world, as_of, &DbBuildConfig::default())))
+        b.iter(|| {
+            black_box(WhoisDb::build_from_world(
+                &study.world,
+                as_of,
+                &DbBuildConfig::default(),
+            ))
+        })
     });
     let db = WhoisDb::build_from_world(&study.world, as_of, &DbBuildConfig::default());
     g.bench_function("rdap_extraction", |b| {
         b.iter(|| {
             let server = RdapServer::new(db.clone());
-            black_box(extract_delegations(&db, &server, &PipelineConfig::default()))
+            black_box(extract_delegations(
+                &db,
+                &server,
+                &PipelineConfig::default(),
+            ))
         })
     });
     let server = RdapServer::new(db.clone());

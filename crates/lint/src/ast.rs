@@ -137,7 +137,8 @@ fn is_test_attr(attr: &str) -> bool {
         let mut from = 0;
         while let Some(off) = rest[from..].find("test") {
             let at = from + off;
-            let before_ok = at == 0 || !bytes[at - 1].is_ascii_alphanumeric() && bytes[at - 1] != b'_';
+            let before_ok =
+                at == 0 || !bytes[at - 1].is_ascii_alphanumeric() && bytes[at - 1] != b'_';
             let end = at + 4;
             let after_ok =
                 end >= bytes.len() || !bytes[end].is_ascii_alphanumeric() && bytes[end] != b'_';
@@ -327,7 +328,11 @@ impl<'a, 'src> Parser<'a, 'src> {
                 let end_line = self.line(next.saturating_sub(1).max(i));
                 Some((
                     Item {
-                        kind: if is_impl { ItemKind::Impl } else { ItemKind::Trait },
+                        kind: if is_impl {
+                            ItemKind::Impl
+                        } else {
+                            ItemKind::Trait
+                        },
                         name: self_ty.clone().unwrap_or_default(),
                         cfg_test,
                         line_range: (start_line, end_line),
@@ -344,7 +349,11 @@ impl<'a, 'src> Parser<'a, 'src> {
                 let end_line = self.line(next.saturating_sub(1).max(i));
                 Some((
                     Item {
-                        kind: if kw == "struct" { ItemKind::Struct } else { ItemKind::Enum },
+                        kind: if kw == "struct" {
+                            ItemKind::Struct
+                        } else {
+                            ItemKind::Enum
+                        },
                         name,
                         cfg_test,
                         line_range: (start_line, end_line),
@@ -591,7 +600,8 @@ mod tests {
 
     #[test]
     fn macro_invocations_are_skipped() {
-        let src = "macro_rules! m { () => {} }\nthread_local! { static S: u8 = 0; }\nfn real() {}\n";
+        let src =
+            "macro_rules! m { () => {} }\nthread_local! { static S: u8 = 0; }\nfn real() {}\n";
         let t = tree(src);
         assert!(t.functions().iter().any(|f| f.name == "real"));
     }

@@ -254,8 +254,7 @@ fn receiver_chain(lexed: &Lexed<'_>, dot: usize, floor: usize) -> String {
 pub fn hash_flow_findings(lexed: &Lexed<'_>, tree: &ItemTree) -> Vec<(usize, &'static str)> {
     let toks = &lexed.tokens;
     let test_spans = tree.test_lines();
-    let in_test =
-        |line: usize| test_spans.iter().any(|&(a, b)| line >= a && line <= b);
+    let in_test = |line: usize| test_spans.iter().any(|&(a, b)| line >= a && line <= b);
 
     // 1. Every HashMap/HashSet mention, resolved to a symbol where
     //    possible. `use` imports are tracked separately: they fire iff
@@ -378,11 +377,7 @@ fn classify_mention(lexed: &Lexed<'_>, at: usize) -> Mention {
 }
 
 /// Does iteration order of `sym` reach a sink anywhere in the file?
-fn has_hazardous_iteration(
-    lexed: &Lexed<'_>,
-    sym: &str,
-    in_test: &dyn Fn(usize) -> bool,
-) -> bool {
+fn has_hazardous_iteration(lexed: &Lexed<'_>, sym: &str, in_test: &dyn Fn(usize) -> bool) -> bool {
     let toks = &lexed.tokens;
     for i in 0..toks.len() {
         if toks[i].kind != TokenKind::Ident || in_test(toks[i].line) {
@@ -392,9 +387,8 @@ fn has_hazardous_iteration(
         // `for pat in …sym… { body }` — hazardous if the body emits.
         if w == "for" {
             if let Some((expr_from, body_open)) = for_header(lexed, i) {
-                let names_sym = (expr_from..body_open).any(|j| {
-                    toks[j].kind == TokenKind::Ident && lexed.text(j) == sym
-                });
+                let names_sym = (expr_from..body_open)
+                    .any(|j| toks[j].kind == TokenKind::Ident && lexed.text(j) == sym);
                 if names_sym {
                     if let Some(body_close) = matching(toks, body_open) {
                         if range_has_sink(lexed, body_open + 1, body_close) {
@@ -491,9 +485,8 @@ fn statement_is_hazardous(lexed: &Lexed<'_>, i: usize) -> bool {
     for j in s..e.min(toks.len()) {
         if toks[j].kind == TokenKind::Ident
             && lexed.text(j) == "sum"
-            && (s..e).any(|k| {
-                toks[k].kind == TokenKind::Ident && matches!(lexed.text(k), "f64" | "f32")
-            })
+            && (s..e)
+                .any(|k| toks[k].kind == TokenKind::Ident && matches!(lexed.text(k), "f64" | "f32"))
         {
             return true;
         }
@@ -607,7 +600,10 @@ mod tests {
     fn l8(src: &str) -> Vec<usize> {
         let lx = lex(src);
         let tree = parse(&lx);
-        atomic_findings(&lx, &tree).into_iter().map(|(l, _)| l).collect()
+        atomic_findings(&lx, &tree)
+            .into_iter()
+            .map(|(l, _)| l)
+            .collect()
     }
 
     fn l9(src: &str) -> Vec<usize> {
@@ -622,7 +618,10 @@ mod tests {
     fn l10(src: &str) -> Vec<usize> {
         let lx = lex(src);
         let tree = parse(&lx);
-        swallow_sites(&lx, &tree).into_iter().map(|(l, _)| l).collect()
+        swallow_sites(&lx, &tree)
+            .into_iter()
+            .map(|(l, _)| l)
+            .collect()
     }
 
     #[test]

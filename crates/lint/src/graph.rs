@@ -352,9 +352,7 @@ impl<'a, 'src> FnWalker<'a, 'src> {
                         continue;
                     }
                     if w == "drop" && i + 3 < to && self.lx.is_punct(i + 1, b'(') {
-                        if toks[i + 2].kind == TokenKind::Ident
-                            && self.lx.is_punct(i + 3, b')')
-                        {
+                        if toks[i + 2].kind == TokenKind::Ident && self.lx.is_punct(i + 3, b')') {
                             let victim = self.lx.text(i + 2);
                             live.retain(|g| g.name.as_deref() != Some(victim));
                         }

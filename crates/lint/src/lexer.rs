@@ -258,9 +258,7 @@ impl<'a> Scanner<'a> {
         }
         let mut j = at + 1;
         // `br` / `cr` raw variants.
-        if (self.bytes[at] == b'b' || self.bytes[at] == b'c')
-            && self.bytes.get(j) == Some(&b'r')
-        {
+        if (self.bytes[at] == b'b' || self.bytes[at] == b'c') && self.bytes.get(j) == Some(&b'r') {
             j += 1;
         }
         let raw = j > at + 1 || self.bytes[at] == b'r';
@@ -419,7 +417,7 @@ impl<'a> Scanner<'a> {
             b'\\' => {
                 j += 1;
                 match self.bytes.get(j)? {
-                    b'x' => j += 3,             // \x7f
+                    b'x' => j += 3, // \x7f
                     b'u' => {
                         // \u{…}
                         if self.bytes.get(j + 1) != Some(&b'{') {
@@ -580,7 +578,8 @@ mod tests {
 
     #[test]
     fn raw_strings_and_byte_strings() {
-        let src = "let a = r#\"quote \" as u16\"#; let b = b\"as u16\"; let c = br##\"x\"# as u16\"##;";
+        let src =
+            "let a = r#\"quote \" as u16\"#; let b = b\"as u16\"; let c = br##\"x\"# as u16\"##;";
         let l = lex(src);
         assert!(!l.code.contains("as u16"));
         assert!(l.code.contains("let a ="));
@@ -602,7 +601,8 @@ mod tests {
     fn escaped_backslash_char_does_not_swallow_the_line() {
         // The predecessor masked `'\\'` one byte too greedily and
         // swallowed everything to the next apostrophe on the line.
-        let src = "let sep = '\\\\'; let bad = (n as u16, 'x'); let q = '\\''; let worse = n as u16;";
+        let src =
+            "let sep = '\\\\'; let bad = (n as u16, 'x'); let q = '\\''; let worse = n as u16;";
         let l = lex(src);
         assert_eq!(l.code.matches("as u16").count(), 2, "{}", l.code);
         assert!(l.code.contains("let bad ="));
@@ -655,8 +655,10 @@ mod tests {
         let src = "let r#type = 1; let s = \"as u16\";";
         let l = lex(src);
         assert!(!l.code.contains("as u16"));
-        assert!(l.tokens.iter().any(|t| t.kind == TokenKind::Ident
-            && &src[t.start..t.end] == "r#type"));
+        assert!(l
+            .tokens
+            .iter()
+            .any(|t| t.kind == TokenKind::Ident && &src[t.start..t.end] == "r#type"));
     }
 
     #[test]
@@ -688,7 +690,11 @@ mod tests {
     fn matching_delimiters() {
         let src = "fn f(a: (u8, u8)) { if x { y(); } }";
         let l = lex(src);
-        let open = l.tokens.iter().position(|t| t.kind == TokenKind::Punct(b'{')).expect("open");
+        let open = l
+            .tokens
+            .iter()
+            .position(|t| t.kind == TokenKind::Punct(b'{'))
+            .expect("open");
         let close = matching(&l.tokens, open).expect("close");
         assert_eq!(close, l.tokens.len() - 1);
     }

@@ -11,9 +11,9 @@
 
 use crate::ast::{parse, ItemTree};
 use crate::graph::{self, LockGraph};
-use crate::lexer::{lex, Lexed};
 #[cfg(test)]
 use crate::lexer::TokenKind;
+use crate::lexer::{lex, Lexed};
 
 /// A rule identifier.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
@@ -300,11 +300,7 @@ fn scan_file(path: &str, lexed: &Lexed<'_>, tree: &ItemTree) -> Vec<Finding> {
     let test_file = is_test_path(path);
     let this_crate = crate_of(path);
     let test_spans = tree.test_lines();
-    let in_test = |line: usize| {
-        test_spans
-            .iter()
-            .any(|&(a, b)| line >= a && line <= b)
-    };
+    let in_test = |line: usize| test_spans.iter().any(|&(a, b)| line >= a && line <= b);
 
     let mut findings = Vec::new();
     let mut push = |rule: Rule, line: usize, message: String| {
@@ -463,7 +459,10 @@ pub fn scan_manifest(path: &str, source: &str) -> Vec<Finding> {
 
 /// Byte offset → 1-based line number, for match positions.
 fn line_at(code: &str, at: usize) -> usize {
-    1 + code.as_bytes()[..at].iter().filter(|&&b| b == b'\n').count()
+    1 + code.as_bytes()[..at]
+        .iter()
+        .filter(|&&b| b == b'\n')
+        .count()
 }
 
 fn is_ident(b: u8) -> bool {

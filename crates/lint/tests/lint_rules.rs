@@ -59,7 +59,10 @@ fn l5_flags_spawns_outside_the_pool_files() {
         vec![(4, Rule::L5)]
     );
     // The sanctioned pool implementations are exempt.
-    assert_eq!(hits("crates/bgpsim/src/par.rs", "l5_stray_spawn.rs"), vec![]);
+    assert_eq!(
+        hits("crates/bgpsim/src/par.rs", "l5_stray_spawn.rs"),
+        vec![]
+    );
     assert_eq!(
         hits("crates/serve/src/server.rs", "l5_stray_spawn.rs"),
         vec![]
@@ -169,7 +172,10 @@ fn negatives_produce_no_findings() {
 fn test_paths_exempt_everything_but_clocks_and_shims() {
     // The same violating fixtures under a test path go quiet…
     assert_eq!(hits("tests/l1.rs", "l1_narrowing_cast.rs"), vec![]);
-    assert_eq!(hits("crates/bgpsim/tests/l2.rs", "l2_panic_path.rs"), vec![]);
+    assert_eq!(
+        hits("crates/bgpsim/tests/l2.rs", "l2_panic_path.rs"),
+        vec![]
+    );
     assert_eq!(
         hits("crates/market/benches/l9.rs", "l9_hash_to_sink.rs"),
         vec![]
@@ -186,7 +192,8 @@ fn test_paths_exempt_everything_but_clocks_and_shims() {
 fn allow_directives_silence_their_line() {
     assert_eq!(hits("crates/bgpsim/src/allows.rs", "allows.rs"), vec![]);
     // The directive is rule-specific: the L1 allow does not cover L2.
-    let source = "pub fn f(v: Option<u8>) -> u8 {\n    v.unwrap() // lint:allow(L1): wrong rule\n}\n";
+    let source =
+        "pub fn f(v: Option<u8>) -> u8 {\n    v.unwrap() // lint:allow(L1): wrong rule\n}\n";
     let found = scan_source("crates/core/src/x.rs", source);
     assert_eq!(found.len(), 1);
     assert_eq!((found[0].line, found[0].rule), (2, Rule::L2));
@@ -218,8 +225,9 @@ fn manifest_scan_flags_direct_shim_paths() {
     assert_eq!(found.len(), 1);
     assert_eq!((found[0].line, found[0].rule), (5, Rule::L6));
     // TOML comments are stripped before matching.
-    // lint:allow(L6): test input for the manifest scanner, not an import
-    let commented = "[dependencies]\n# shims/serde_json would be wrong\nserde_json = { workspace = true }\n";
+    let commented =
+        // lint:allow(L6): test input for the manifest scanner, not an import
+        "[dependencies]\n# shims/serde_json would be wrong\nserde_json = { workspace = true }\n";
     assert!(scan_manifest("crates/demo/Cargo.toml", commented).is_empty());
 }
 
@@ -345,8 +353,12 @@ fn injected_violation_fails_a_clean_tree() {
             "crates/demo/src/lib.rs",
             "pub fn v() { std::thread::spawn(|| {}).join().expect(\"join\"); }\n",
         ),
-        // lint:allow(L6): the injected violation under test, not an import
-        (Rule::L6, "crates/demo/src/lib.rs", "#[path = \"../shims/x.rs\"]\nmod v;\n"),
+        (
+            Rule::L6,
+            "crates/demo/src/lib.rs",
+            // lint:allow(L6): the injected violation under test, not an import
+            "#[path = \"../shims/x.rs\"]\nmod v;\n",
+        ),
         (Rule::L7, "crates/serve/src/lib.rs", cycle),
         (Rule::L8, "crates/demo/src/lib.rs", relaxed_publish),
         (Rule::L9, "crates/market/src/lib.rs", hash_sink),
@@ -408,7 +420,10 @@ fn json_report_round_trips_through_the_shim_parser() {
     assert_eq!(summary.get("new").and_then(|x| x.as_i64()), Some(1));
     assert_eq!(summary.get("stale").and_then(|x| x.as_i64()), Some(0));
 
-    let results = v.get("results").and_then(|r| r.as_array()).expect("results");
+    let results = v
+        .get("results")
+        .and_then(|r| r.as_array())
+        .expect("results");
     assert_eq!(results.len(), 2);
     let baselined = &results[0];
     assert_eq!(baselined.get("ruleId").and_then(|r| r.as_str()), Some("L1"));
@@ -466,12 +481,20 @@ fn workspace_lock_graph_covers_the_lock_scope_and_is_acyclic() {
             (p.as_str(), lx, tree)
         })
         .collect();
-    assert!(scoped.len() >= 3, "lock scope shrank to {} files", scoped.len());
+    assert!(
+        scoped.len() >= 3,
+        "lock scope shrank to {} files",
+        scoped.len()
+    );
     let refs: Vec<(&str, &lint::lexer::Lexed, &lint::ast::ItemTree)> =
         scoped.iter().map(|(p, lx, t)| (*p, lx, t)).collect();
     let g = lint::graph::build(&refs);
     // The real lock table is present…
-    for node in ["Shared.queue", "ProfileCollector.state", "FlightRecorder.slots"] {
+    for node in [
+        "Shared.queue",
+        "ProfileCollector.state",
+        "FlightRecorder.slots",
+    ] {
         assert!(
             g.nodes.contains(node),
             "missing lock node {node}: {:?}",
@@ -492,5 +515,9 @@ fn workspace_gate_is_clean() {
     let manifest_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let root = lint::find_workspace_root(&manifest_dir).expect("workspace root");
     let report = lint::run(&root, &root.join(lint::BASELINE_FILE), false).expect("lint runs");
-    assert!(report.ok, "workspace lint gate failed:\n{}", report.render());
+    assert!(
+        report.ok,
+        "workspace lint gate failed:\n{}",
+        report.render()
+    );
 }

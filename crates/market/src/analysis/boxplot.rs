@@ -146,9 +146,7 @@ mod tests {
         let txs = generate_transactions(&TransactionConfig::default());
         let grid = boxplot_grid(&txs);
         assert!(!grid.is_empty());
-        assert!(grid
-            .iter()
-            .all(|b| Rir::MARKET_RIRS.contains(&b.region)));
+        assert!(grid.iter().all(|b| Rir::MARKET_RIRS.contains(&b.region)));
     }
 
     #[test]

@@ -206,8 +206,12 @@ mod tests {
 
     #[test]
     fn mwu_accepts_identical_distributions() {
-        let a: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin() * 3.0 + 20.0).collect();
-        let b: Vec<f64> = (0..100).map(|i| ((i + 50) as f64 * 0.37).sin() * 3.0 + 20.0).collect();
+        let a: Vec<f64> = (0..100)
+            .map(|i| (i as f64 * 0.37).sin() * 3.0 + 20.0)
+            .collect();
+        let b: Vec<f64> = (0..100)
+            .map(|i| ((i + 50) as f64 * 0.37).sin() * 3.0 + 20.0)
+            .collect();
         let r = mann_whitney_u(&a, &b).unwrap();
         assert!(r.p_value > 0.05, "p = {}", r.p_value);
     }

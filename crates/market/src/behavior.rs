@@ -104,14 +104,24 @@ pub fn simulate_behaviors(config: &BehaviorConfig) -> Vec<TracedAction> {
                     // the leasing-out side appears as the counterparty
                     // of startup/VPN leases; here we record the buys.
                     let d = config.span.start + rng.gen_range(0..days);
-                    push(d, MarketAction::Buy { len: rng.gen_range(17..=19) }, &mut out);
+                    push(
+                        d,
+                        MarketAction::Buy {
+                            len: rng.gen_range(17..=19),
+                        },
+                        &mut out,
+                    );
                 }
                 OrgKind::Enterprise => {
                     // Buys small (/21–/24) and terminates its lease.
                     let d = config.span.start + rng.gen_range(0..days.max(31) - 30);
                     let len = rng.gen_range(21..=24);
                     push(d, MarketAction::Buy { len }, &mut out);
-                    push(d + rng.gen_range(1..=30), MarketAction::TerminateLease, &mut out);
+                    push(
+                        d + rng.gen_range(1..=30),
+                        MarketAction::TerminateLease,
+                        &mut out,
+                    );
                 }
                 OrgKind::Startup => {
                     // Leases small, upgrades, eventually buys.
@@ -132,7 +142,14 @@ pub fn simulate_behaviors(config: &BehaviorConfig) -> Vec<TracedAction> {
                 OrgKind::VpnProvider => {
                     // One long lease, rotated frequently.
                     let d0 = config.span.start + rng.gen_range(0..days / 4);
-                    push(d0, MarketAction::Lease { len: 23, months: 12 }, &mut out);
+                    push(
+                        d0,
+                        MarketAction::Lease {
+                            len: 23,
+                            months: 12,
+                        },
+                        &mut out,
+                    );
                     let mut d = d0;
                     loop {
                         d += rng.gen_range(20..=40);
@@ -160,7 +177,14 @@ pub fn simulate_behaviors(config: &BehaviorConfig) -> Vec<TracedAction> {
                 OrgKind::Hoster => {
                     // Leases bundled with infrastructure; medium blocks.
                     let d = config.span.start + rng.gen_range(0..days);
-                    push(d, MarketAction::Lease { len: rng.gen_range(20..=22), months: 12 }, &mut out);
+                    push(
+                        d,
+                        MarketAction::Lease {
+                            len: rng.gen_range(20..=22),
+                            months: 12,
+                        },
+                        &mut out,
+                    );
                 }
                 OrgKind::LeasingProvider => {
                     // Space-rich: sells big and leases back a part.
@@ -300,9 +324,17 @@ mod tests {
         let isp = get(OrgKind::Isp);
         let ent = get(OrgKind::Enterprise);
         // ISPs buy blocks larger than /20 (> 4096 addresses)…
-        assert!(isp.mean_buy_addresses > 4096.0, "{}", isp.mean_buy_addresses);
+        assert!(
+            isp.mean_buy_addresses > 4096.0,
+            "{}",
+            isp.mean_buy_addresses
+        );
         // …long-term customers smaller than /20.
-        assert!(ent.mean_buy_addresses < 4096.0, "{}", ent.mean_buy_addresses);
+        assert!(
+            ent.mean_buy_addresses < 4096.0,
+            "{}",
+            ent.mean_buy_addresses
+        );
         assert!(isp.buys > 0 && ent.buys > 0);
         // Enterprises terminate leases when they buy.
         assert!(ent.terminations >= ent.buys);
@@ -320,7 +352,11 @@ mod tests {
         );
         let spam = get(OrgKind::Spammer);
         // Spammers: many short leases.
-        assert!(spam.leases as f64 / 60.0 > 3.0, "spam leases {}", spam.leases);
+        assert!(
+            spam.leases as f64 / 60.0 > 3.0,
+            "spam leases {}",
+            spam.leases
+        );
         assert!(spam.mean_lease_months <= 1.5);
         // Startups lease first, a majority buy later.
         let startup = get(OrgKind::Startup);

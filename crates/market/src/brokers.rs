@@ -95,9 +95,18 @@ mod tests {
 
     #[test]
     fn commission_band_enforced() {
-        assert_eq!(Broker::new("x", 0.5, CommissionSide::Buyer, false).commission_rate, 0.10);
-        assert_eq!(Broker::new("x", 0.01, CommissionSide::Buyer, false).commission_rate, 0.05);
-        assert_eq!(Broker::new("x", 0.07, CommissionSide::Buyer, false).commission_rate, 0.07);
+        assert_eq!(
+            Broker::new("x", 0.5, CommissionSide::Buyer, false).commission_rate,
+            0.10
+        );
+        assert_eq!(
+            Broker::new("x", 0.01, CommissionSide::Buyer, false).commission_rate,
+            0.05
+        );
+        assert_eq!(
+            Broker::new("x", 0.07, CommissionSide::Buyer, false).commission_rate,
+            0.07
+        );
     }
 
     #[test]

@@ -116,8 +116,18 @@ pub fn leasing_catalog() -> Vec<LeasingProvider> {
     use ProviderKind::*;
     vec![
         // --- Wave 1 (observed from 2019-10-26): 12 providers.
-        p("Heficed", BundledHosting, W1, &[(W1, 0.65), ("2020-03-01", 0.40)]),
-        p("IPv4Mall", PureLeasing, W1, &[(W1, 0.35), ("2020-02-15", 0.56)]),
+        p(
+            "Heficed",
+            BundledHosting,
+            W1,
+            &[(W1, 0.65), ("2020-03-01", 0.40)],
+        ),
+        p(
+            "IPv4Mall",
+            PureLeasing,
+            W1,
+            &[(W1, 0.35), ("2020-02-15", 0.56)],
+        ),
         p(
             "IP-AS",
             PureLeasing,
@@ -177,7 +187,10 @@ mod tests {
         let c = leasing_catalog();
         let final_prices = prices_on(&c, date("2020-06-01"));
         assert_eq!(final_prices.len(), 21);
-        let min = final_prices.iter().map(|(_, v)| *v).fold(f64::INFINITY, f64::min);
+        let min = final_prices
+            .iter()
+            .map(|(_, v)| *v)
+            .fold(f64::INFINITY, f64::min);
         let max = final_prices.iter().map(|(_, v)| *v).fold(0.0, f64::max);
         assert!((min - 0.30).abs() < 1e-9, "floor {min}");
         assert!((max - 2.33).abs() < 1e-9, "ceiling {max}");
@@ -214,7 +227,10 @@ mod tests {
         let c = leasing_catalog();
         let jan = date("2020-01-15");
         let visible = prices_on(&c, jan);
-        let min = visible.iter().map(|(_, v)| *v).fold(f64::INFINITY, f64::min);
+        let min = visible
+            .iter()
+            .map(|(_, v)| *v)
+            .fold(f64::INFINITY, f64::min);
         let max = visible.iter().map(|(_, v)| *v).fold(0.0, f64::max);
         assert!(max / min > 10.0, "spike ratio {}", max / min);
     }

@@ -148,17 +148,15 @@ mod tests {
         assert!(ExponentialFit::fit(Vec::<(Date, f64)>::new()).is_none());
         assert!(ExponentialFit::fit(vec![(date("2016-01-01"), 10.0)]).is_none());
         // Same-day samples: zero x-variance.
-        assert!(ExponentialFit::fit(vec![
-            (date("2016-01-01"), 10.0),
-            (date("2016-01-01"), 12.0),
-        ])
-        .is_none());
+        assert!(
+            ExponentialFit::fit(vec![(date("2016-01-01"), 10.0), (date("2016-01-01"), 12.0),])
+                .is_none()
+        );
         // Non-positive prices are filtered.
-        assert!(ExponentialFit::fit(vec![
-            (date("2016-01-01"), 0.0),
-            (date("2016-06-01"), -3.0),
-        ])
-        .is_none());
+        assert!(
+            ExponentialFit::fit(vec![(date("2016-01-01"), 0.0), (date("2016-06-01"), -3.0),])
+                .is_none()
+        );
     }
 
     #[test]

@@ -189,7 +189,10 @@ mod tests {
     #[test]
     fn flat_during_consolidation() {
         let m = PriceModel::default();
-        assert_eq!(m.base_price(date("2019-04-01")), m.base_price(date("2020-06-25")));
+        assert_eq!(
+            m.base_price(date("2019-04-01")),
+            m.base_price(date("2020-06-25"))
+        );
         assert!(m.in_consolidation(date("2019-06-01")));
         assert!(!m.in_consolidation(date("2019-03-01")));
         assert!(m.sigma(date("2019-06-01")) < m.sigma(date("2018-06-01")));
@@ -238,7 +241,8 @@ mod tests {
         let pre = date("2017-01-01");
         let post = date("2020-01-01");
         // One-sigma relative moves.
-        let pre_move = m.sample_price(pre, 24, Rir::Arin, 1.0) / m.expected_price(pre, 24, Rir::Arin);
+        let pre_move =
+            m.sample_price(pre, 24, Rir::Arin, 1.0) / m.expected_price(pre, 24, Rir::Arin);
         let post_move =
             m.sample_price(post, 24, Rir::Arin, 1.0) / m.expected_price(post, 24, Rir::Arin);
         assert!(pre_move > post_move);

@@ -119,10 +119,7 @@ impl Blacklist {
     /// block's, and any covered block's (a listed sub-block taints the
     /// parent too — the §2 rationale for SWIP-style delegation
     /// records, which contain the damage to the delegated block).
-    fn relevant<'a>(
-        &'a self,
-        block: &'a Prefix,
-    ) -> impl Iterator<Item = &'a Listing> + 'a {
+    fn relevant<'a>(&'a self, block: &'a Prefix) -> impl Iterator<Item = &'a Listing> + 'a {
         self.listings
             .iter()
             .filter(move |l| l.prefix.overlaps(block))
@@ -168,10 +165,7 @@ pub fn residual_reputation(
     d: Date,
 ) -> Reputation {
     // Index recorded delegations for fast covering checks.
-    let recorded: PrefixTrie<()> = delegations_with_records
-        .iter()
-        .map(|p| (*p, ()))
-        .collect();
+    let recorded: PrefixTrie<()> = delegations_with_records.iter().map(|p| (*p, ())).collect();
     let mut worst = Reputation::Clean;
     for l in blacklist.listings() {
         if l.listed > d || !l.prefix.overlaps(provider_block) {
@@ -179,11 +173,7 @@ pub fn residual_reputation(
         }
         // A listing fully inside a recorded delegation is attributed
         // to the delegatee: it does not touch the residual space.
-        let contained_in_recorded = recorded
-            .covering(&l.prefix)
-            .into_iter()
-            .next()
-            .is_some()
+        let contained_in_recorded = recorded.covering(&l.prefix).into_iter().next().is_some()
             || recorded.contains(&l.prefix);
         if contained_in_recorded {
             continue;
@@ -209,18 +199,31 @@ mod tests {
         assert_eq!(bl.reputation(&block, date("2019-01-01")), Reputation::Clean);
         bl.list(block, date("2019-06-01"), ListingReason::Spam);
         assert_eq!(bl.reputation(&block, date("2019-05-31")), Reputation::Clean);
-        assert_eq!(bl.reputation(&block, date("2019-06-01")), Reputation::Listed);
+        assert_eq!(
+            bl.reputation(&block, date("2019-06-01")),
+            Reputation::Listed
+        );
         assert_eq!(bl.delist(block, date("2019-09-01")), 1);
-        assert_eq!(bl.reputation(&block, date("2019-08-31")), Reputation::Listed);
+        assert_eq!(
+            bl.reputation(&block, date("2019-08-31")),
+            Reputation::Listed
+        );
         // Delisted but never clean again.
-        assert_eq!(bl.reputation(&block, date("2020-01-01")), Reputation::Tainted);
+        assert_eq!(
+            bl.reputation(&block, date("2020-01-01")),
+            Reputation::Tainted
+        );
         assert!(!bl.passes_pre_purchase_check(&block, date("2020-01-01")));
     }
 
     #[test]
     fn listing_taints_covering_and_covered_blocks() {
         let mut bl = Blacklist::new();
-        bl.list(pfx("64.1.0.0/24"), date("2019-01-01"), ListingReason::Flooding);
+        bl.list(
+            pfx("64.1.0.0/24"),
+            date("2019-01-01"),
+            ListingReason::Flooding,
+        );
         // The covering /16 is affected…
         assert_eq!(
             bl.reputation(&pfx("64.1.0.0/16"), date("2019-02-01")),
@@ -228,7 +231,11 @@ mod tests {
         );
         // …and a sub-block of a listed /16 is too.
         let mut bl2 = Blacklist::new();
-        bl2.list(pfx("64.2.0.0/16"), date("2019-01-01"), ListingReason::Malware);
+        bl2.list(
+            pfx("64.2.0.0/16"),
+            date("2019-01-01"),
+            ListingReason::Malware,
+        );
         assert_eq!(
             bl2.reputation(&pfx("64.2.7.0/24"), date("2019-02-01")),
             Reputation::Listed
@@ -304,7 +311,10 @@ mod tests {
         bl.delist(block, date("2019-02-01"));
         bl.list(block, date("2019-06-01"), ListingReason::Malware);
         // One delisted + one active ⇒ Listed.
-        assert_eq!(bl.reputation(&block, date("2019-07-01")), Reputation::Listed);
+        assert_eq!(
+            bl.reputation(&block, date("2019-07-01")),
+            Reputation::Listed
+        );
         assert_eq!(bl.listings().len(), 2);
     }
 }

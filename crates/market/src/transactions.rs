@@ -164,7 +164,9 @@ mod tests {
         use std::collections::BTreeMap;
         let mut per_quarter: BTreeMap<(i64, Rir), u32> = BTreeMap::new();
         for t in &txs {
-            *per_quarter.entry((t.date.quarter_index(), t.region)).or_default() += 1;
+            *per_quarter
+                .entry((t.date.quarter_index(), t.region))
+                .or_default() += 1;
         }
         for ((qi, region), count) in per_quarter {
             let (lo, hi) = quarterly_band(region);

@@ -27,14 +27,14 @@ impl Asn {
     /// special-purpose entries the paper sanitizes against.
     pub fn is_reserved(&self) -> bool {
         match self.0 {
-            0 => true,                          // RFC 7607
-            23456 => true,                      // AS_TRANS, RFC 6793
-            64496..=64511 => true,              // documentation, RFC 5398
-            64512..=65534 => true,              // private use, RFC 6996
-            65535 => true,                      // RFC 7300
-            65536..=65551 => true,              // documentation, RFC 5398
-            4200000000..=4294967294 => true,    // private use, RFC 6996
-            4294967295 => true,                 // RFC 7300
+            0 => true,                       // RFC 7607
+            23456 => true,                   // AS_TRANS, RFC 6793
+            64496..=64511 => true,           // documentation, RFC 5398
+            64512..=65534 => true,           // private use, RFC 6996
+            65535 => true,                   // RFC 7300
+            65536..=65551 => true,           // documentation, RFC 5398
+            4200000000..=4294967294 => true, // private use, RFC 6996
+            4294967295 => true,              // RFC 7300
             _ => false,
         }
     }

@@ -249,7 +249,15 @@ mod tests {
         let clean_path = [Asn(3320), Asn(1299)];
         assert!(route_is_clean(&f, &pfx("193.0.0.0/21"), &clean_path));
         assert!(!route_is_clean(&f, &pfx("10.0.0.0/8"), &clean_path));
-        assert!(!route_is_clean(&f, &pfx("193.0.0.0/21"), &[Asn(3320), Asn(0)]));
-        assert!(!route_is_clean(&f, &pfx("193.0.0.0/21"), &[Asn(1), Asn(2), Asn(1)]));
+        assert!(!route_is_clean(
+            &f,
+            &pfx("193.0.0.0/21"),
+            &[Asn(3320), Asn(0)]
+        ));
+        assert!(!route_is_clean(
+            &f,
+            &pfx("193.0.0.0/21"),
+            &[Asn(1), Asn(2), Asn(1)]
+        ));
     }
 }

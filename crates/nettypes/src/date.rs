@@ -193,9 +193,15 @@ impl FromStr for Date {
         }
         match (y, m, d) {
             (Some(y), Some(m), Some(d)) => {
-                let y: i64 = y.parse().map_err(|_| NetTypesError::InvalidDate(s.into()))?;
-                let m: u8 = m.parse().map_err(|_| NetTypesError::InvalidDate(s.into()))?;
-                let d: u8 = d.parse().map_err(|_| NetTypesError::InvalidDate(s.into()))?;
+                let y: i64 = y
+                    .parse()
+                    .map_err(|_| NetTypesError::InvalidDate(s.into()))?;
+                let m: u8 = m
+                    .parse()
+                    .map_err(|_| NetTypesError::InvalidDate(s.into()))?;
+                let d: u8 = d
+                    .parse()
+                    .map_err(|_| NetTypesError::InvalidDate(s.into()))?;
                 Date::ymd(y, m, d)
             }
             _ => Err(NetTypesError::InvalidDate(s.to_string())),
@@ -339,7 +345,13 @@ mod tests {
         let days: Vec<String> = r.iter().map(|d| d.to_string()).collect();
         assert_eq!(
             days,
-            vec!["2020-02-27", "2020-02-28", "2020-02-29", "2020-03-01", "2020-03-02"]
+            vec![
+                "2020-02-27",
+                "2020-02-28",
+                "2020-02-29",
+                "2020-03-01",
+                "2020-03-02"
+            ]
         );
         assert_eq!(r.num_days(), 5);
         assert!(r.contains(date("2020-02-29")));

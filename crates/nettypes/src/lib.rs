@@ -87,7 +87,15 @@ mod tests {
 
     #[test]
     fn ipv4_rejects_garbage() {
-        for s in ["", "1.2.3", "1.2.3.4.5", "256.0.0.1", "a.b.c.d", "1..2.3", "-1.0.0.0"] {
+        for s in [
+            "",
+            "1.2.3",
+            "1.2.3.4.5",
+            "256.0.0.1",
+            "a.b.c.d",
+            "1..2.3",
+            "-1.0.0.0",
+        ] {
             assert!(parse_ipv4(s).is_err(), "{s} should be rejected");
         }
     }

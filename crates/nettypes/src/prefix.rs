@@ -184,7 +184,9 @@ impl Prefix {
             return Err(NetTypesError::InvalidPrefixLen(target_len));
         }
         if target_len < self.len {
-            return Err(NetTypesError::OutOfSpace("subprefix with less-specific length"));
+            return Err(NetTypesError::OutOfSpace(
+                "subprefix with less-specific length",
+            ));
         }
         let count = 1u64 << (target_len - self.len) as u32;
         if n >= count {
@@ -221,7 +223,11 @@ impl Prefix {
     /// prefixes; guarded by `debug_assert` against anything larger than
     /// a /16 to avoid accidental 2^32 loops in tests.
     pub fn addresses(&self) -> impl Iterator<Item = u32> {
-        debug_assert!(self.len >= 16, "iterating addresses of /{} is excessive", self.len);
+        debug_assert!(
+            self.len >= 16,
+            "iterating addresses of /{} is excessive",
+            self.len
+        );
         let start = self.network as u64;
         let end = self.last_address() as u64;
         (start..=end).map(|a| a as u32)
@@ -395,7 +401,10 @@ mod tests {
     fn ordering_supernet_first() {
         let mut v = vec![pfx("10.0.0.0/24"), pfx("10.0.0.0/8"), pfx("9.0.0.0/8")];
         v.sort();
-        assert_eq!(v, vec![pfx("9.0.0.0/8"), pfx("10.0.0.0/8"), pfx("10.0.0.0/24")]);
+        assert_eq!(
+            v,
+            vec![pfx("9.0.0.0/8"), pfx("10.0.0.0/8"), pfx("10.0.0.0/24")]
+        );
     }
 
     #[test]

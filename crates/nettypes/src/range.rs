@@ -93,7 +93,11 @@ impl IpRange {
         let end = self.end as u64;
         while cur <= end {
             // Largest block size allowed by alignment of `cur`…
-            let align = if cur == 0 { 32 } else { cur.trailing_zeros().min(32) };
+            let align = if cur == 0 {
+                32
+            } else {
+                cur.trailing_zeros().min(32)
+            };
             // …and by the remaining span.
             let remaining = end - cur + 1;
             let span_bits = 63 - remaining.leading_zeros(); // floor(log2(remaining))
@@ -231,7 +235,10 @@ mod tests {
         let c = IpRange::new(21, 25).unwrap();
         assert_eq!(a.intersection(&b), Some(IpRange::new(15, 20).unwrap()));
         assert_eq!(a.intersection(&c), None);
-        assert_eq!(a.union_if_contiguous(&c), Some(IpRange::new(10, 25).unwrap()));
+        assert_eq!(
+            a.union_if_contiguous(&c),
+            Some(IpRange::new(10, 25).unwrap())
+        );
         assert_eq!(
             a.union_if_contiguous(&b),
             Some(IpRange::new(10, 30).unwrap())

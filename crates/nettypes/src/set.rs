@@ -134,9 +134,7 @@ impl PrefixSet {
 
     /// The minimal CIDR decomposition of the set.
     pub fn to_cidrs(&self) -> Vec<Prefix> {
-        self.intervals()
-            .flat_map(|r| r.to_cidrs())
-            .collect()
+        self.intervals().flat_map(|r| r.to_cidrs()).collect()
     }
 }
 
@@ -186,14 +184,18 @@ mod tests {
 
     #[test]
     fn merges_adjacent() {
-        let s: PrefixSet = [pfx("10.0.0.0/25"), pfx("10.0.0.128/25")].into_iter().collect();
+        let s: PrefixSet = [pfx("10.0.0.0/25"), pfx("10.0.0.128/25")]
+            .into_iter()
+            .collect();
         assert_eq!(s.num_intervals(), 1);
         assert_eq!(s.to_cidrs(), vec![pfx("10.0.0.0/24")]);
     }
 
     #[test]
     fn keeps_gaps() {
-        let s: PrefixSet = [pfx("10.0.0.0/24"), pfx("10.0.2.0/24")].into_iter().collect();
+        let s: PrefixSet = [pfx("10.0.0.0/24"), pfx("10.0.2.0/24")]
+            .into_iter()
+            .collect();
         assert_eq!(s.num_intervals(), 2);
         assert_eq!(s.num_addresses(), 512);
         assert!(!s.contains_address(crate::parse_ipv4("10.0.1.0").unwrap()));
@@ -202,7 +204,9 @@ mod tests {
 
     #[test]
     fn covers_prefix_check() {
-        let s: PrefixSet = [pfx("10.0.0.0/24"), pfx("10.0.1.0/24")].into_iter().collect();
+        let s: PrefixSet = [pfx("10.0.0.0/24"), pfx("10.0.1.0/24")]
+            .into_iter()
+            .collect();
         assert!(s.covers_prefix(&pfx("10.0.0.0/23")));
         assert!(s.covers_prefix(&pfx("10.0.1.128/25")));
         assert!(!s.covers_prefix(&pfx("10.0.0.0/22")));
@@ -211,7 +215,9 @@ mod tests {
     #[test]
     fn intersection_and_coverage() {
         let a: PrefixSet = [pfx("10.0.0.0/23")].into_iter().collect(); // 512
-        let b: PrefixSet = [pfx("10.0.1.0/24"), pfx("10.0.2.0/24")].into_iter().collect();
+        let b: PrefixSet = [pfx("10.0.1.0/24"), pfx("10.0.2.0/24")]
+            .into_iter()
+            .collect();
         assert_eq!(a.intersection_size(&b), 256);
         assert!((a.coverage_by(&b) - 0.5).abs() < 1e-12);
         assert!((b.coverage_by(&a) - 0.5).abs() < 1e-12);
@@ -234,7 +240,9 @@ mod tests {
     #[test]
     fn union_counts() {
         let a: PrefixSet = [pfx("10.0.0.0/24")].into_iter().collect();
-        let b: PrefixSet = [pfx("10.0.0.128/25"), pfx("192.0.2.0/24")].into_iter().collect();
+        let b: PrefixSet = [pfx("10.0.0.128/25"), pfx("192.0.2.0/24")]
+            .into_iter()
+            .collect();
         let u = a.union(&b);
         assert_eq!(u.num_addresses(), 512);
         assert_eq!(u.num_intervals(), 2);

@@ -282,13 +282,21 @@ mod tests {
     #[test]
     fn longest_match_basics() {
         let t = sample();
-        let (p, v) = t.longest_match(crate::parse_ipv4("10.0.1.77").unwrap()).unwrap();
+        let (p, v) = t
+            .longest_match(crate::parse_ipv4("10.0.1.77").unwrap())
+            .unwrap();
         assert_eq!((p, *v), (pfx("10.0.1.0/24"), "twentyfour"));
-        let (p, v) = t.longest_match(crate::parse_ipv4("10.0.2.1").unwrap()).unwrap();
+        let (p, v) = t
+            .longest_match(crate::parse_ipv4("10.0.2.1").unwrap())
+            .unwrap();
         assert_eq!((p, *v), (pfx("10.0.0.0/16"), "sixteen"));
-        let (p, v) = t.longest_match(crate::parse_ipv4("10.9.9.9").unwrap()).unwrap();
+        let (p, v) = t
+            .longest_match(crate::parse_ipv4("10.9.9.9").unwrap())
+            .unwrap();
         assert_eq!((p, *v), (pfx("10.0.0.0/8"), "eight"));
-        assert!(t.longest_match(crate::parse_ipv4("11.0.0.1").unwrap()).is_none());
+        assert!(t
+            .longest_match(crate::parse_ipv4("11.0.0.1").unwrap())
+            .is_none());
     }
 
     #[test]
@@ -331,7 +339,11 @@ mod tests {
             .collect();
         assert_eq!(cov, vec![Prefix::DEFAULT]);
         // covered(/0) enumerates the whole trie, /0 first.
-        let all: Vec<Prefix> = t.covered(&Prefix::DEFAULT).into_iter().map(|(p, _)| p).collect();
+        let all: Vec<Prefix> = t
+            .covered(&Prefix::DEFAULT)
+            .into_iter()
+            .map(|(p, _)| p)
+            .collect();
         assert_eq!(all, vec![Prefix::DEFAULT, pfx("128.0.0.0/1")]);
         // Removing /0 leaves deeper entries intact.
         assert_eq!(t.remove(&Prefix::DEFAULT), Some("v1"));
@@ -374,7 +386,10 @@ mod tests {
             vec![pfx("10.0.0.0/8"), pfx("10.0.0.0/16"), pfx("10.0.1.0/24")]
         );
         // Covered includes the prefix itself only when stored.
-        assert!(t.covered(&pfx("10.0.0.0/9")).iter().all(|(p, _)| *p != pfx("10.0.0.0/9")));
+        assert!(t
+            .covered(&pfx("10.0.0.0/9"))
+            .iter()
+            .all(|(p, _)| *p != pfx("10.0.0.0/9")));
     }
 
     #[test]
@@ -392,8 +407,15 @@ mod tests {
         let mut t = PrefixTrie::new();
         t.insert(pfx("1.2.3.4/32"), ());
         assert!(t.contains(&pfx("1.2.3.4/32")));
-        assert_eq!(t.longest_match(crate::parse_ipv4("1.2.3.4").unwrap()).unwrap().0, pfx("1.2.3.4/32"));
-        assert!(t.longest_match(crate::parse_ipv4("1.2.3.5").unwrap()).is_none());
+        assert_eq!(
+            t.longest_match(crate::parse_ipv4("1.2.3.4").unwrap())
+                .unwrap()
+                .0,
+            pfx("1.2.3.4/32")
+        );
+        assert!(t
+            .longest_match(crate::parse_ipv4("1.2.3.5").unwrap())
+            .is_none());
     }
 
     fn arbitrary_prefix() -> impl Strategy<Value = Prefix> {

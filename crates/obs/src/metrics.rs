@@ -116,7 +116,10 @@ impl Histogram {
 
     /// Record one observation given directly in microseconds.
     pub fn record_us(&self, us: u64) {
-        let idx = BOUNDS_US.iter().position(|&b| us <= b).unwrap_or(BOUNDS_US.len() - 1);
+        let idx = BOUNDS_US
+            .iter()
+            .position(|&b| us <= b)
+            .unwrap_or(BOUNDS_US.len() - 1);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
         self.max_us.fetch_max(us, Ordering::Relaxed);
@@ -264,17 +267,33 @@ impl Registry {
     /// what they were before labels existed.
     pub fn render(&self) -> String {
         let mut lines: BTreeMap<String, String> = BTreeMap::new();
-        for (name, c) in self.counters.lock().unwrap_or_else(|p| p.into_inner()).iter() {
+        for (name, c) in self
+            .counters
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .iter()
+        {
             lines.insert(name.clone(), c.get().to_string());
         }
         for (name, g) in self.gauges.lock().unwrap_or_else(|p| p.into_inner()).iter() {
             lines.insert(name.clone(), g.get().to_string());
         }
-        for (key, h) in self.histograms.lock().unwrap_or_else(|p| p.into_inner()).iter() {
+        for (key, h) in self
+            .histograms
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .iter()
+        {
             let (name, labels) = split_labels(key);
             lines.insert(format!("{name}_count{labels}"), h.count().to_string());
-            lines.insert(format!("{name}_p50_us{labels}"), h.quantile_us(0.50).to_string());
-            lines.insert(format!("{name}_p99_us{labels}"), h.quantile_us(0.99).to_string());
+            lines.insert(
+                format!("{name}_p50_us{labels}"),
+                h.quantile_us(0.50).to_string(),
+            );
+            lines.insert(
+                format!("{name}_p99_us{labels}"),
+                h.quantile_us(0.99).to_string(),
+            );
             lines.insert(format!("{name}_sum_us{labels}"), h.sum_us().to_string());
             lines.insert(format!("{name}_max_us{labels}"), h.max_us().to_string());
         }
@@ -415,9 +434,12 @@ mod tests {
     fn labeled_counters_render_sorted_and_dedupe_on_label_order() {
         let r = Registry::new();
         // Label order must not matter: both orders hit one instrument.
-        r.counter_with("req_total", &[("route", "rdap"), ("status", "200")]).inc();
-        r.counter_with("req_total", &[("status", "200"), ("route", "rdap")]).inc();
-        r.counter_with("req_total", &[("route", "feed"), ("status", "404")]).inc();
+        r.counter_with("req_total", &[("route", "rdap"), ("status", "200")])
+            .inc();
+        r.counter_with("req_total", &[("status", "200"), ("route", "rdap")])
+            .inc();
+        r.counter_with("req_total", &[("route", "feed"), ("status", "404")])
+            .inc();
         r.counter("req_total").add(3);
         let text = r.render();
         assert!(text.contains("req_total 3\n"), "{text}");

@@ -155,11 +155,7 @@ impl WhoisDb {
     /// * filler: tiny (< /24) `ASSIGNED PA` objects inside allocations
     ///   so the `tiny_assignment_fraction` holds,
     /// * noise: intra-org assignments with the parent's registrant.
-    pub fn build_from_world(
-        world: &LeaseWorld,
-        as_of: Date,
-        config: &DbBuildConfig,
-    ) -> WhoisDb {
+    pub fn build_from_world(world: &LeaseWorld, as_of: Date, config: &DbBuildConfig) -> WhoisDb {
         let _sp = obs::span!("whois_db_build");
         let mut rng = Pcg64Mcg::seed_from_u64(config.seed ^ 0x0DA7_ABA5_0000_0006);
         let mut objects = Vec::new();
@@ -288,8 +284,16 @@ mod tests {
             created: date("2018-01-01"),
         };
         let db: WhoisDb = [
-            mk("10.0.0.0 - 10.255.255.255", InetnumStatus::AllocatedPa, "big"),
-            mk("10.0.0.0 - 10.0.255.255", InetnumStatus::SubAllocatedPa, "mid"),
+            mk(
+                "10.0.0.0 - 10.255.255.255",
+                InetnumStatus::AllocatedPa,
+                "big",
+            ),
+            mk(
+                "10.0.0.0 - 10.0.255.255",
+                InetnumStatus::SubAllocatedPa,
+                "mid",
+            ),
             mk("10.0.0.0 - 10.0.0.255", InetnumStatus::AssignedPa, "leaf"),
         ]
         .into_iter()

@@ -40,7 +40,10 @@ impl InetnumStatus {
     /// Whether the paper's §4 pipeline treats this type as
     /// delegation-related.
     pub fn is_delegation_related(&self) -> bool {
-        matches!(self, InetnumStatus::SubAllocatedPa | InetnumStatus::AssignedPa)
+        matches!(
+            self,
+            InetnumStatus::SubAllocatedPa | InetnumStatus::AssignedPa
+        )
     }
 }
 

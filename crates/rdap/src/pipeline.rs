@@ -231,13 +231,33 @@ mod tests {
             created: date("2018-01-01"),
         };
         let db: WhoisDb = [
-            mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "LIR", "AC-L"),
+            mk(
+                "10.0.0.0 - 10.0.255.255",
+                InetnumStatus::AllocatedPa,
+                "LIR",
+                "AC-L",
+            ),
             // Same registrant — intra-org.
-            mk("10.0.0.0 - 10.0.0.255", InetnumStatus::AssignedPa, "LIR", "AC-X"),
+            mk(
+                "10.0.0.0 - 10.0.0.255",
+                InetnumStatus::AssignedPa,
+                "LIR",
+                "AC-X",
+            ),
             // Same admin — intra-org.
-            mk("10.0.1.0 - 10.0.1.255", InetnumStatus::AssignedPa, "OTHER", "AC-L"),
+            mk(
+                "10.0.1.0 - 10.0.1.255",
+                InetnumStatus::AssignedPa,
+                "OTHER",
+                "AC-L",
+            ),
             // A genuine delegation.
-            mk("10.0.2.0 - 10.0.2.255", InetnumStatus::AssignedPa, "CUST", "AC-C"),
+            mk(
+                "10.0.2.0 - 10.0.2.255",
+                InetnumStatus::AssignedPa,
+                "CUST",
+                "AC-C",
+            ),
         ]
         .into_iter()
         .collect();
@@ -262,9 +282,24 @@ mod tests {
         // Two objects on one range share a handle; only the first is
         // a different organization from the child.
         let db: WhoisDb = [
-            mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "LIR", "AC-L"),
-            mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "CUST", "AC-C"),
-            mk("10.0.2.0 - 10.0.2.255", InetnumStatus::AssignedPa, "CUST", "AC-C"),
+            mk(
+                "10.0.0.0 - 10.0.255.255",
+                InetnumStatus::AllocatedPa,
+                "LIR",
+                "AC-L",
+            ),
+            mk(
+                "10.0.0.0 - 10.0.255.255",
+                InetnumStatus::AllocatedPa,
+                "CUST",
+                "AC-C",
+            ),
+            mk(
+                "10.0.2.0 - 10.0.2.255",
+                InetnumStatus::AssignedPa,
+                "CUST",
+                "AC-C",
+            ),
         ]
         .into_iter()
         .collect();

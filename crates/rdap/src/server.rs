@@ -184,7 +184,12 @@ impl RdapServer {
             .map(|_| ())
             .map_err(|used| {
                 obs::metrics::counter("rdap_rejected_total").inc();
-                obs::event!(obs::Level::Warn, "rdap_rejected", used = used, budget = budget);
+                obs::event!(
+                    obs::Level::Warn,
+                    "rdap_rejected",
+                    used = used,
+                    budget = budget
+                );
                 RdapError::RateLimited
             })
     }
@@ -237,8 +242,18 @@ mod tests {
             created: date("2018-01-01"),
         };
         [
-            mk("10.0.0.0 - 10.0.255.255", InetnumStatus::AllocatedPa, "LIR1", "ALLOC"),
-            mk("10.0.1.0 - 10.0.1.255", InetnumStatus::AssignedPa, "CUST1", "LEASE"),
+            mk(
+                "10.0.0.0 - 10.0.255.255",
+                InetnumStatus::AllocatedPa,
+                "LIR1",
+                "ALLOC",
+            ),
+            mk(
+                "10.0.1.0 - 10.0.1.255",
+                InetnumStatus::AssignedPa,
+                "CUST1",
+                "LEASE",
+            ),
         ]
         .into_iter()
         .collect()
@@ -284,7 +299,9 @@ mod tests {
         assert_eq!(resp.name, "LEASE");
         assert!(resp.parent_handle.is_some());
         // An address only the allocation covers.
-        let resp = server.query_ip(nettypes::parse_ipv4("10.0.9.1").unwrap()).unwrap();
+        let resp = server
+            .query_ip(nettypes::parse_ipv4("10.0.9.1").unwrap())
+            .unwrap();
         assert_eq!(resp.name, "ALLOC");
         assert_eq!(resp.parent_handle, None);
         // An address outside every object.
@@ -305,11 +322,7 @@ mod tests {
         let admitted: u64 = std::thread::scope(|s| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|_| {
-                    s.spawn(|| {
-                        (0..PER_THREAD)
-                            .filter(|_| server.query(r).is_ok())
-                            .count() as u64
-                    })
+                    s.spawn(|| (0..PER_THREAD).filter(|_| server.query(r).is_ok()).count() as u64)
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).sum()

@@ -46,7 +46,10 @@ pub enum SnapshotError {
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapshotError::MissingAttribute { attribute, paragraph } => {
+            SnapshotError::MissingAttribute {
+                attribute,
+                paragraph,
+            } => {
                 write!(f, "paragraph {paragraph}: missing {attribute}:")
             }
             SnapshotError::BadValue { attribute, value } => {
@@ -184,7 +187,10 @@ source:         SIM
         let err = parse_split_file(text).unwrap_err();
         assert!(matches!(
             err,
-            SnapshotError::MissingAttribute { attribute: "status", .. }
+            SnapshotError::MissingAttribute {
+                attribute: "status",
+                ..
+            }
         ));
     }
 
@@ -193,12 +199,18 @@ source:         SIM
         let bad_range = "inetnum:        10.0.0.0 -\nnetname: N\nstatus: ASSIGNED PA\norg: O\nadmin-c: A\ncreated: 2020-01-01\n";
         assert!(matches!(
             parse_split_file(bad_range),
-            Err(SnapshotError::BadValue { attribute: "inetnum", .. })
+            Err(SnapshotError::BadValue {
+                attribute: "inetnum",
+                ..
+            })
         ));
         let bad_status = "inetnum:        10.0.0.0 - 10.0.0.255\nnetname: N\nstatus: NOT-A-STATUS\norg: O\nadmin-c: A\ncreated: 2020-01-01\n";
         assert!(matches!(
             parse_split_file(bad_status),
-            Err(SnapshotError::BadValue { attribute: "status", .. })
+            Err(SnapshotError::BadValue {
+                attribute: "status",
+                ..
+            })
         ));
     }
 

@@ -161,10 +161,8 @@ impl<'a> WhoisServer<'a> {
                     // Keep only objects whose direct parent is `p`.
                     let all = down.clone();
                     down.retain(|o| {
-                        !all.iter().any(|mid| {
-                            mid.range != o.range
-                                && mid.range.contains_range(&o.range)
-                        })
+                        !all.iter()
+                            .any(|mid| mid.range != o.range && mid.range.contains_range(&o.range))
                     });
                 }
                 results.extend(down.into_iter().cloned());
@@ -196,8 +194,16 @@ mod tests {
             created: date("2018-01-01"),
         };
         [
-            mk("10.0.0.0 - 10.255.255.255", InetnumStatus::AllocatedPa, "TOP"),
-            mk("10.0.0.0 - 10.0.255.255", InetnumStatus::SubAllocatedPa, "MID"),
+            mk(
+                "10.0.0.0 - 10.255.255.255",
+                InetnumStatus::AllocatedPa,
+                "TOP",
+            ),
+            mk(
+                "10.0.0.0 - 10.0.255.255",
+                InetnumStatus::SubAllocatedPa,
+                "MID",
+            ),
             mk("10.0.1.0 - 10.0.1.255", InetnumStatus::AssignedPa, "LEAF-A"),
             mk("10.0.2.0 - 10.0.2.255", InetnumStatus::AssignedPa, "LEAF-B"),
         ]
@@ -276,7 +282,9 @@ mod tests {
         assert!(server.handle("-Z 10.0.0.1").starts_with("%ERROR:108"));
         assert!(server.handle("").starts_with("%ERROR:108"));
         assert!(server.handle("not-an-ip").starts_with("%ERROR:108"));
-        assert!(server.handle("10.0.0.0 - bananas").starts_with("%ERROR:108"));
+        assert!(server
+            .handle("10.0.0.0 - bananas")
+            .starts_with("%ERROR:108"));
     }
 
     #[test]

@@ -48,14 +48,23 @@ pub fn annual_fee(rir: Rir, addresses: u64) -> FeeQuote {
             signup_usd: 2200.0,
         },
         // ARIN: registration-services-plan tiers.
-        Rir::Arin => tiered(&[500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16_000.0, 32_000.0], 0.0),
+        Rir::Arin => tiered(
+            &[500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16_000.0, 32_000.0],
+            0.0,
+        ),
         // APNIC: formula-based; approximated by tiers.
         Rir::Apnic => tiered(
             &[1180.0, 1680.0, 2560.0, 4160.0, 7040.0, 12_320.0, 22_400.0],
             500.0,
         ),
-        Rir::Lacnic => tiered(&[440.0, 880.0, 1760.0, 3000.0, 5500.0, 8800.0, 14_000.0], 0.0),
-        Rir::Afrinic => tiered(&[400.0, 800.0, 1600.0, 2800.0, 5200.0, 8400.0, 13_600.0], 0.0),
+        Rir::Lacnic => tiered(
+            &[440.0, 880.0, 1760.0, 3000.0, 5500.0, 8800.0, 14_000.0],
+            0.0,
+        ),
+        Rir::Afrinic => tiered(
+            &[400.0, 800.0, 1600.0, 2800.0, 5200.0, 8400.0, 13_600.0],
+            0.0,
+        ),
     }
 }
 
@@ -120,8 +129,6 @@ mod tests {
     #[test]
     fn arin_small_holder_is_cheapest_per_year() {
         // ARIN's bottom tier undercuts RIPE's flat fee.
-        assert!(
-            annual_fee(Rir::Arin, 256).annual_usd < annual_fee(Rir::RipeNcc, 256).annual_usd
-        );
+        assert!(annual_fee(Rir::Arin, 256).annual_usd < annual_fee(Rir::RipeNcc, 256).annual_usd);
     }
 }

@@ -46,6 +46,6 @@ pub use org::{Org, OrgId, OrgKind, OrgRegistry};
 pub use policy::{AllocationPolicy, PolicyPhase};
 pub use pool::AddressPool;
 pub use rir::Rir;
-pub use timeline::{ExhaustionEvent, ExhaustionEventKind, exhaustion_timeline};
+pub use timeline::{exhaustion_timeline, ExhaustionEvent, ExhaustionEventKind};
 pub use transfer::{InterRirPolicy, Transfer, TransferKind, TransferLog};
 pub use waitlist::{WaitingList, WaitingRequest};

@@ -130,11 +130,26 @@ mod tests {
 
     #[test]
     fn table1_milestones() {
-        assert_eq!(AllocationPolicy::for_rir(Rir::Afrinic).last_slash8, date("2017-03-31"));
-        assert_eq!(AllocationPolicy::for_rir(Rir::Apnic).last_slash8, date("2011-04-15"));
-        assert_eq!(AllocationPolicy::for_rir(Rir::Arin).last_slash8, date("2014-04-23"));
-        assert_eq!(AllocationPolicy::for_rir(Rir::Lacnic).last_slash8, date("2017-02-15"));
-        assert_eq!(AllocationPolicy::for_rir(Rir::RipeNcc).last_slash8, date("2012-09-14"));
+        assert_eq!(
+            AllocationPolicy::for_rir(Rir::Afrinic).last_slash8,
+            date("2017-03-31")
+        );
+        assert_eq!(
+            AllocationPolicy::for_rir(Rir::Apnic).last_slash8,
+            date("2011-04-15")
+        );
+        assert_eq!(
+            AllocationPolicy::for_rir(Rir::Arin).last_slash8,
+            date("2014-04-23")
+        );
+        assert_eq!(
+            AllocationPolicy::for_rir(Rir::Lacnic).last_slash8,
+            date("2017-02-15")
+        );
+        assert_eq!(
+            AllocationPolicy::for_rir(Rir::RipeNcc).last_slash8,
+            date("2012-09-14")
+        );
 
         assert_eq!(
             AllocationPolicy::for_rir(Rir::RipeNcc).recovery_start,
@@ -156,13 +171,31 @@ mod tests {
     #[test]
     fn allocation_sizes_match_section2() {
         let when = date("2020-06-01");
-        assert_eq!(AllocationPolicy::for_rir(Rir::Afrinic).max_allocation_at(when), 22);
-        assert_eq!(AllocationPolicy::for_rir(Rir::Apnic).max_allocation_at(when), 23);
-        assert_eq!(AllocationPolicy::for_rir(Rir::Arin).max_allocation_at(when), 22);
-        assert_eq!(AllocationPolicy::for_rir(Rir::Lacnic).max_allocation_at(when), 22);
-        assert_eq!(AllocationPolicy::for_rir(Rir::RipeNcc).max_allocation_at(when), 24);
+        assert_eq!(
+            AllocationPolicy::for_rir(Rir::Afrinic).max_allocation_at(when),
+            22
+        );
+        assert_eq!(
+            AllocationPolicy::for_rir(Rir::Apnic).max_allocation_at(when),
+            23
+        );
+        assert_eq!(
+            AllocationPolicy::for_rir(Rir::Arin).max_allocation_at(when),
+            22
+        );
+        assert_eq!(
+            AllocationPolicy::for_rir(Rir::Lacnic).max_allocation_at(when),
+            22
+        );
+        assert_eq!(
+            AllocationPolicy::for_rir(Rir::RipeNcc).max_allocation_at(when),
+            24
+        );
         // Pre-scarcity allocations were much larger.
-        assert_eq!(AllocationPolicy::for_rir(Rir::RipeNcc).max_allocation_at(date("2005-01-01")), 16);
+        assert_eq!(
+            AllocationPolicy::for_rir(Rir::RipeNcc).max_allocation_at(date("2005-01-01")),
+            16
+        );
     }
 
     #[test]

@@ -238,7 +238,10 @@ mod tests {
         pool.recover(b, date("2020-01-01"));
         pool.tick(date("2020-01-01"));
         // The two /9s coalesce back into the /8.
-        assert_eq!(pool.free_blocks().collect::<Vec<_>>(), vec![pfx("10.0.0.0/8")]);
+        assert_eq!(
+            pool.free_blocks().collect::<Vec<_>>(),
+            vec![pfx("10.0.0.0/8")]
+        );
     }
 
     #[test]

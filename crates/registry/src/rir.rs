@@ -26,7 +26,13 @@ pub enum Rir {
 
 impl Rir {
     /// All five RIRs in alphabetical order.
-    pub const ALL: [Rir; 5] = [Rir::Afrinic, Rir::Apnic, Rir::Arin, Rir::Lacnic, Rir::RipeNcc];
+    pub const ALL: [Rir; 5] = [
+        Rir::Afrinic,
+        Rir::Apnic,
+        Rir::Arin,
+        Rir::Lacnic,
+        Rir::RipeNcc,
+    ];
 
     /// The RIRs with vibrant transfer markets that the paper's pricing
     /// analysis covers (AFRINIC and LACNIC are excluded: only 31

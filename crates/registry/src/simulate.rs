@@ -103,15 +103,36 @@ pub fn sample_poisson(rng: &mut impl Rng, lambda: f64) -> u64 {
 fn seller_space(rir: Rir) -> Vec<Prefix> {
     let blocks: &[&str] = match rir {
         Rir::Afrinic => &["41.0.0.0/8", "102.0.0.0/8"],
-        Rir::Apnic => &["1.0.0.0/8", "14.0.0.0/8", "27.0.0.0/8", "36.0.0.0/8", "42.0.0.0/8"],
+        Rir::Apnic => &[
+            "1.0.0.0/8",
+            "14.0.0.0/8",
+            "27.0.0.0/8",
+            "36.0.0.0/8",
+            "42.0.0.0/8",
+        ],
         Rir::Arin => &[
-            "3.0.0.0/8", "4.0.0.0/8", "6.0.0.0/8", "7.0.0.0/8", "8.0.0.0/8", "9.0.0.0/8",
-            "13.0.0.0/8", "15.0.0.0/8",
+            "3.0.0.0/8",
+            "4.0.0.0/8",
+            "6.0.0.0/8",
+            "7.0.0.0/8",
+            "8.0.0.0/8",
+            "9.0.0.0/8",
+            "13.0.0.0/8",
+            "15.0.0.0/8",
         ],
         Rir::Lacnic => &["177.0.0.0/8", "179.0.0.0/8"],
-        Rir::RipeNcc => &["5.0.0.0/8", "31.0.0.0/8", "37.0.0.0/8", "46.0.0.0/8", "62.0.0.0/8"],
+        Rir::RipeNcc => &[
+            "5.0.0.0/8",
+            "31.0.0.0/8",
+            "37.0.0.0/8",
+            "46.0.0.0/8",
+            "62.0.0.0/8",
+        ],
     };
-    blocks.iter().map(|s| s.parse().expect("static table")).collect()
+    blocks
+        .iter()
+        .map(|s| s.parse().expect("static table"))
+        .collect()
 }
 
 /// Monthly market-transfer intensity cap per destination region — the
@@ -300,7 +321,9 @@ pub fn simulate(config: &SimulationConfig) -> RegistryHistory {
                 // Median block size shrinks with time: mean length 18 →
                 // ~22.5 across the window.
                 let mean_len = 18.0 + 0.55 * (year - 2012) as f64;
-                let len = (mean_len + rng.gen_range(-2.0..2.0)).round().clamp(16.0, 24.0) as u8;
+                let len = (mean_len + rng.gen_range(-2.0..2.0))
+                    .round()
+                    .clamp(16.0, 24.0) as u8;
                 let Ok(prefix) = pools.get_mut(&from).expect("pool").allocate(len) else {
                     continue;
                 };
@@ -446,7 +469,10 @@ mod tests {
                 policy.last_slash8
             );
             // And not absurdly later (within a year of opening).
-            assert!(start - policy.last_slash8 < 366, "{rir} started too late: {start}");
+            assert!(
+                start - policy.last_slash8 < 366,
+                "{rir} started too late: {start}"
+            );
         }
     }
 
@@ -454,7 +480,8 @@ mod tests {
     fn afrinic_lacnic_negligible() {
         let h = small_history();
         let total = h.log.len() as f64;
-        let small: usize = h.log.for_region(Rir::Afrinic).count() + h.log.for_region(Rir::Lacnic).count();
+        let small: usize =
+            h.log.for_region(Rir::Afrinic).count() + h.log.for_region(Rir::Lacnic).count();
         assert!(
             (small as f64) < total * 0.03,
             "AFRINIC+LACNIC share too large: {small} of {total}"
@@ -465,7 +492,11 @@ mod tests {
     fn inter_rir_mostly_from_arin_and_growing() {
         let h = small_history();
         let flows = stats::inter_rir_flows(&h.log);
-        let from_arin: usize = flows.iter().filter(|f| f.from == Rir::Arin).map(|f| f.count).sum();
+        let from_arin: usize = flows
+            .iter()
+            .filter(|f| f.from == Rir::Arin)
+            .map(|f| f.count)
+            .sum();
         let total: usize = flows.iter().map(|f| f.count).sum();
         assert!(total > 0);
         assert!(
@@ -473,14 +504,24 @@ mod tests {
             "ARIN should originate the majority of inter-RIR flows ({from_arin}/{total})"
         );
         // Counts grow over the years.
-        let per_year = |y: i64| -> usize {
-            flows.iter().filter(|f| f.year == y).map(|f| f.count).sum()
-        };
-        assert!(per_year(2019) > per_year(2013), "2019 {} vs 2013 {}", per_year(2019), per_year(2013));
+        let per_year =
+            |y: i64| -> usize { flows.iter().filter(|f| f.year == y).map(|f| f.count).sum() };
+        assert!(
+            per_year(2019) > per_year(2013),
+            "2019 {} vs 2013 {}",
+            per_year(2019),
+            per_year(2013)
+        );
         // Median blocks shrink (addresses per transfer go down).
         let median_sz = |y: i64| -> f64 {
-            let mut v: Vec<u64> = flows.iter().filter(|f| f.year == y && f.count > 0).map(|f| f.median_block).collect();
-            if v.is_empty() { return 0.0; }
+            let mut v: Vec<u64> = flows
+                .iter()
+                .filter(|f| f.year == y && f.count > 0)
+                .map(|f| f.median_block)
+                .collect();
+            if v.is_empty() {
+                return 0.0;
+            }
             v.sort_unstable();
             v[v.len() / 2] as f64
         };
@@ -554,7 +595,11 @@ mod tests {
         let lacnic = reports.iter().find(|r| r.rir == Rir::Lacnic).unwrap();
         let ripe = reports.iter().find(|r| r.rir == Rir::RipeNcc).unwrap();
         // Peaks bounded by the paper's reported maxima.
-        assert!(arin.max_depth <= 202 && arin.max_depth > 100, "ARIN depth {}", arin.max_depth);
+        assert!(
+            arin.max_depth <= 202 && arin.max_depth > 100,
+            "ARIN depth {}",
+            arin.max_depth
+        );
         assert!(lacnic.max_depth <= 275, "LACNIC depth {}", lacnic.max_depth);
         assert!(ripe.max_depth <= 110, "RIPE depth {}", ripe.max_depth);
         // ARIN waits exceed 100 days.

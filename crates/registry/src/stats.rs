@@ -167,10 +167,7 @@ mod tests {
         log.push(t("2018-10-01", "9.0.0.0/24", Rir::Arin, Rir::Arin)); // intra, ignored
         let flows = inter_rir_flows(&log);
         assert_eq!(flows.len(), 2);
-        let to_ripe = flows
-            .iter()
-            .find(|f| f.to == Rir::RipeNcc)
-            .unwrap();
+        let to_ripe = flows.iter().find(|f| f.to == Rir::RipeNcc).unwrap();
         assert_eq!(to_ripe.count, 2);
         assert_eq!(to_ripe.addresses, 1024 + 256);
         assert_eq!(to_ripe.median_block, 1024);

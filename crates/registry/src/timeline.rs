@@ -81,7 +81,12 @@ pub fn render_table1() -> String {
             (_, Some(e)) => e.date.to_string(),
             (_, None) => "-".to_string(),
         };
-        out.push_str(&format!("{:<9} | {}      | {}\n", rir.name(), last8.date, recovery_txt));
+        out.push_str(&format!(
+            "{:<9} | {}      | {}\n",
+            rir.name(),
+            last8.date,
+            recovery_txt
+        ));
     }
     out
 }
@@ -128,7 +133,7 @@ mod tests {
             assert!(s.contains(rir.name()), "missing {rir} in:\n{s}");
         }
         assert!(s.contains("2019-11-25")); // RIPE recovery start
-        assert!(s.contains("last /11"));   // AFRINIC footnote
+        assert!(s.contains("last /11")); // AFRINIC footnote
         assert!(s.contains("still /10 available")); // APNIC note
     }
 }

@@ -99,7 +99,9 @@ impl serde_json::FromJson for Transfer {
             date: field("transfer_date")?
                 .parse::<Date>()
                 .map_err(|e| serde_json::Error::msg(e.to_string()))?,
-            prefix: field("prefix")?.parse::<Prefix>().map_err(|e| serde_json::Error::msg(e.to_string()))?,
+            prefix: field("prefix")?
+                .parse::<Prefix>()
+                .map_err(|e| serde_json::Error::msg(e.to_string()))?,
             from_org: org("from_org")?,
             to_org: org("to_org")?,
             source_rir: field("source_rir")?
@@ -260,8 +262,20 @@ mod tests {
     #[test]
     fn published_erases_unlabelled_kinds() {
         let mut log = TransferLog::new();
-        log.push(t("2020-01-01", "1.0.0.0/24", Rir::Apnic, Rir::Apnic, Some(TransferKind::MergerAcquisition)));
-        log.push(t("2020-01-02", "2.0.0.0/24", Rir::RipeNcc, Rir::RipeNcc, Some(TransferKind::MergerAcquisition)));
+        log.push(t(
+            "2020-01-01",
+            "1.0.0.0/24",
+            Rir::Apnic,
+            Rir::Apnic,
+            Some(TransferKind::MergerAcquisition),
+        ));
+        log.push(t(
+            "2020-01-02",
+            "2.0.0.0/24",
+            Rir::RipeNcc,
+            Rir::RipeNcc,
+            Some(TransferKind::MergerAcquisition),
+        ));
         let pubd = log.published();
         assert_eq!(pubd.records()[0].kind, None); // APNIC does not label
         assert_eq!(
@@ -277,12 +291,27 @@ mod tests {
     #[test]
     fn queries() {
         let mut log = TransferLog::new();
-        log.push(t("2019-01-01", "1.0.0.0/24", Rir::Arin, Rir::RipeNcc, Some(TransferKind::Market)));
-        log.push(t("2019-06-01", "2.0.0.0/22", Rir::Arin, Rir::Arin, Some(TransferKind::Market)));
+        log.push(t(
+            "2019-01-01",
+            "1.0.0.0/24",
+            Rir::Arin,
+            Rir::RipeNcc,
+            Some(TransferKind::Market),
+        ));
+        log.push(t(
+            "2019-06-01",
+            "2.0.0.0/22",
+            Rir::Arin,
+            Rir::Arin,
+            Some(TransferKind::Market),
+        ));
         log.push(t("2020-01-01", "3.0.0.0/23", Rir::Apnic, Rir::Apnic, None));
         assert_eq!(log.inter_rir().count(), 1);
         assert_eq!(log.for_region(Rir::Arin).count(), 1);
-        assert_eq!(log.between(date("2019-01-01"), date("2019-12-31")).count(), 2);
+        assert_eq!(
+            log.between(date("2019-01-01"), date("2019-12-31")).count(),
+            2
+        );
         assert_eq!(log.records()[1].num_addresses(), 1024);
     }
 
@@ -340,7 +369,10 @@ mod tests {
             if let serde_json::Value::Object(map) = &mut v {
                 map.insert("from_org".into(), bad.clone());
             }
-            assert!(Transfer::from_json(&v).is_err(), "accepted from_org {bad:?}");
+            assert!(
+                Transfer::from_json(&v).is_err(),
+                "accepted from_org {bad:?}"
+            );
         }
     }
 
@@ -371,7 +403,13 @@ mod tests {
     #[test]
     fn feed_json_roundtrip() {
         let mut log = TransferLog::new();
-        log.push(t("2020-01-01", "1.0.0.0/24", Rir::Arin, Rir::RipeNcc, Some(TransferKind::Market)));
+        log.push(t(
+            "2020-01-01",
+            "1.0.0.0/24",
+            Rir::Arin,
+            Rir::RipeNcc,
+            Some(TransferKind::Market),
+        ));
         log.push(t("2020-02-01", "9.0.0.0/16", Rir::Apnic, Rir::Apnic, None));
         let v = log.to_feed_json();
         let back = TransferLog::from_feed_json(&v).unwrap();

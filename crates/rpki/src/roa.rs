@@ -24,7 +24,11 @@ impl Roa {
             max_len >= prefix.len() && max_len <= 32,
             "invalid maxLength {max_len} for {prefix}"
         );
-        Roa { prefix, max_len, asn }
+        Roa {
+            prefix,
+            max_len,
+            asn,
+        }
     }
 
     /// A ROA whose maxLength equals the prefix length (the recommended
@@ -119,7 +123,10 @@ mod tests {
             validate(&roas, &pfx("10.0.0.0/8"), Asn(3333)),
             RouteValidity::NotFound
         );
-        assert_eq!(validate(&[], &pfx("10.0.0.0/8"), Asn(1)), RouteValidity::NotFound);
+        assert_eq!(
+            validate(&[], &pfx("10.0.0.0/8"), Asn(1)),
+            RouteValidity::NotFound
+        );
     }
 
     #[test]
@@ -129,9 +136,18 @@ mod tests {
             Roa::exact(pfx("10.0.0.0/16"), Asn(1)),
             Roa::exact(pfx("10.0.0.0/16"), Asn(2)),
         ];
-        assert_eq!(validate(&roas, &pfx("10.0.0.0/16"), Asn(1)), RouteValidity::Valid);
-        assert_eq!(validate(&roas, &pfx("10.0.0.0/16"), Asn(2)), RouteValidity::Valid);
-        assert_eq!(validate(&roas, &pfx("10.0.0.0/16"), Asn(3)), RouteValidity::Invalid);
+        assert_eq!(
+            validate(&roas, &pfx("10.0.0.0/16"), Asn(1)),
+            RouteValidity::Valid
+        );
+        assert_eq!(
+            validate(&roas, &pfx("10.0.0.0/16"), Asn(2)),
+            RouteValidity::Valid
+        );
+        assert_eq!(
+            validate(&roas, &pfx("10.0.0.0/16"), Asn(3)),
+            RouteValidity::Invalid
+        );
     }
 
     #[test]

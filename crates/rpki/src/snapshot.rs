@@ -252,11 +252,17 @@ mod tests {
         let lease = w
             .leases
             .iter()
-            .find(|l| l.announced && l.active.end < w.span.end - 30 && l.active.start > w.span.start)
+            .find(|l| {
+                l.announced && l.active.end < w.span.end - 30 && l.active.start > w.span.start
+            })
             .expect("some mid-window lease");
         let has_roa = |d: Date| {
             s.on(d)
-                .map(|snap| snap.roas.iter().any(|r| r.prefix == lease.prefix && r.asn == lease.delegatee_asn))
+                .map(|snap| {
+                    snap.roas
+                        .iter()
+                        .any(|r| r.prefix == lease.prefix && r.asn == lease.delegatee_asn)
+                })
                 .unwrap_or(false)
         };
         assert!(has_roa(lease.active.start));

@@ -173,9 +173,9 @@ fn read_line_limited<R: BufRead>(r: &mut R) -> Result<Option<String>, HttpError>
     if raw.last() == Some(&b'\r') {
         raw.pop();
     }
-    String::from_utf8(raw).map(Some).map_err(|_| {
-        HttpError::BadRequest("request line or header is not valid UTF-8".into())
-    })
+    String::from_utf8(raw)
+        .map(Some)
+        .map_err(|_| HttpError::BadRequest("request line or header is not valid UTF-8".into()))
 }
 
 /// Read one request off the connection. `Ok(None)` means the peer
@@ -186,8 +186,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, HttpError>
         return Ok(None);
     };
     let mut parts = start.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next())
-    {
+    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && t.starts_with('/') => {
             (m.to_string(), t.to_string(), v.to_string())
         }
@@ -396,7 +395,9 @@ mod tests {
 
     #[test]
     fn query_string_is_stripped_from_path() {
-        let req = parse(b"GET /metrics?x=1 HTTP/1.1\r\n\r\n").unwrap().unwrap();
+        let req = parse(b"GET /metrics?x=1 HTTP/1.1\r\n\r\n")
+            .unwrap()
+            .unwrap();
         assert_eq!(req.path(), "/metrics");
         assert_eq!(req.target, "/metrics?x=1");
     }
@@ -454,15 +455,23 @@ mod tests {
             parse(long.as_bytes()),
             Err(HttpError::BadRequest(_))
         ));
-        let big = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", 2 * 1024 * 1024);
-        assert!(matches!(parse(big.as_bytes()), Err(HttpError::BadRequest(_))));
+        let big = format!(
+            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            2 * 1024 * 1024
+        );
+        assert!(matches!(
+            parse(big.as_bytes()),
+            Err(HttpError::BadRequest(_))
+        ));
     }
 
     #[test]
     fn path_and_query_split_with_percent_decoding() {
-        let req = parse(b"GET /query?filter=prefix%3D10.0.0.0%2F8+origin%3D64500&format=jsonl HTTP/1.1\r\n\r\n")
-            .unwrap()
-            .unwrap();
+        let req = parse(
+            b"GET /query?filter=prefix%3D10.0.0.0%2F8+origin%3D64500&format=jsonl HTTP/1.1\r\n\r\n",
+        )
+        .unwrap()
+        .unwrap();
         assert_eq!(req.path(), "/query");
         assert_eq!(req.decoded_path().unwrap(), "/query");
         assert_eq!(
@@ -473,13 +482,18 @@ mod tests {
         assert_eq!(
             params,
             vec![
-                ("filter".to_string(), "prefix=10.0.0.0/8 origin=64500".to_string()),
+                (
+                    "filter".to_string(),
+                    "prefix=10.0.0.0/8 origin=64500".to_string()
+                ),
                 ("format".to_string(), "jsonl".to_string()),
             ]
         );
 
         // Escapes in the path decode too, but `+` stays literal there.
-        let req = parse(b"GET /rdap/ip/10%2E0%2E1%2E7 HTTP/1.1\r\n\r\n").unwrap().unwrap();
+        let req = parse(b"GET /rdap/ip/10%2E0%2E1%2E7 HTTP/1.1\r\n\r\n")
+            .unwrap()
+            .unwrap();
         assert_eq!(req.decoded_path().unwrap(), "/rdap/ip/10.0.1.7");
         let req = parse(b"GET /a+b HTTP/1.1\r\n\r\n").unwrap().unwrap();
         assert_eq!(req.decoded_path().unwrap(), "/a+b");
@@ -490,10 +504,15 @@ mod tests {
         assert!(req.query_params().unwrap().is_empty());
 
         // Value-less keys and empty pairs.
-        let req = parse(b"GET /q?lossy&&x=1 HTTP/1.1\r\n\r\n").unwrap().unwrap();
+        let req = parse(b"GET /q?lossy&&x=1 HTTP/1.1\r\n\r\n")
+            .unwrap()
+            .unwrap();
         assert_eq!(
             req.query_params().unwrap(),
-            vec![("lossy".to_string(), String::new()), ("x".to_string(), "1".to_string())]
+            vec![
+                ("lossy".to_string(), String::new()),
+                ("x".to_string(), "1".to_string())
+            ]
         );
     }
 

@@ -202,12 +202,14 @@ fn parse_route_latency(text: &str) -> Vec<RouteLatency> {
         else {
             continue;
         };
-        let row = rows.entry(route.to_string()).or_insert_with(|| RouteLatency {
-            route: route.to_string(),
-            count: 0,
-            p50_us: 0,
-            p99_us: 0,
-        });
+        let row = rows
+            .entry(route.to_string())
+            .or_insert_with(|| RouteLatency {
+                route: route.to_string(),
+                count: 0,
+                p50_us: 0,
+                p99_us: 0,
+            });
         match base {
             "serve_route_latency_count" => row.count = value,
             "serve_route_latency_p50_us" => row.p50_us = value,
@@ -266,9 +268,8 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
                                         .unwrap_or_else(|p| p.into_inner())
                                         .insert(id.to_string());
                                     if !fresh {
-                                        let mut errs = errors
-                                            .lock()
-                                            .unwrap_or_else(|p| p.into_inner());
+                                        let mut errs =
+                                            errors.lock().unwrap_or_else(|p| p.into_inner());
                                         if errs.len() < 10 {
                                             errs.push(format!(
                                                 "GET {path} → duplicate X-Request-Id {id}"
@@ -277,8 +278,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
                                     }
                                 }
                                 None => {
-                                    let mut errs =
-                                        errors.lock().unwrap_or_else(|p| p.into_inner());
+                                    let mut errs = errors.lock().unwrap_or_else(|p| p.into_inner());
                                     if errs.len() < 10 {
                                         errs.push(format!(
                                             "GET {path} → response without X-Request-Id"
@@ -289,8 +289,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
                             if allowed(&path, resp.status) {
                                 completed.fetch_add(1, Ordering::Relaxed);
                             } else {
-                                let mut errs =
-                                    errors.lock().unwrap_or_else(|p| p.into_inner());
+                                let mut errs = errors.lock().unwrap_or_else(|p| p.into_inner());
                                 if errs.len() < 10 {
                                     errs.push(format!(
                                         "GET {path} → unexpected status {}",
@@ -329,7 +328,9 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
     let completed = completed.into_inner();
     Ok(LoadgenReport {
         completed,
-        status_counts: status_counts.into_inner().unwrap_or_else(|p| p.into_inner()),
+        status_counts: status_counts
+            .into_inner()
+            .unwrap_or_else(|p| p.into_inner()),
         errors,
         elapsed,
         requests_per_sec: completed as f64 / elapsed.as_secs_f64().max(f64::MIN_POSITIVE),

@@ -231,10 +231,19 @@ mod tests {
             text.contains("serve_requests_by_route_total{route=\"other\",status=\"404\"} 1\n"),
             "{text}"
         );
-        assert!(text.contains("serve_route_latency_count{route=\"rdap\"} 1\n"), "{text}");
-        assert!(text.contains("serve_route_latency_sum_us{route=\"rdap\"} 80\n"), "{text}");
+        assert!(
+            text.contains("serve_route_latency_count{route=\"rdap\"} 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("serve_route_latency_sum_us{route=\"rdap\"} 80\n"),
+            "{text}"
+        );
         // Every route's latency histogram exists eagerly, even untouched.
-        assert!(text.contains("serve_route_latency_count{route=\"whois\"} 0\n"), "{text}");
+        assert!(
+            text.contains("serve_route_latency_count{route=\"whois\"} 0\n"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -243,6 +252,10 @@ mod tests {
         let b = Metrics::default();
         a.count_response(200);
         assert_eq!(a.ok_200.get(), 1);
-        assert_eq!(b.ok_200.get(), 0, "per-App registries must not share counts");
+        assert_eq!(
+            b.ok_200.get(),
+            0,
+            "per-App registries must not share counts"
+        );
     }
 }

@@ -62,9 +62,10 @@ impl RateLimiter {
             tokens: self.config.burst as f64,
             last_refill: now,
         });
-        let dt = now.saturating_duration_since(bucket.last_refill).as_secs_f64();
-        bucket.tokens = (bucket.tokens + dt * self.config.per_second)
-            .min(self.config.burst as f64);
+        let dt = now
+            .saturating_duration_since(bucket.last_refill)
+            .as_secs_f64();
+        bucket.tokens = (bucket.tokens + dt * self.config.per_second).min(self.config.burst as f64);
         bucket.last_refill = now;
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;

@@ -221,12 +221,7 @@ fn shed(shared: &Shared, mut stream: TcpStream, proto: Proto) {
             // client agree on which request was refused.
             let req_id = shared.app.next_request_id();
             shared.app.metrics.count_route_response("other", 503);
-            obs::flight_event!(
-                obs::Level::Warn,
-                "http_shed",
-                id = req_id,
-                status = 503u64
-            );
+            obs::flight_event!(obs::Level::Warn, "http_shed", id = req_id, status = 503u64);
             let _ = Response::error(503, "connection cap reached, try again")
                 .with_header("Retry-After", "1".to_string())
                 .with_header("X-Request-Id", format!("{req_id:016x}"))
@@ -251,10 +246,7 @@ fn worker_loop(shared: &Shared) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                queue = shared
-                    .wakeup
-                    .wait(queue)
-                    .unwrap_or_else(|p| p.into_inner());
+                queue = shared.wakeup.wait(queue).unwrap_or_else(|p| p.into_inner());
             }
         };
         let Some((proto, stream)) = job else {
@@ -318,8 +310,7 @@ fn handle_http_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> 
         let resp = resp.with_header("X-Request-Id", format!("{req_id:016x}"));
         // Shutdown drains in-flight requests but ends keep-alive:
         // the last response is still written, with Connection: close.
-        let keep_alive =
-            req.wants_keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
+        let keep_alive = req.wants_keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
         shared.app.metrics.count_route_response(route, resp.status);
         // Streamed bodies use chunked framing, but only for HTTP/1.1
         // peers — HTTP/1.0 predates chunked transfer, so those get the
@@ -379,7 +370,9 @@ fn handle_whois_connection(shared: &Shared, stream: TcpStream) -> io::Result<()>
     if reader.read_line(&mut line).is_err() {
         return Ok(()); // timeout or broken pipe: nothing to answer
     }
-    let response = shared.app.handle_whois_line(line.trim_end_matches(['\r', '\n']));
+    let response = shared
+        .app
+        .handle_whois_line(line.trim_end_matches(['\r', '\n']));
     writer.write_all(response.as_bytes())?;
     writer.flush()?;
     shared.app.metrics.latency.record(t0.elapsed());

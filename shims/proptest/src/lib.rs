@@ -237,7 +237,9 @@ fn parse_regex(pattern: &str) -> Vec<RegexPiece> {
                 );
                 let mut set = Vec::new();
                 while i < chars.len() && chars[i] != ']' {
-                    if chars[i + 1..].first() == Some(&'-') && chars.get(i + 2).is_some_and(|c| *c != ']') {
+                    if chars[i + 1..].first() == Some(&'-')
+                        && chars.get(i + 2).is_some_and(|c| *c != ']')
+                    {
                         let (lo, hi) = (chars[i], chars[i + 2]);
                         set.extend((lo..=hi).filter(|c| c.is_ascii()));
                         i += 3;
@@ -279,7 +281,11 @@ fn parse_regex(pattern: &str) -> Vec<RegexPiece> {
         // Optional quantifier.
         let (min, max) = match chars.get(i) {
             Some('{') => {
-                let close = chars[i..].iter().position(|&c| c == '}').expect("unterminated {}") + i;
+                let close = chars[i..]
+                    .iter()
+                    .position(|&c| c == '}')
+                    .expect("unterminated {}")
+                    + i;
                 let body: String = chars[i + 1..close].iter().collect();
                 i = close + 1;
                 if let Some((lo, hi)) = body.split_once(',') {
@@ -316,7 +322,12 @@ impl Strategy for &str {
         let mut out = String::new();
         for piece in parse_regex(self) {
             let span = (piece.max - piece.min) as u64;
-            let n = piece.min + if span == 0 { 0 } else { rng.below(span + 1) as usize };
+            let n = piece.min
+                + if span == 0 {
+                    0
+                } else {
+                    rng.below(span + 1) as usize
+                };
             for _ in 0..n {
                 out.push(piece.choices[rng.below(piece.choices.len() as u64) as usize]);
             }
@@ -403,7 +414,12 @@ pub mod collection {
         type Value = Vec<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
             let span = (self.size.hi - self.size.lo) as u64;
-            let n = self.size.lo + if span == 0 { 0 } else { rng.below(span + 1) as usize };
+            let n = self.size.lo
+                + if span == 0 {
+                    0
+                } else {
+                    rng.below(span + 1) as usize
+                };
             (0..n).map(|_| self.element.generate(rng)).collect()
         }
     }
@@ -546,9 +562,12 @@ macro_rules! prop_assert_ne {
         let l = $left;
         let r = $right;
         if l == r {
-            return Err($crate::TestCaseError::Fail(
-                format!("{} == {}: {:?}", stringify!($left), stringify!($right), l),
-            ));
+            return Err($crate::TestCaseError::Fail(format!(
+                "{} == {}: {:?}",
+                stringify!($left),
+                stringify!($right),
+                l
+            )));
         }
     }};
 }
@@ -558,9 +577,7 @@ macro_rules! prop_assert_ne {
 macro_rules! prop_assume {
     ($cond:expr) => {
         if !$cond {
-            return Err($crate::TestCaseError::Reject(
-                stringify!($cond).to_string(),
-            ));
+            return Err($crate::TestCaseError::Reject(stringify!($cond).to_string()));
         }
     };
 }
@@ -568,8 +585,8 @@ macro_rules! prop_assume {
 /// The usual glob-import surface.
 pub mod prelude {
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest, Arbitrary,
-        Just, Strategy, TestCaseError, TestCaseResult,
+        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest, Arbitrary, Just,
+        Strategy, TestCaseError, TestCaseResult,
     };
 }
 

@@ -344,8 +344,7 @@ impl<'a> Parser<'a> {
                         .bytes
                         .get(start..end)
                         .ok_or_else(|| Error::msg("truncated UTF-8"))?;
-                    let s =
-                        std::str::from_utf8(chunk).map_err(|_| Error::msg("invalid UTF-8"))?;
+                    let s = std::str::from_utf8(chunk).map_err(|_| Error::msg("invalid UTF-8"))?;
                     out.push_str(s);
                     self.pos = end;
                 }

@@ -31,8 +31,16 @@ fn test_db() -> WhoisDb {
         created: date("2018-01-01"),
     };
     [
-        mk("10.0.0.0 - 10.255.255.255", InetnumStatus::AllocatedPa, "TOP"),
-        mk("10.0.0.0 - 10.0.255.255", InetnumStatus::SubAllocatedPa, "MID"),
+        mk(
+            "10.0.0.0 - 10.255.255.255",
+            InetnumStatus::AllocatedPa,
+            "TOP",
+        ),
+        mk(
+            "10.0.0.0 - 10.0.255.255",
+            InetnumStatus::SubAllocatedPa,
+            "MID",
+        ),
         mk("10.0.1.0 - 10.0.1.255", InetnumStatus::AssignedPa, "LEAF-A"),
         mk("10.0.2.0 - 10.0.2.255", InetnumStatus::AssignedPa, "LEAF-B"),
     ]
@@ -81,7 +89,10 @@ fn concurrent_clients_get_correct_rdap_json_and_shutdown_drains() {
                     let leaf = client.get("/rdap/ip/10.0.1.77").unwrap();
                     assert_eq!(leaf.status, 200);
                     let body = leaf.text();
-                    assert!(body.contains("\"objectClassName\": \"ip network\""), "{body}");
+                    assert!(
+                        body.contains("\"objectClassName\": \"ip network\""),
+                        "{body}"
+                    );
                     assert!(body.contains("\"name\": \"LEAF-A\""), "{body}");
                     // The covering MID object is the RDAP parent.
                     assert!(
@@ -361,7 +372,11 @@ fn debug_routes_introspect_a_live_server() {
     assert_eq!(flight.status, 200);
     assert_eq!(flight.header("content-type"), Some("application/x-ndjson"));
     let body = flight.text();
-    assert!(body.lines().any(|l| l.contains("\"message\":\"http_access\"")), "{body}");
+    assert!(
+        body.lines()
+            .any(|l| l.contains("\"message\":\"http_access\"")),
+        "{body}"
+    );
     drywells::tracecheck::check_trace(&body)
         .unwrap_or_else(|errs| panic!("/debug/flight fails trace-check: {errs:?}"));
 
@@ -369,7 +384,11 @@ fn debug_routes_introspect_a_live_server() {
     // which is the /debug/requests request itself.
     let requests = client.get("/debug/requests").unwrap();
     assert_eq!(requests.status, 200);
-    assert!(requests.text().contains("/debug/requests"), "{}", requests.text());
+    assert!(
+        requests.text().contains("/debug/requests"),
+        "{}",
+        requests.text()
+    );
 
     // /debug/pool: workers/cap from the config, a requests_total that
     // covers everything served so far on this connection.
@@ -414,7 +433,10 @@ fn shed_responses_carry_request_ids_and_count_into_pool_stats() {
     std::thread::sleep(Duration::from_millis(100));
     let shed = get_once(addr, "/healthz", TIMEOUT).unwrap();
     assert_eq!(shed.status, 503);
-    assert!(shed.header("x-request-id").is_some(), "shed 503 without an id");
+    assert!(
+        shed.header("x-request-id").is_some(),
+        "shed 503 without an id"
+    );
     drop(_holder);
 
     // Once the slot frees, /debug/pool reports the shed connection.
