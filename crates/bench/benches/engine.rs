@@ -18,9 +18,9 @@
 //!
 //! 5. touched-prefix extraction: `delta_advance_span` (seed once, then
 //!    one `advance_state` per transition) vs `full_render_span` (one
-//!    `per_monitor_routes` per day);
+//!    `seed_state` per day);
 //! 6. patch-apply materialization: `state_routes_warm` (read the
-//!    patch-maintained candidates) vs `per_monitor_routes_warm` (full
+//!    patch-maintained candidates) vs `seed_state_warm` (full
 //!    selection from scratch);
 //! 7. update encoding: `archive_delta` (update files encoded straight
 //!    from `SelChange` lists), single-threaded.
@@ -84,10 +84,10 @@ fn bench_per_monitor_state(c: &mut Criterion) {
     let (world, model) = setup();
     let day = date("2018-02-01");
     let engine = RenderEngine::new(&world, &model);
-    // Best-route selection via precomputed ranks + sort/dedup, warm.
-    c.bench_function("engine/per_monitor_routes_warm", |b| {
-        let mut scratch = engine.scratch();
-        b.iter(|| black_box(engine.per_monitor_routes(&mut scratch, day)))
+    // Best-route selection via precomputed ranks + one sort, from
+    // scratch.
+    c.bench_function("engine/seed_state_warm", |b| {
+        b.iter(|| black_box(engine.seed_state(day)))
     });
 }
 
@@ -131,19 +131,12 @@ fn bench_delta_advance(c: &mut Criterion) {
         })
     });
     // The full recompute the delta sweep replaces: every day's
-    // per-monitor routes from scratch (warm scratch, shared engine).
+    // per-monitor state seeded from scratch (shared engine).
     c.bench_function("engine/full_render_span", |b| {
-        let mut scratch = engine.scratch();
         b.iter(|| {
-            let mut total = 0usize;
             for &d in &days {
-                total += engine
-                    .per_monitor_routes(&mut scratch, d)
-                    .iter()
-                    .map(Vec::len)
-                    .sum::<usize>();
+                black_box(engine.seed_state(d));
             }
-            black_box(total)
         })
     });
 }
@@ -162,7 +155,7 @@ fn bench_patch_apply_vs_full(c: &mut Criterion) {
     c.bench_function("engine/state_routes_warm", |b| {
         b.iter(|| black_box(engine.state_routes(&state)))
     });
-    // `per_monitor_routes_warm` in `bench_per_monitor_state` is the
+    // `seed_state_warm` in `bench_per_monitor_state` is the
     // from-scratch selection this replaces.
 }
 

@@ -106,8 +106,8 @@ pub struct RenderEngine<'w> {
     n_nodes: usize,
 }
 
-/// Per-worker mutable state: the sweep position, the active set, the
-/// path arena, and reusable per-monitor candidate buffers.
+/// Per-worker mutable state: the sweep position, the active set and
+/// the path arena.
 pub struct RenderScratch {
     /// Number of day event-sets applied; `active` reflects day
     /// `cursor - 1`.
@@ -117,9 +117,6 @@ pub struct RenderScratch {
     active: Vec<usize>,
     /// Flat path arena: `monitor_slot * n_nodes + origin_node`.
     paths: Vec<PathSlot>,
-    /// Per-monitor `(prefix, rank, entity)` candidate buffers for
-    /// [`RenderEngine::per_monitor_routes`].
-    pm_bufs: Vec<Vec<(Prefix, u64, usize)>>,
 }
 
 /// One selected-route change at one monitor, produced by
@@ -143,14 +140,12 @@ pub struct SelChange {
 /// day D+1 is rendered as a patch of day D instead of a full
 /// recompute. Seeded by one full render ([`RenderEngine::seed_state`])
 /// and advanced one day at a time ([`RenderEngine::advance_state`]);
-/// any out-of-sequence day falls back to the full
-/// [`RenderEngine::per_monitor_routes`] path (or a fresh seed).
+/// any out-of-sequence day takes a fresh seed.
 ///
-/// Invariant: `cand[m]` is sorted by `(prefix, rank, entity)`. The
-/// full path pushes candidates in entity order and stable-sorts by
-/// `(prefix, rank)`; entity indices are unique per candidate set, so
-/// that stable sort *is* the total order `(prefix, rank, entity)` —
-/// which is what makes patched state bit-equal to recomputed state.
+/// Invariant: `cand[m]` is sorted by `(prefix, rank, entity)`. Entity
+/// indices are unique per candidate set, so this is a total order —
+/// which is what makes patched state bit-equal to a fresh seed of the
+/// same day.
 pub struct MonitorState {
     /// The day this state reflects.
     day: Date,
@@ -403,13 +398,10 @@ impl<'w> RenderEngine<'w> {
     pub fn scratch(&self) -> RenderScratch {
         let mut paths = Vec::new();
         paths.resize_with(self.monitors.len() * self.n_nodes, || PathSlot::Unknown);
-        let mut pm_bufs = Vec::new();
-        pm_bufs.resize_with(self.monitors.len(), Vec::new);
         RenderScratch {
             cursor: 0,
             active: Vec::new(),
             paths,
-            pm_bufs,
         }
     }
 
@@ -589,83 +581,6 @@ impl<'w> RenderEngine<'w> {
         }
     }
 
-    /// The per-monitor best-route view of one day — same semantics as
-    /// the historical `per_monitor_routes` (minimum tiebreak rank
-    /// wins, first candidate wins ties, output sorted by prefix), with
-    /// no per-monitor hash maps: candidates are bucketed per monitor,
-    /// sorted once, and deduplicated by prefix.
-    pub fn per_monitor_routes(
-        &self,
-        scratch: &mut RenderScratch,
-        day: Date,
-    ) -> Vec<Vec<(Prefix, Origin)>> {
-        let day_mul = Self::day_mul(day);
-        for buf in scratch.pm_bufs.iter_mut() {
-            buf.clear();
-        }
-        let in_span = self.span.contains(day);
-        if in_span {
-            self.sweep_to(scratch, (day - self.span.start) as usize);
-        }
-        // Candidate pass: bucket (prefix, rank, entity) per monitor in
-        // the legacy candidate order (statics, then active by entity
-        // index).
-        let nm = self.monitors.len();
-        {
-            let RenderScratch {
-                active, pm_bufs, ..
-            } = scratch;
-            let mut consider = |ei: usize| {
-                let base = ei * nm;
-                let prefix = self.entities[ei].prefix;
-                for w in 0..self.mask_words {
-                    let mut bits = self.masks[ei * self.mask_words + w];
-                    while bits != 0 {
-                        let m = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        if self.flicker_passes(self.keys[base + m], day_mul) {
-                            pm_bufs[m].push((prefix, self.ranks[base + m], ei));
-                        }
-                    }
-                }
-            };
-            if in_span {
-                for ei in 0..self.num_static {
-                    consider(ei);
-                }
-                for &ei in active.iter() {
-                    if self.entity_announced(ei, day) {
-                        consider(ei);
-                    }
-                }
-            } else {
-                for ei in 0..self.entities.len() {
-                    if self.entity_active_on(ei, day) && self.entity_announced(ei, day) {
-                        consider(ei);
-                    }
-                }
-            }
-        }
-        // Selection pass: per monitor, stable-sort by (prefix, rank) —
-        // the first row of each prefix group is the minimum-rank,
-        // earliest-candidate winner, exactly the legacy tiebreak.
-        let mut out: Vec<Vec<(Prefix, Origin)>> = Vec::with_capacity(nm);
-        for buf in scratch.pm_bufs.iter_mut() {
-            buf.sort_by_key(|e| (e.0, e.1));
-            let mut routes: Vec<(Prefix, Origin)> = Vec::with_capacity(buf.len());
-            let mut last: Option<Prefix> = None;
-            for &(p, _, ei) in buf.iter() {
-                if last == Some(p) {
-                    continue;
-                }
-                last = Some(p);
-                routes.push((p, self.entities[ei].origin.clone()));
-            }
-            out.push(routes);
-        }
-        out
-    }
-
     /// The hoisted monitor fleet (one AS per slot, index-aligned with
     /// peer tables).
     pub fn monitors(&self) -> &[Asn] {
@@ -679,7 +594,7 @@ impl<'w> RenderEngine<'w> {
 
     /// Seed incremental state with one full render of `day`. Returns
     /// `None` for out-of-span days (the interval sweep cannot serve
-    /// them; use [`RenderEngine::per_monitor_routes`] instead).
+    /// them).
     pub fn seed_state(&self, day: Date) -> Option<MonitorState> {
         if !self.span.contains(day) {
             return None;
@@ -941,8 +856,8 @@ impl<'w> RenderEngine<'w> {
     }
 
     /// Materialize the full per-monitor best-route view from
-    /// incremental state — identical to
-    /// [`RenderEngine::per_monitor_routes`] on the same day.
+    /// incremental state: per monitor, the minimum-rank candidate of
+    /// each prefix (the lowest entity index on ties), sorted by prefix.
     pub fn state_routes(&self, state: &MonitorState) -> Vec<Vec<(Prefix, Origin)>> {
         state
             .cand
@@ -1043,19 +958,16 @@ mod tests {
         let w = world();
         let model = VisibilityModel::default();
         let engine = RenderEngine::new(&w, &model);
-        let mut scratch = engine.scratch();
+        // A fresh seed is a full render of its day.
+        let full_render = |d: Date| engine.state_routes(&engine.seed_state(d).expect("in span"));
         let days: Vec<Date> = w.span.iter().collect();
         let mut state = engine.seed_state(days[0]).expect("day 0 is in span");
-        assert_eq!(
-            engine.state_routes(&state),
-            engine.per_monitor_routes(&mut scratch, days[0])
-        );
         let mut changes: Vec<Vec<SelChange>> = Vec::new();
-        let mut prev = engine.per_monitor_routes(&mut scratch, days[0]).clone();
+        let mut prev = full_render(days[0]);
         for &d in &days[1..] {
             let advanced = engine.advance_state(&mut state, &mut changes);
             assert_eq!(advanced, Some(d));
-            let full = engine.per_monitor_routes(&mut scratch, d);
+            let full = full_render(d);
             assert_eq!(engine.state_routes(&state), full, "routes differ on {d}");
             // Every reported SelChange is a real origin change, and
             // the change lists fully account for the day-over-day
@@ -1107,12 +1019,18 @@ mod tests {
         let w = world();
         let model = VisibilityModel::default();
         let engine = RenderEngine::new(&w, &model);
-        let mut scratch = engine.scratch();
+        // One state advanced from the span start reaches each probe
+        // day through patches alone.
+        let mut advanced = engine.seed_state(w.span.start).expect("in span");
+        let mut changes = Vec::new();
         for d in [date("2018-01-15"), date("2018-02-28"), date("2018-03-31")] {
+            while advanced.day() < d {
+                engine.advance_state(&mut advanced, &mut changes);
+            }
             let state = engine.seed_state(d).expect("in span");
             assert_eq!(
                 engine.state_routes(&state),
-                engine.per_monitor_routes(&mut scratch, d),
+                engine.state_routes(&advanced),
                 "seeded routes differ on {d}"
             );
         }
@@ -1132,9 +1050,5 @@ mod tests {
         let _ = engine.render_day(&mut a, date("2018-01-05"));
         let _ = engine.render_day(&mut a, date("2018-01-20"));
         assert_eq!(engine.render_day(&mut a, d), engine.render_day(&mut b, d));
-        assert_eq!(
-            engine.per_monitor_routes(&mut a, d),
-            engine.per_monitor_routes(&mut b, d)
-        );
     }
 }

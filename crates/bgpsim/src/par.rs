@@ -104,55 +104,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = threads.max(1).min(n);
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-
-    let fanout = FanoutObs::start(n, threads);
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut worker_pulls = vec![0usize; threads];
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        FanoutObs::pulled(n, i + 1);
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        // Deterministic merge: scatter every worker's results by index.
-        for (w, h) in handles.into_iter().enumerate() {
-            let local = h.join().expect("pool worker panicked");
-            worker_pulls[w] = local.len();
-            for (i, v) in local {
-                slots[i] = Some(v);
-            }
-        }
-    });
-    fanout.finish(&worker_pulls);
-    slots
-        .into_iter()
-        .map(|o| o.expect("every index produced a result"))
-        .collect()
-}
-
-/// Convenience: [`map_indexed`] at the default thread count.
-pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    map_indexed(n, num_threads(), f)
+    map_indexed_local(n, threads, || (), |_, i| f(i))
 }
 
 /// Split `0..n` into at most `chunks` contiguous, near-equal ranges
@@ -237,15 +189,6 @@ where
     });
     fanout.finish(&worker_pulls);
     out
-}
-
-/// Convenience: [`map_chunked_with`] over the default balanced split.
-pub fn map_chunked<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
-{
-    map_chunked_with(&chunk_ranges(n, threads), f)
 }
 
 /// Like [`map_indexed`], but each worker carries private mutable state
@@ -381,10 +324,10 @@ mod tests {
     #[test]
     fn chunked_matches_sequential_for_any_split() {
         let work = |r: std::ops::Range<usize>| r.map(|i| i * 31 + 7).collect::<Vec<_>>();
-        let seq = map_chunked(40, 1, work);
+        let seq = map_chunked_with(&chunk_ranges(40, 1), work);
         assert_eq!(seq, (0..40).map(|i| i * 31 + 7).collect::<Vec<_>>());
         for threads in [2, 3, 4, 8] {
-            assert_eq!(map_chunked(40, threads, work), seq);
+            assert_eq!(map_chunked_with(&chunk_ranges(40, threads), work), seq);
         }
         // Arbitrary (non-balanced) boundaries are also fine.
         let ranges = vec![0..1, 1..17, 17..18, 18..40];
@@ -394,7 +337,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "wrong item count")]
     fn chunked_rejects_short_output() {
-        let _ = map_chunked(10, 2, |_r| vec![0usize]);
+        let _ = map_chunked_with(&chunk_ranges(10, 2), |_r| vec![0usize]);
     }
 
     #[test]

@@ -1061,7 +1061,7 @@ mod tests {
     /// into the sweep's observation surface.
     fn direct_day(w: &LeaseWorld, model: &VisibilityModel, day: Date) -> ObservationDay {
         let engine = RenderEngine::new(w, model);
-        let routes = engine.per_monitor_routes(&mut engine.scratch(), day);
+        let routes = engine.state_routes(&engine.seed_state(day).expect("day in span"));
         let mut counts: BTreeMap<(Prefix, Origin), u16> = BTreeMap::new();
         for (p, o) in routes.iter().flatten() {
             *counts.entry((*p, o.clone())).or_default() += 1;

@@ -4,7 +4,7 @@
 use crate::experiments::substrate;
 use crate::report::{pct, TextTable};
 use crate::study::StudyConfig;
-use rpki::consistency::{evaluate_rule, fail_rate_curves, ConsistencyReport};
+use rpki::consistency::{ConsistencyReport, ConsistencySeries};
 
 /// Figure 5 output.
 pub struct Fig5 {
@@ -30,10 +30,10 @@ pub fn grids(scale_days: i64) -> (Vec<usize>, Vec<usize>) {
 /// Regenerate Figure 5.
 pub fn run(config: &StudyConfig) -> Fig5 {
     let substrate = substrate(config);
-    let daily = &substrate.rpki().days;
+    let series = ConsistencySeries::new(&substrate.rpki().days);
     let (ms, ns) = grids(substrate.world().span.num_days());
-    let curves = fail_rate_curves(daily, &ms, &ns);
-    let chosen = evaluate_rule(daily, 10, 0);
+    let curves = series.curves(&ms, &ns);
+    let chosen = series.evaluate(10, 0);
 
     let mut header: Vec<String> = vec!["M (days)".to_string()];
     header.extend(ns.iter().map(|n| format!("N={n}")));

@@ -19,15 +19,8 @@ use bgpsim::updates::{ArchiveV2Config, CollectorArchiveV2};
 use delegation::pipeline::PipelineInput;
 use std::sync::Arc;
 
-fn run_artifact(artifact: &str, config: &StudyConfig) -> Result<String, String> {
-    let rendered = match artifact {
-        "table1" => experiments::table1::run().rendered,
-        "s2-waitlists" => experiments::s2_waitlists::run(config).rendered,
-        "fig1" => experiments::fig1::run(config).rendered,
-        "fig2" => experiments::fig2::run(config).rendered,
-        "fig3" => experiments::fig3::run(config).rendered,
-        "fig4" => experiments::fig4::run().rendered,
-        "fig5" => experiments::fig5::run(config).rendered,
+fn run_artifact(artifact: &str, config: &StudyConfig) -> Result<(), String> {
+    match artifact {
         "fig6" => {
             // The faithful chain: build (or reuse) the study, encode
             // the MRT archive, and run both algorithms over the
@@ -40,21 +33,14 @@ fn run_artifact(artifact: &str, config: &StudyConfig) -> Result<String, String> 
                 &ArchiveV2Config::default(),
             )
             .map_err(|e| format!("fig6: MRT archive encoding failed: {e}"))?;
-            experiments::fig6::run_with_inputs(&study, || PipelineInput::MrtArchive(&archive))
-                .rendered
+            experiments::fig6::run_with_inputs(&study, || PipelineInput::MrtArchive(&archive));
         }
-        "s4-coverage" => experiments::s4_coverage::run(config).rendered,
-        "s5-prediction" => experiments::s5_prediction::run(config)
-            .map(|r| r.rendered)
-            .unwrap_or_else(|| "insufficient data".into()),
-        "s6-amortization" => experiments::s6_amortization::run().rendered,
-        "s6-behavior" => experiments::s6_behavior::run(config).rendered,
-        "s7-combined" => experiments::s7_combined::run(config).rendered,
-        "sensitivity" => experiments::sensitivity::run(config).rendered,
-        "all" => crate::run_all(config),
-        _ => return Err(format!("unknown artifact {artifact:?}")),
-    };
-    Ok(rendered)
+        _ => {
+            crate::catalogue::run_id(artifact, config, None)
+                .ok_or_else(|| format!("unknown artifact {artifact:?}"))?;
+        }
+    }
+    Ok(())
 }
 
 /// Run `artifact` under a profile collector and return the report:

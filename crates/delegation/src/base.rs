@@ -207,9 +207,8 @@ impl ReducedDay {
 pub fn reduce_days(days: &[ObservationDay]) -> Vec<ReducedDay> {
     let sp = obs::span!("reduce_days", days = days.len() as u64, unit = "days");
     sp.add_items(days.len() as u64);
-    bgpsim::par::map_chunked(days.len(), bgpsim::par::num_threads(), |r| {
-        days[r].iter().map(ReducedDay::new).collect()
-    })
+    let ranges = bgpsim::par::chunk_ranges(days.len(), bgpsim::par::num_threads());
+    bgpsim::par::map_chunked_with(&ranges, |r| days[r].iter().map(ReducedDay::new).collect())
 }
 
 /// Step (iv) on already-reduced pairs: the delegator of P' is the

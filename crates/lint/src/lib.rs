@@ -25,11 +25,12 @@
 //! fingerprinted baseline ([`baseline`]); the gate fails on anything
 //! new **and** on stale entries, so the totals ratchet monotonically
 //! toward zero. Run it as `repro lint`, `just lint`, or the
-//! `drywells-lint` binary; `--format json` emits a SARIF-shaped
-//! report for CI annotation.
+//! `drywells-lint` binary: both take the flags of [`cli`], and
+//! `--format json` emits a SARIF-shaped report for CI annotation.
 
 pub mod ast;
 pub mod baseline;
+pub mod cli;
 pub mod flow;
 pub mod graph;
 pub mod lexer;

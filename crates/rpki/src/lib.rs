@@ -24,7 +24,7 @@ pub mod delegation;
 pub mod roa;
 pub mod snapshot;
 
-pub use consistency::{evaluate_rule, fail_rate_curves, ConsistencyReport, RuleOutcome};
+pub use consistency::{ConsistencyReport, ConsistencySeries, RuleOutcome};
 pub use delegation::{infer_rpki_delegations, RpkiDelegation};
 pub use roa::{Roa, RouteValidity};
 pub use snapshot::{RoaSnapshot, SnapshotSeries, SnapshotSeriesConfig};

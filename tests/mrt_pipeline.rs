@@ -233,7 +233,7 @@ fn reconstruction_matches_direct_rendering() {
         date("2018-01-31"),
     ] {
         let view = replay_oracle::day(&archive, probe).expect("day reconstructs");
-        let direct = engine.per_monitor_routes(&mut engine.scratch(), probe);
+        let direct = engine.state_routes(&engine.seed_state(probe).expect("probe in span"));
         assert_eq!(view.routes.len(), direct.len());
         for (pi, routes) in direct.iter().enumerate() {
             let got = &view.routes[pi];
