@@ -4,8 +4,8 @@
 use bench::bench_config;
 use bgpsim::scenario::LeaseWorld;
 use criterion::{criterion_group, criterion_main, Criterion};
+use delegation::base::infer_rpki_series;
 use rpki::consistency::ConsistencySeries;
-use rpki::delegation::infer_series;
 use rpki::snapshot::SnapshotSeries;
 use std::hint::black_box;
 
@@ -18,10 +18,10 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(SnapshotSeries::generate(&world, &cfg.rpki)))
     });
     let series = SnapshotSeries::generate(&world, &cfg.rpki);
-    g.bench_function("infer_series", |b| {
-        b.iter(|| black_box(infer_series(&series.days)))
+    g.bench_function("infer_rpki_series", |b| {
+        b.iter(|| black_box(infer_rpki_series(&series.days)))
     });
-    let daily = infer_series(&series.days);
+    let daily = infer_rpki_series(&series.days);
     g.bench_function("consistency_series", |b| {
         b.iter(|| black_box(ConsistencySeries::new(&daily)))
     });

@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the data-plane primitives everything else is
-//! built on: prefix arithmetic, trie LPM, prefix sets, the BGP and
+//! built on: the step (iv) ancestor sweep, prefix sets, the BGP and
 //! RFC 6396 codecs, and valley-free path computation.
 
 use bgpsim::engine::RenderEngine;
@@ -7,10 +7,11 @@ use bgpsim::observe::VisibilityModel;
 use bgpsim::scenario::LeaseWorld;
 use bgpsim::topology::{Tier, Topology, TopologyConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
+use delegation::base::infer_from_pairs;
+use nettypes::asn::Asn;
 use nettypes::date::date;
 use nettypes::prefix::Prefix;
 use nettypes::set::PrefixSet;
-use nettypes::trie::PrefixTrie;
 use std::hint::black_box;
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -20,33 +21,19 @@ fn xorshift(state: &mut u64) -> u64 {
     *state
 }
 
-fn bench_trie(c: &mut Criterion) {
-    // 100k-entry routing-table-shaped trie.
+fn bench_infer_from_pairs(c: &mut Criterion) {
+    // 100k routing-table-shaped prefix-origin pairs, unsorted.
     let mut s = 0x9E3779B97F4A7C15u64;
-    let entries: Vec<(Prefix, u32)> = (0..100_000u32)
+    let pairs: Vec<(Prefix, Asn)> = (0..100_000u32)
         .map(|i| {
             let r = xorshift(&mut s);
             let len = 8 + (r % 25) as u8; // /8../32
-            (Prefix::new_unchecked_masked((r >> 16) as u32, len), i)
+            (Prefix::new_unchecked_masked((r >> 16) as u32, len), Asn(i))
         })
-        .collect();
-    let trie: PrefixTrie<u32> = entries.iter().copied().collect();
-    let probes: Vec<u32> = (0..1_000)
-        .map(|_| (xorshift(&mut s) >> 16) as u32)
         .collect();
 
-    c.bench_function("primitives/trie_insert_100k", |b| {
-        b.iter(|| {
-            let t: PrefixTrie<u32> = entries.iter().copied().collect();
-            black_box(t.len())
-        })
-    });
-    c.bench_function("primitives/trie_lpm_1k", |b| {
-        b.iter(|| {
-            for &a in &probes {
-                black_box(trie.longest_match(a));
-            }
-        })
+    c.bench_function("primitives/infer_from_pairs_100k", |b| {
+        b.iter(|| black_box(infer_from_pairs(&pairs)))
     });
 }
 
@@ -156,7 +143,7 @@ fn bench_render(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_trie,
+    bench_infer_from_pairs,
     bench_prefix_set,
     bench_bgp_wire,
     bench_mrt_archive,

@@ -8,7 +8,7 @@ use delegation::config::InferenceConfig;
 use delegation::pipeline::{run_pipeline, PipelineInput};
 use drywells::experiments::build_bgp_study;
 use rdap::database::{DbBuildConfig, WhoisDb};
-use rdap::pipeline::{extract_delegations, PipelineConfig};
+use rdap::pipeline::extract_delegations;
 use rdap::server::RdapServer;
 use std::hint::black_box;
 
@@ -30,15 +30,11 @@ fn bench(c: &mut Criterion) {
     g.bench_function("rdap_extraction", |b| {
         b.iter(|| {
             let server = RdapServer::new(db.clone());
-            black_box(extract_delegations(
-                &db,
-                &server,
-                &PipelineConfig::default(),
-            ))
+            black_box(extract_delegations(&db, &server))
         })
     });
     let server = RdapServer::new(db.clone());
-    let (rdap_delegs, _) = extract_delegations(&db, &server, &PipelineConfig::default());
+    let (rdap_delegs, _) = extract_delegations(&db, &server);
     let bgp = run_pipeline(
         PipelineInput::Days(&study.days),
         study.world.span,

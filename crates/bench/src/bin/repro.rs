@@ -221,7 +221,9 @@ fn known_artifact(id: &str) -> Result<&str, Fail> {
 
 /// `repro <artifact> [--csv DIR]`: regenerate one artifact (or `all`)
 /// and print it; `--csv DIR` also writes the CSV files of the
-/// artifacts that have one, from the same run.
+/// artifacts that have one, from the same run. A CSV file that cannot
+/// be written fails the command, after the others are written and the
+/// text is printed.
 fn cmd_artifact(args: &[String]) -> Result<(), Fail> {
     let mut study = Study::new(&["--full", "--seed", "--threads", "--trace"]);
     let mut artifact: Option<&str> = None;
@@ -257,12 +259,16 @@ fn cmd_artifact(args: &[String]) -> Result<(), Fail> {
 
     // lint:allow(L3): stderr wall-time note only, never reaches artifacts
     let t0 = Instant::now();
+    let mut unwritten = Vec::new();
     let mut write_csv = csv_dir.as_ref().map(|dir| {
-        move |name: &'static str, contents: String| {
+        |name: &'static str, contents: String| {
             let path = dir.join(name);
             match fs::write(&path, contents) {
                 Ok(()) => eprintln!("# wrote {}", path.display()),
-                Err(e) => eprintln!("# FAILED to write {}: {e}", path.display()),
+                Err(e) => {
+                    eprintln!("# FAILED to write {}: {e}", path.display());
+                    unwritten.push(name);
+                }
             }
         }
     });
@@ -272,7 +278,14 @@ fn cmd_artifact(args: &[String]) -> Result<(), Fail> {
     let output = catalogue::run_id(artifact, &config, sink).unwrap_or_default();
     println!("{output}");
     eprintln!("# regenerated {artifact} in {:.2?}", t0.elapsed());
-    Ok(())
+    if unwritten.is_empty() {
+        Ok(())
+    } else {
+        Err(Fail::Run(format!(
+            "could not write {}",
+            unwritten.join(", ")
+        )))
+    }
 }
 
 /// `repro trace-check PATH`: validate a JSONL trace written by

@@ -1,7 +1,8 @@
 //! The `repro` binary end to end, at quick scale and on cheap
 //! artifacts: `repro list` and the catalogue, `repro lint`'s shared
 //! flags, an artifact's text and CSV against the library, and the exit
-//! status of bad command lines.
+//! status of bad command lines and of a CSV file that cannot be
+//! written.
 
 use drywells::{catalogue, csv, experiments, StudyConfig};
 use std::path::PathBuf;
@@ -72,6 +73,48 @@ fn fig2_csv_matches_the_library_export() {
         got,
         csv::fig2_csv(&experiments::fig2::run(&StudyConfig::quick()))
     );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn unwritable_csv_file_fails_the_command() {
+    let dir = scratch_dir("unwritable");
+    std::fs::create_dir_all(dir.join("fig2_transfers.csv")).expect("dir in the csv's place");
+    let out = repro(&["fig2", "--csv", dir.to_str().expect("utf-8 path")]);
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("fig2_transfers.csv"), "{stderr}");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn all_writes_the_other_csv_files_when_one_fails() {
+    let dir = scratch_dir("unwritable-all");
+    std::fs::create_dir_all(dir.join("fig2_transfers.csv")).expect("dir in the csv's place");
+    let out = repro(&["all", "--csv", dir.to_str().expect("utf-8 path")]);
+    assert!(!out.status.success(), "{out:?}");
+    assert!(
+        stdout(&out).contains("=== Table 1"),
+        "the text is still printed"
+    );
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("csv dir exists")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8")
+        })
+        .filter(|f| f != "fig2_transfers.csv")
+        .collect();
+    written.sort();
+    let mut want: Vec<&str> = catalogue::ARTIFACTS
+        .iter()
+        .filter_map(|a| a.csv_file)
+        .filter(|&f| f != "fig2_transfers.csv")
+        .collect();
+    want.sort();
+    assert_eq!(written, want);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 

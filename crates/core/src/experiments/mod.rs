@@ -24,17 +24,17 @@ use crate::study::StudyConfig;
 use bgpsim::observe::{render_days, ObservationDay, VisibilityModel};
 use bgpsim::scenario::LeaseWorld;
 use delegation::as2org::As2OrgSeries;
-use delegation::base::{reduce_days, ReducedDay};
+use delegation::base::{infer_rpki_series, reduce_days, ReducedDay};
 use delegation::config::InferenceConfig;
 use delegation::eval::{evaluate_against_truth, TruthEvaluation};
 use delegation::pipeline::{walk_days, DailyDelegations, PipelineInput};
 use market::transactions::{generate_transactions, PricedTransaction, TransactionConfig};
 use nettypes::date::{Date, DateRange};
 use rdap::database::{DbBuildConfig, WhoisDb};
-use rdap::pipeline::{extract_delegations, PipelineConfig, PipelineStats, RdapDelegation};
+use rdap::pipeline::{extract_delegations, PipelineStats, RdapDelegation};
 use rdap::server::RdapServer;
 use registry::simulate::{simulate, RegistryHistory};
-use rpki::delegation::{infer_series, RpkiDelegation};
+use rpki::delegation::RpkiDelegation;
 use rpki::snapshot::SnapshotSeries;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -123,7 +123,7 @@ impl Substrate {
             let series = SnapshotSeries::generate(self.world(), &self.config.rpki);
             RpkiDelegations {
                 span: series.span,
-                days: infer_series(&series.days),
+                days: infer_rpki_series(&series.days),
             }
         })
     }
@@ -336,7 +336,7 @@ impl BgpStudy {
             let as_of = self.world.span.end;
             let db = WhoisDb::build_from_world(&self.world, as_of, &DbBuildConfig::default());
             let server = RdapServer::with_rate_limit(db, 1000);
-            extract_delegations(server.db(), &server, &PipelineConfig::default())
+            extract_delegations(server.db(), &server)
         });
         (delegations, stats)
     }

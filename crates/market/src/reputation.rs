@@ -16,7 +16,6 @@
 
 use nettypes::date::Date;
 use nettypes::prefix::Prefix;
-use nettypes::trie::PrefixTrie;
 use serde::{Deserialize, Serialize};
 
 /// Why a block was listed.
@@ -164,18 +163,14 @@ pub fn residual_reputation(
     blacklist: &Blacklist,
     d: Date,
 ) -> Reputation {
-    // Index recorded delegations for fast covering checks.
-    let recorded: PrefixTrie<()> = delegations_with_records.iter().map(|p| (*p, ())).collect();
     let mut worst = Reputation::Clean;
     for l in blacklist.listings() {
         if l.listed > d || !l.prefix.overlaps(provider_block) {
             continue;
         }
-        // A listing fully inside a recorded delegation is attributed
+        // A listing fully inside one recorded delegation is attributed
         // to the delegatee: it does not touch the residual space.
-        let contained_in_recorded = recorded.covering(&l.prefix).into_iter().next().is_some()
-            || recorded.contains(&l.prefix);
-        if contained_in_recorded {
+        if delegations_with_records.iter().any(|r| r.covers(&l.prefix)) {
             continue;
         }
         if l.active_on(d) {
@@ -300,6 +295,54 @@ mod tests {
         assert_eq!(
             residual_reputation(&provider, &[], &bl, date("2020-02-01")),
             Reputation::Listed
+        );
+    }
+
+    #[test]
+    fn listing_spanning_two_recorded_delegations_is_not_attributed() {
+        // A /23 listing covers two adjacent recorded /24s, but neither
+        // delegatee holds all of it: the provider's block is listed.
+        let provider = pfx("64.1.0.0/16");
+        let recorded = [pfx("64.1.2.0/24"), pfx("64.1.3.0/24")];
+        let mut bl = Blacklist::new();
+        bl.list(pfx("64.1.2.0/23"), date("2020-01-15"), ListingReason::Spam);
+        assert_eq!(
+            residual_reputation(&provider, &recorded, &bl, date("2020-02-01")),
+            Reputation::Listed
+        );
+        // Each /24 alone is attributed.
+        let mut bl = Blacklist::new();
+        bl.list(recorded[1], date("2020-01-15"), ListingReason::Spam);
+        assert_eq!(
+            residual_reputation(&provider, &recorded, &bl, date("2020-02-01")),
+            Reputation::Clean
+        );
+    }
+
+    #[test]
+    fn listings_outside_the_provider_block_are_ignored() {
+        let provider = pfx("64.1.0.0/16");
+        let mut bl = Blacklist::new();
+        bl.list(pfx("64.2.0.0/24"), date("2020-01-15"), ListingReason::Spam);
+        assert_eq!(
+            residual_reputation(&provider, &[], &bl, date("2020-02-01")),
+            Reputation::Clean
+        );
+        // A listing of a covering block reaches the provider's space,
+        // and a recorded delegation inside the provider's block does
+        // not hold all of it.
+        bl.list(
+            pfx("64.0.0.0/8"),
+            date("2020-01-20"),
+            ListingReason::Malware,
+        );
+        assert_eq!(
+            residual_reputation(&provider, &[pfx("64.1.2.0/24")], &bl, date("2020-02-01")),
+            Reputation::Listed
+        );
+        assert_eq!(
+            residual_reputation(&provider, &[], &bl, date("2020-01-16")),
+            Reputation::Clean
         );
     }
 

@@ -8,8 +8,6 @@
 //!   WHOIS `inetnum` objects, convertible to/from minimal CIDR covers,
 //! * [`Asn`] — an autonomous-system number with IANA reservation
 //!   knowledge, plus [`Origin`] for AS_SET / MOAS origins,
-//! * [`PrefixTrie`] — a binary (Patricia-style) trie keyed by prefixes
-//!   with longest-prefix match and covered/covering queries,
 //! * [`PrefixSet`] — an aggregating set of prefixes that can count the
 //!   number of unique addresses covered,
 //! * [`bogons`] — the private/reserved address space and reserved ASN
@@ -30,7 +28,6 @@ pub mod error;
 pub mod prefix;
 pub mod range;
 pub mod set;
-pub mod trie;
 
 pub use asn::{Asn, Origin};
 pub use date::{Date, DateRange};
@@ -38,7 +35,6 @@ pub use error::NetTypesError;
 pub use prefix::Prefix;
 pub use range::IpRange;
 pub use set::PrefixSet;
-pub use trie::PrefixTrie;
 
 /// Format a raw IPv4 address (host byte order) in dotted-quad notation.
 pub fn fmt_ipv4(addr: u32) -> String {

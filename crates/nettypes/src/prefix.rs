@@ -232,14 +232,6 @@ impl Prefix {
         let end = self.last_address() as u64;
         (start..=end).map(|a| a as u32)
     }
-
-    /// The bit at position `i` (0 = most significant) of the network
-    /// address. Used by the trie.
-    #[inline]
-    pub(crate) fn bit(&self, i: u8) -> bool {
-        debug_assert!(i < 32);
-        self.network & (1u32 << (31 - i as u32)) != 0
-    }
 }
 
 impl fmt::Display for Prefix {

@@ -36,6 +36,6 @@ pub mod whois;
 
 pub use database::{DbBuildConfig, WhoisDb};
 pub use inetnum::{Inetnum, InetnumStatus};
-pub use pipeline::{extract_delegations, PipelineConfig, PipelineStats, RdapDelegation};
+pub use pipeline::{extract_delegations, PipelineStats, RdapDelegation};
 pub use server::{RdapError, RdapResponse, RdapServer};
 pub use whois::{WhoisQuery, WhoisServer};

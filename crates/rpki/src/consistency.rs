@@ -18,7 +18,7 @@ use crate::delegation::RpkiDelegation;
 use nettypes::asn::Asn;
 use nettypes::prefix::Prefix;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The outcome of evaluating one (M, N) rule over a series.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -70,8 +70,8 @@ impl KeySeries {
         conflict_ps.push(0);
         let (mut p, mut c) = (0u32, 0u32);
         for i in 0..present.len() {
-            p += present[i] as u32;
-            c += conflict[i] as u32;
+            p += u32::from(present[i]);
+            c += u32::from(conflict[i]);
             present_ps.push(p);
             conflict_ps.push(c);
         }
@@ -97,9 +97,9 @@ impl KeySeries {
 fn build_series(days: &[Vec<RpkiDelegation>]) -> Vec<KeySeries> {
     let n_days = days.len();
     // (prefix, delegatee) → presence bitmap.
-    let mut presence: HashMap<(Prefix, Asn), Vec<bool>> = HashMap::new();
+    let mut presence: BTreeMap<(Prefix, Asn), Vec<bool>> = BTreeMap::new();
     // prefix → per-day delegatee list (for conflicts).
-    let mut by_prefix: HashMap<Prefix, Vec<Vec<Asn>>> = HashMap::new();
+    let mut by_prefix: BTreeMap<Prefix, Vec<Vec<Asn>>> = BTreeMap::new();
     for (di, day) in days.iter().enumerate() {
         for d in day {
             presence
@@ -163,9 +163,8 @@ impl ConsistencySeries {
                     continue; // premise invalid
                 }
                 out.premises += 1;
-                let interior_days = (b - a) as u32;
-                let missing = interior_days - ks.present_in(a, b);
-                if missing as usize > n {
+                let missing = (b - a) - ks.present_in(a, b) as usize;
+                if missing > n {
                     out.failures += 1;
                 }
             }
@@ -292,6 +291,24 @@ mod tests {
         assert_eq!(o.premises, 2);
         assert_eq!(o.failures, 1);
         assert!((o.fail_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn outcome_does_not_depend_on_order_within_a_day() {
+        let mut days = pattern("1101101111011");
+        for (i, d) in days.iter_mut().enumerate() {
+            d.push(deleg("10.0.2.0/24", 1, 5));
+            if i % 3 == 0 {
+                d.push(deleg("10.0.0.0/23", 7, 8));
+            }
+        }
+        let reversed: Vec<_> = days
+            .iter()
+            .map(|d| d.iter().rev().copied().collect())
+            .collect();
+        for (m, n) in [(2, 0), (3, 1), (5, 0), (10, 2)] {
+            assert_eq!(evaluate_rule(&days, m, n), evaluate_rule(&reversed, m, n));
+        }
     }
 
     #[test]

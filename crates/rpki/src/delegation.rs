@@ -1,15 +1,15 @@
-//! RPKI-based delegation inference.
+//! The RPKI-based delegation record.
 //!
 //! Appendix A: "Rather than taking the announcements of P and P', we
 //! now check whether those prefixes have Route Origin Authorizations
 //! (ROAs) assigned to different ASes." A delegation `(P', S, T)` is
 //! inferred from a snapshot when some ROA authorizes S for P, another
-//! authorizes T ≠ S for P', and P strictly covers P'.
+//! authorizes T ≠ S for P', and P strictly covers P'. The inference is
+//! the BGP step (iv) sweep, `delegation::base::infer_rpki_delegations`;
+//! the record lives here because [`crate::consistency`] reads it.
 
-use crate::snapshot::RoaSnapshot;
 use nettypes::asn::Asn;
 use nettypes::prefix::Prefix;
-use nettypes::trie::PrefixTrie;
 use serde::{Deserialize, Serialize};
 
 /// A delegation inferred from RPKI data.
@@ -21,147 +21,4 @@ pub struct RpkiDelegation {
     pub delegator: Asn,
     /// The delegatee AS T (holder of the P' ROA).
     pub delegatee: Asn,
-}
-
-/// Infer all delegations visible in one snapshot.
-///
-/// When several covering ROAs with distinct origins exist, the
-/// *nearest* (most specific) covering ROA with an origin different
-/// from the delegatee's determines the delegator — the same
-/// most-specific-ancestor semantics the BGP inference uses.
-pub fn infer_rpki_delegations(snapshot: &RoaSnapshot) -> Vec<RpkiDelegation> {
-    // Index ROA origins by prefix. Multiple ROAs per prefix are
-    // possible; keep all origins.
-    let mut trie: PrefixTrie<Vec<Asn>> = PrefixTrie::new();
-    for roa in &snapshot.roas {
-        if let Some(v) = trie.get_mut(&roa.prefix) {
-            if !v.contains(&roa.asn) {
-                v.push(roa.asn);
-            }
-        } else {
-            trie.insert(roa.prefix, vec![roa.asn]);
-        }
-    }
-
-    let mut out = Vec::new();
-    for roa in &snapshot.roas {
-        // Find the nearest strictly-covering ROA prefix with a
-        // different origin.
-        let covering = trie.covering(&roa.prefix);
-        for (_, origins) in covering.into_iter().rev() {
-            if let Some(&delegator) = origins.iter().find(|&&o| o != roa.asn) {
-                out.push(RpkiDelegation {
-                    prefix: roa.prefix,
-                    delegator,
-                    delegatee: roa.asn,
-                });
-                break;
-            }
-        }
-    }
-    out.sort();
-    out.dedup();
-    out
-}
-
-/// Convenience: infer delegations for every day of a series, returning
-/// one sorted set per day.
-pub fn infer_series(days: &[RoaSnapshot]) -> Vec<Vec<RpkiDelegation>> {
-    days.iter().map(infer_rpki_delegations).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::roa::Roa;
-    use nettypes::date::Date;
-    use nettypes::prefix::pfx;
-
-    fn snap(roas: Vec<Roa>) -> RoaSnapshot {
-        RoaSnapshot {
-            date: Date::from_days(0),
-            roas,
-        }
-    }
-
-    #[test]
-    fn basic_delegation() {
-        let s = snap(vec![
-            Roa::exact(pfx("10.0.0.0/16"), Asn(1)),
-            Roa::exact(pfx("10.0.1.0/24"), Asn(2)),
-        ]);
-        let d = infer_rpki_delegations(&s);
-        assert_eq!(
-            d,
-            vec![RpkiDelegation {
-                prefix: pfx("10.0.1.0/24"),
-                delegator: Asn(1),
-                delegatee: Asn(2),
-            }]
-        );
-    }
-
-    #[test]
-    fn same_origin_is_not_a_delegation() {
-        let s = snap(vec![
-            Roa::exact(pfx("10.0.0.0/16"), Asn(1)),
-            Roa::exact(pfx("10.0.1.0/24"), Asn(1)),
-        ]);
-        assert!(infer_rpki_delegations(&s).is_empty());
-    }
-
-    #[test]
-    fn nearest_covering_roa_wins() {
-        let s = snap(vec![
-            Roa::exact(pfx("10.0.0.0/8"), Asn(1)),
-            Roa::exact(pfx("10.0.0.0/16"), Asn(2)),
-            Roa::exact(pfx("10.0.1.0/24"), Asn(3)),
-        ]);
-        let d = infer_rpki_delegations(&s);
-        // /24 is delegated by the /16 holder (nearest), the /16 by the /8.
-        assert!(d.contains(&RpkiDelegation {
-            prefix: pfx("10.0.1.0/24"),
-            delegator: Asn(2),
-            delegatee: Asn(3),
-        }));
-        assert!(d.contains(&RpkiDelegation {
-            prefix: pfx("10.0.0.0/16"),
-            delegator: Asn(1),
-            delegatee: Asn(2),
-        }));
-        assert_eq!(d.len(), 2);
-    }
-
-    #[test]
-    fn nearest_ancestor_with_same_origin_skipped() {
-        // /16 has the same origin as the /24; the delegator is the /8
-        // holder.
-        let s = snap(vec![
-            Roa::exact(pfx("10.0.0.0/8"), Asn(1)),
-            Roa::exact(pfx("10.0.0.0/16"), Asn(3)),
-            Roa::exact(pfx("10.0.1.0/24"), Asn(3)),
-        ]);
-        let d = infer_rpki_delegations(&s);
-        assert!(d.contains(&RpkiDelegation {
-            prefix: pfx("10.0.1.0/24"),
-            delegator: Asn(1),
-            delegatee: Asn(3),
-        }));
-    }
-
-    #[test]
-    fn no_covering_roa_no_delegation() {
-        let s = snap(vec![Roa::exact(pfx("10.0.1.0/24"), Asn(2))]);
-        assert!(infer_rpki_delegations(&s).is_empty());
-    }
-
-    #[test]
-    fn duplicate_roas_deduplicated() {
-        let s = snap(vec![
-            Roa::exact(pfx("10.0.0.0/16"), Asn(1)),
-            Roa::exact(pfx("10.0.1.0/24"), Asn(2)),
-            Roa::exact(pfx("10.0.1.0/24"), Asn(2)),
-        ]);
-        assert_eq!(infer_rpki_delegations(&s).len(), 1);
-    }
 }

@@ -8,8 +8,10 @@
 //!   calibrated stability mixture (most ROAs are rock-stable, a
 //!   minority glitch), generated from a ground-truth
 //!   [`bgpsim::scenario::LeaseWorld`],
-//! * [`delegation`] — RPKI-based delegation inference: `P` has a ROA
-//!   for AS *S*, a sub-prefix `P'` has a ROA for AS *T ≠ S*,
+//! * [`delegation`] — the RPKI-based delegation record: `P` has a ROA
+//!   for AS *S*, a sub-prefix `P'` has a ROA for AS *T ≠ S* (inferred
+//!   by the `delegation` crate's step (iv) sweep,
+//!   `delegation::base::infer_rpki_delegations`),
 //! * [`consistency`] — the Appendix A rule evaluator: *"if we observe
 //!   a delegation on day X and on day X+M, the delegation also exists
 //!   for all but N days in between"*, with fail-rate curves over (M, N)
@@ -25,6 +27,6 @@ pub mod roa;
 pub mod snapshot;
 
 pub use consistency::{ConsistencyReport, ConsistencySeries, RuleOutcome};
-pub use delegation::{infer_rpki_delegations, RpkiDelegation};
+pub use delegation::RpkiDelegation;
 pub use roa::{Roa, RouteValidity};
 pub use snapshot::{RoaSnapshot, SnapshotSeries, SnapshotSeriesConfig};

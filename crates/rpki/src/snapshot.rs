@@ -180,6 +180,30 @@ mod tests {
         })
     }
 
+    /// One ROA per allocation and per lease, with leases carved without
+    /// overlap: no prefix has ROAs for two ASes on one day, the case in
+    /// which the RPKI step (iv) reads a prefix by its greatest AS.
+    #[test]
+    fn no_prefix_has_roas_for_several_ases() {
+        let w = world();
+        for seed in [1, 7, 2020] {
+            let cfg = SnapshotSeriesConfig {
+                seed,
+                ..Default::default()
+            };
+            for day in &SnapshotSeries::generate(&w, &cfg).days {
+                let mut pairs: Vec<_> = day.roas.iter().map(|r| (r.prefix, r.asn)).collect();
+                pairs.sort_unstable();
+                pairs.dedup();
+                assert!(
+                    pairs.windows(2).all(|w| w[0].0 != w[1].0),
+                    "seed {seed}, {}",
+                    day.date
+                );
+            }
+        }
+    }
+
     #[test]
     fn series_covers_span() {
         let w = world();

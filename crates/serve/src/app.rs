@@ -138,11 +138,6 @@ impl App {
         self
     }
 
-    /// Whether `/debug/*` routes are enabled.
-    pub fn debug_routes_enabled(&self) -> bool {
-        self.debug_routes
-    }
-
     /// Allocate the next request id (1, 2, 3, … per App).
     pub fn next_request_id(&self) -> u64 {
         self.next_request_id.fetch_add(1, Ordering::Relaxed)

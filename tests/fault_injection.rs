@@ -17,7 +17,7 @@ use drywells::experiments::{build_bgp_study, BgpStudy};
 use drywells::StudyConfig;
 use mrt_oracle::{decode_file, decode_file_lossy};
 use rdap::database::{DbBuildConfig, WhoisDb};
-use rdap::pipeline::{extract_delegations, PipelineConfig};
+use rdap::pipeline::extract_delegations;
 use rdap::server::RdapServer;
 
 /// The study's RFC 6396 archive: a RIB every 7 days, an update file
@@ -229,10 +229,10 @@ fn rdap_outage_mid_extraction_is_recoverable() {
 
     // A brutally small rate budget forces many pauses.
     let strict = RdapServer::with_rate_limit(db.clone(), 3);
-    let (with_pauses, stats) = extract_delegations(&db, &strict, &PipelineConfig::default());
+    let (with_pauses, stats) = extract_delegations(&db, &strict);
     assert!(stats.rate_limit_pauses > 5);
 
     let relaxed = RdapServer::new(db.clone());
-    let (without, _) = extract_delegations(&db, &relaxed, &PipelineConfig::default());
+    let (without, _) = extract_delegations(&db, &relaxed);
     assert_eq!(with_pauses, without, "pauses must not change the result");
 }

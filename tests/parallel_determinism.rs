@@ -17,7 +17,7 @@ use delegation::pipeline::{run_pipeline, PipelineInput};
 use drywells::experiments::{build_bgp_study, fig6};
 use drywells::{csv, StudyConfig};
 use rdap::database::{DbBuildConfig, WhoisDb};
-use rdap::pipeline::{extract_delegations, PipelineConfig};
+use rdap::pipeline::extract_delegations;
 use rdap::server::RdapServer;
 
 #[test]
@@ -166,7 +166,7 @@ fn shared_study_inference_matches_the_pipeline_at_every_pool_size() {
         &DbBuildConfig::default(),
     );
     let unlimited = RdapServer::new(db.clone());
-    let (direct, _) = extract_delegations(&db, &unlimited, &PipelineConfig::default());
+    let (direct, _) = extract_delegations(&db, &unlimited);
     assert_eq!(study.rdap_delegations().0, direct.as_slice());
     let s7 = drywells::experiments::s7_combined::run_with_study(&study, &config);
     let direct_rdap: nettypes::set::PrefixSet =
