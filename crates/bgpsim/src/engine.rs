@@ -185,6 +185,36 @@ fn winner_of(cand: &[(Prefix, u64, usize)], p: Prefix) -> Option<usize> {
     }
 }
 
+/// Write into `out` the candidates `cand` patched by `patch`, both
+/// sorted by `(prefix, rank, entity)`. A patch entry equal to a held
+/// candidate removes it, and any other entry is inserted; the runs of
+/// candidates between patch entries are copied whole. (A cleared bit
+/// was set, so a removal always finds its candidate; an add never
+/// does.)
+fn splice(
+    cand: &[(Prefix, u64, usize)],
+    patch: &[(Prefix, u64, usize, bool)],
+    out: &mut Vec<(Prefix, u64, usize)>,
+) {
+    out.clear();
+    out.reserve(cand.len() + patch.len());
+    let mut rest = cand;
+    for &(p, rank, ei, add) in patch {
+        let key = (p, rank, ei);
+        let run = rest.partition_point(|&c| c < key);
+        out.extend_from_slice(&rest[..run]);
+        rest = &rest[run..];
+        if rest.first() == Some(&key) {
+            debug_assert!(!add, "add of an existing candidate");
+            rest = &rest[1..];
+        } else {
+            debug_assert!(add, "removal of a missing candidate");
+            out.push(key);
+        }
+    }
+    out.extend_from_slice(rest);
+}
+
 impl<'w> RenderEngine<'w> {
     /// Build the engine: hoist the monitor fleet, flatten the world
     /// into entities, precompute stable keys/masks/ranks, and index
@@ -592,6 +622,11 @@ impl<'w> RenderEngine<'w> {
         &self.entities[ei].origin
     }
 
+    /// Every entity's origin, in entity-id order.
+    pub(crate) fn entity_origins(&self) -> impl ExactSizeIterator<Item = &Origin> + '_ {
+        self.entities.iter().map(|e| &e.origin)
+    }
+
     /// Seed incremental state with one full render of `day`. Returns
     /// `None` for out-of-span days (the interval sweep cannot serve
     /// them).
@@ -783,9 +818,9 @@ impl<'w> RenderEngine<'w> {
         }
     }
 
-    /// Merge one monitor's sorted patch into its sorted candidate
-    /// vector (linear, via the spare buffer) and emit a [`SelChange`]
-    /// for every touched prefix whose selected origin differs.
+    /// Splice one monitor's sorted patch into its sorted candidate
+    /// vector (via the spare buffer) and emit a [`SelChange`] for every
+    /// touched prefix whose selected origin differs.
     fn apply_patch(
         &self,
         cand: &mut Vec<(Prefix, u64, usize)>,
@@ -805,35 +840,7 @@ impl<'w> RenderEngine<'w> {
             old_winners.push((p, winner_of(cand, p)));
         }
 
-        spare.clear();
-        spare.reserve(cand.len() + patch.len());
-        let (mut a, mut b) = (0, 0);
-        while a < cand.len() && b < patch.len() {
-            let ce = cand[a];
-            let pe = patch[b];
-            let pkey = (pe.0, pe.1, pe.2);
-            if pkey < (ce.0, ce.1, ce.2) {
-                // An add of a candidate not present (removals always
-                // match an existing entry by construction: a cleared
-                // bit was set, so its candidate is in the vector).
-                debug_assert!(pe.3, "removal of a missing candidate");
-                spare.push((pe.0, pe.1, pe.2));
-                b += 1;
-            } else if pkey == (ce.0, ce.1, ce.2) {
-                debug_assert!(!pe.3, "add of an existing candidate");
-                // Removal: skip the matching entry.
-                a += 1;
-                b += 1;
-            } else {
-                spare.push(ce);
-                a += 1;
-            }
-        }
-        spare.extend_from_slice(&cand[a..]);
-        for pe in &patch[b..] {
-            debug_assert!(pe.3, "removal of a missing candidate");
-            spare.push((pe.0, pe.1, pe.2));
-        }
+        splice(cand, patch, spare);
         std::mem::swap(cand, spare);
 
         for (p, old) in old_winners {
@@ -855,24 +862,29 @@ impl<'w> RenderEngine<'w> {
         }
     }
 
+    /// Monitor `m`'s selected routes in incremental state: per prefix,
+    /// in prefix order, the entity of its minimum-rank candidate (the
+    /// lowest entity index on ties). Entity ids resolve to origins
+    /// through [`RenderEngine::entity_origin`].
+    pub(crate) fn monitor_routes<'s>(
+        &self,
+        state: &'s MonitorState,
+        m: usize,
+    ) -> impl Iterator<Item = (Prefix, usize)> + 's {
+        state.cand[m]
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|group| (group[0].0, group[0].2))
+    }
+
     /// Materialize the full per-monitor best-route view from
     /// incremental state: per monitor, the minimum-rank candidate of
     /// each prefix (the lowest entity index on ties), sorted by prefix.
     pub fn state_routes(&self, state: &MonitorState) -> Vec<Vec<(Prefix, Origin)>> {
-        state
-            .cand
-            .iter()
-            .map(|buf| {
-                let mut routes: Vec<(Prefix, Origin)> = Vec::with_capacity(buf.len());
-                let mut last: Option<Prefix> = None;
-                for &(p, _, ei) in buf.iter() {
-                    if last == Some(p) {
-                        continue;
-                    }
-                    last = Some(p);
-                    routes.push((p, self.entities[ei].origin.clone()));
-                }
-                routes
+        (0..state.cand.len())
+            .map(|m| {
+                self.monitor_routes(state, m)
+                    .map(|(p, e)| (p, self.entity_origin(e).clone()))
+                    .collect()
             })
             .collect()
     }
@@ -1036,6 +1048,91 @@ mod tests {
         }
         assert!(engine.seed_state(date("2017-12-31")).is_none());
         assert!(engine.seed_state(date("2018-04-01")).is_none());
+    }
+
+    /// The element-wise merge [`splice`] replaced, kept as its oracle:
+    /// a patch entry equal to the held candidate under the cursor
+    /// removes it, and any other entry is inserted.
+    fn merge_oracle(
+        cand: &[(Prefix, u64, usize)],
+        patch: &[(Prefix, u64, usize, bool)],
+    ) -> Vec<(Prefix, u64, usize)> {
+        let mut out = Vec::new();
+        let (mut a, mut b) = (0, 0);
+        while a < cand.len() && b < patch.len() {
+            let ce = cand[a];
+            let pe = patch[b];
+            let pkey = (pe.0, pe.1, pe.2);
+            if pkey < ce {
+                out.push(pkey);
+                b += 1;
+            } else if pkey == ce {
+                a += 1;
+                b += 1;
+            } else {
+                out.push(ce);
+                a += 1;
+            }
+        }
+        out.extend_from_slice(&cand[a..]);
+        out.extend(patch[b..].iter().map(|pe| (pe.0, pe.1, pe.2)));
+        out
+    }
+
+    proptest::proptest! {
+        /// The splice writes what the element-wise merge writes, for
+        /// sorted candidates and sorted patches that remove held
+        /// candidates, insert new ones, and remove and re-add one
+        /// candidate in a single patch.
+        #[test]
+        fn splice_matches_the_elementwise_merge(
+            held in proptest::collection::vec((0u32..6, 0u64..4, 0usize..4), 0..40),
+            inserts in proptest::collection::vec((0u32..6, 0u64..4, 0usize..4), 0..20),
+            removes in proptest::collection::vec(0usize..1000, 0..10),
+            readds in proptest::collection::vec(0usize..1000, 0..3),
+        ) {
+            let key = |(net, rank, ei): (u32, u64, usize)| {
+                (Prefix::new_unchecked_masked(net << 24, 8), rank, ei)
+            };
+            let mut cand: Vec<_> = held.into_iter().map(key).collect();
+            cand.sort_unstable();
+            cand.dedup();
+            let pick = |i: usize| cand[i * cand.len() / 1000];
+            let mut keys: Vec<_> = inserts.into_iter().map(key).collect();
+            if !cand.is_empty() {
+                keys.extend(removes.iter().map(|&i| pick(i)));
+                // Removed and added back: the key twice.
+                for &i in &readds {
+                    keys.extend([pick(i), pick(i)]);
+                }
+            }
+            keys.sort_unstable();
+            // The flag each entry would carry: the first entry of a held
+            // key removes it, every other entry inserts.
+            let patch: Vec<_> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| {
+                    let first = i == 0 || keys[i - 1] != k;
+                    let add = !(first && cand.binary_search(&k).is_ok());
+                    (k.0, k.1, k.2, add)
+                })
+                .collect();
+            let mut out = vec![key((9, 9, 9))];
+            splice(&cand, &patch, &mut out);
+            proptest::prop_assert_eq!(out, merge_oracle(&cand, &patch));
+        }
+    }
+
+    #[test]
+    fn splice_removes_and_readds_one_candidate() {
+        let p = |net: u32| Prefix::new_unchecked_masked(net << 24, 8);
+        let cand = [(p(1), 0, 0), (p(2), 0, 1), (p(3), 0, 2)];
+        let patch = [(p(2), 0, 1, false), (p(2), 0, 1, true), (p(4), 0, 3, true)];
+        let mut out = Vec::new();
+        splice(&cand, &patch, &mut out);
+        assert_eq!(out, merge_oracle(&cand, &patch));
+        assert_eq!(out, [cand[0], cand[1], cand[2], (p(4), 0, 3)]);
     }
 
     #[test]

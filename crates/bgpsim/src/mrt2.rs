@@ -75,6 +75,10 @@ pub enum Mrt2Error {
     /// last second a 32-bit MRT timestamp holds (2106-02-07 06:28:15
     /// UTC). Refused rather than saturated or wrapped to 1970.
     TimestampOverflow(Date),
+    /// Encode-side: the archive span reaches this day, which lies
+    /// outside the world's span, so the world has no routes to render
+    /// for it.
+    DayOutsideWorld(Date),
 }
 
 impl std::fmt::Display for Mrt2Error {
@@ -91,6 +95,9 @@ impl std::fmt::Display for Mrt2Error {
             }
             Mrt2Error::TimestampOverflow(d) => {
                 write!(f, "a record of {d} overflows the 32-bit MRT timestamp")
+            }
+            Mrt2Error::DayOutsideWorld(d) => {
+                write!(f, "archive day {d} lies outside the world's span")
             }
         }
     }
@@ -598,7 +605,8 @@ impl LossyStats {
             Mrt2Error::Malformed(_)
             | Mrt2Error::TooLong { .. }
             | Mrt2Error::UntiledChunk(_)
-            | Mrt2Error::TimestampOverflow(_) => self.skipped_malformed += 1,
+            | Mrt2Error::TimestampOverflow(_)
+            | Mrt2Error::DayOutsideWorld(_) => self.skipped_malformed += 1,
         }
     }
 

@@ -11,7 +11,7 @@ use std::sync::Arc;
 /// Immutable, cheaply clonable byte buffer (shared via `Arc`).
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
 }
 
 impl Bytes {
@@ -22,7 +22,9 @@ impl Bytes {
 
     /// Copy a slice into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes { data: data.into() }
+        Bytes {
+            data: Arc::new(data.to_vec()),
+        }
     }
 
     /// Wrap a static slice (copied; zero-copy sharing is not needed here).
@@ -41,9 +43,12 @@ impl Bytes {
     }
 }
 
+/// Takes the vector without copying its bytes, as the `bytes` crate
+/// does; its spare capacity is released first.
 impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Bytes {
-        Bytes { data: v.into() }
+    fn from(mut v: Vec<u8>) -> Bytes {
+        v.shrink_to_fit();
+        Bytes { data: Arc::new(v) }
     }
 }
 
