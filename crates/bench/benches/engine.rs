@@ -19,8 +19,8 @@
 //! 5. touched-prefix extraction: `delta_advance_span` (seed once, then
 //!    one `advance_state` per transition) vs `full_render_span` (one
 //!    `seed_state` per day);
-//! 6. patch-apply materialization: `state_routes_warm` (read the
-//!    patch-maintained candidates) vs `seed_state_warm` (full
+//! 6. winner-table materialization: `state_routes_warm` (read the
+//!    incrementally maintained table) vs `seed_state_warm` (full
 //!    selection from scratch);
 //! 7. update encoding: `archive_delta` (update files encoded straight
 //!    from `SelChange` lists), single-threaded.
@@ -84,8 +84,8 @@ fn bench_per_monitor_state(c: &mut Criterion) {
     let (world, model) = setup();
     let day = date("2018-02-01");
     let engine = RenderEngine::new(&world, &model);
-    // Best-route selection via precomputed ranks + one sort, from
-    // scratch.
+    // Best-route selection via precomputed ranks into the winner
+    // table, from scratch.
     c.bench_function("engine/seed_state_warm", |b| {
         b.iter(|| black_box(engine.seed_state(day)))
     });
@@ -117,8 +117,8 @@ fn bench_delta_advance(c: &mut Criterion) {
     let engine = RenderEngine::new(&world, &model);
     let days: Vec<_> = world.span.iter().collect();
     // Touched-prefix extraction: one seed plus one `advance_state`
-    // (CSR interval deltas + flicker-bit XOR + sorted patch apply) per
-    // day transition across the span.
+    // (CSR interval deltas + flicker-bit XOR + re-selection at the
+    // touched prefixes) per day transition across the span.
     c.bench_function("engine/delta_advance_span", |b| {
         b.iter(|| {
             let mut state = engine.seed_state(days[0]).expect("day 0 in span");
@@ -145,7 +145,7 @@ fn bench_patch_apply_vs_full(c: &mut Criterion) {
     let (world, model) = setup();
     let engine = RenderEngine::new(&world, &model);
     let days: Vec<_> = world.span.iter().collect();
-    // A mid-span state that has absorbed many patches — reading its
+    // A mid-span state that has absorbed many advances — reading its
     // routes is the per-day cost of the incremental path once seeded.
     let mut state = engine.seed_state(days[0]).expect("day 0 in span");
     let mut changes = Vec::new();

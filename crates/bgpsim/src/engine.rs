@@ -89,6 +89,15 @@ pub struct RenderEngine<'w> {
     entities: Vec<RouteEntity>,
     /// Entities `0..num_static` are active every day.
     num_static: usize,
+    /// The entities' distinct prefixes, sorted: a prefix id indexes
+    /// this, so id order is prefix order.
+    prefixes: Vec<Prefix>,
+    /// Per entity, its prefix id.
+    entity_pid: Vec<usize>,
+    /// CSR index from a prefix id to its entities, in entity order:
+    /// `pid_entities[pid_starts[pid]..pid_starts[pid + 1]]`.
+    pid_starts: Vec<usize>,
+    pid_entities: Vec<usize>,
     /// Per-entity per-monitor stable visibility keys (stride
     /// `monitors.len()`), reused by the daily flicker hash.
     keys: Vec<u64>,
@@ -136,35 +145,44 @@ pub struct SelChange {
     pub new: Option<usize>,
 }
 
+/// The [`MonitorState`] winner-table sentinel: no visible entity holds
+/// the prefix at that monitor.
+const NO_WINNER: usize = usize::MAX;
+
+/// A winner-table slot as an entity id.
+fn held(e: usize) -> Option<usize> {
+    (e != NO_WINNER).then_some(e)
+}
+
 /// Persistent per-monitor route state for an incremental day sweep:
 /// day D+1 is rendered as a patch of day D instead of a full
 /// recompute. Seeded by one full render ([`RenderEngine::seed_state`])
 /// and advanced one day at a time ([`RenderEngine::advance_state`]);
 /// any out-of-sequence day takes a fresh seed.
 ///
-/// Invariant: `cand[m]` is sorted by `(prefix, rank, entity)`. Entity
-/// indices are unique per candidate set, so this is a total order —
-/// which is what makes patched state bit-equal to a fresh seed of the
-/// same day.
+/// Invariant: `winners[pid * nm + m]` is the entity of prefix `pid`
+/// with the least `(rank, entity)` among those whose `vis` bit `m` is
+/// set, or [`NO_WINNER`]. The order is total (entity ids are unique),
+/// so a table advanced by a day is bit-equal to a fresh seed of that
+/// day.
 pub struct MonitorState {
     /// The day this state reflects.
     day: Date,
     /// `day - span.start`.
     day_off: usize,
-    /// This state's own interval sweep (independent of any scratch).
-    cursor: usize,
+    /// Active non-static entities on `day`, sorted: this state's own
+    /// interval sweep (independent of any scratch).
     active: Vec<usize>,
-    /// Per-monitor candidates, sorted by `(prefix, rank, entity)`.
-    cand: Vec<Vec<(Prefix, u64, usize)>>,
     /// Per-entity visibility bits on `day` (stable mask ∧ announced ∧
     /// flicker pass), stride `mask_words`; zero when inactive or
     /// unannounced. XOR against the next day's bits is the
     /// touched-prefix derivation.
     vis: Vec<u64>,
-    /// Per-monitor patch scratch: `(prefix, rank, entity, add)`.
-    patch: Vec<Vec<(Prefix, u64, usize, bool)>>,
-    /// Merge spare buffer (ping-pong with each `cand[m]`).
-    spare: Vec<(Prefix, u64, usize)>,
+    /// Prefix-major winner table, stride `nm`: each monitor's selected
+    /// entity per prefix id.
+    winners: Vec<usize>,
+    /// Per-monitor touched prefix ids of the day being advanced.
+    touched: Vec<Vec<usize>>,
 }
 
 impl MonitorState {
@@ -172,47 +190,6 @@ impl MonitorState {
     pub fn day(&self) -> Date {
         self.day
     }
-}
-
-/// First entry of the prefix group = the `(rank, entity)`-minimal
-/// candidate, i.e. the selected route for `p` (if announced at all).
-fn winner_of(cand: &[(Prefix, u64, usize)], p: Prefix) -> Option<usize> {
-    let i = cand.partition_point(|e| e.0 < p);
-    if i < cand.len() && cand[i].0 == p {
-        Some(cand[i].2)
-    } else {
-        None
-    }
-}
-
-/// Write into `out` the candidates `cand` patched by `patch`, both
-/// sorted by `(prefix, rank, entity)`. A patch entry equal to a held
-/// candidate removes it, and any other entry is inserted; the runs of
-/// candidates between patch entries are copied whole. (A cleared bit
-/// was set, so a removal always finds its candidate; an add never
-/// does.)
-fn splice(
-    cand: &[(Prefix, u64, usize)],
-    patch: &[(Prefix, u64, usize, bool)],
-    out: &mut Vec<(Prefix, u64, usize)>,
-) {
-    out.clear();
-    out.reserve(cand.len() + patch.len());
-    let mut rest = cand;
-    for &(p, rank, ei, add) in patch {
-        let key = (p, rank, ei);
-        let run = rest.partition_point(|&c| c < key);
-        out.extend_from_slice(&rest[..run]);
-        rest = &rest[run..];
-        if rest.first() == Some(&key) {
-            debug_assert!(!add, "add of an existing candidate");
-            rest = &rest[1..];
-        } else {
-            debug_assert!(add, "removal of a missing candidate");
-            out.push(key);
-        }
-    }
-    out.extend_from_slice(rest);
 }
 
 impl<'w> RenderEngine<'w> {
@@ -346,6 +323,23 @@ impl<'w> RenderEngine<'w> {
             );
         }
 
+        // Dense prefix ids in prefix order, and each prefix's
+        // entities in entity order.
+        let mut pid_entities: Vec<usize> = (0..entities.len()).collect();
+        pid_entities.sort_unstable_by_key(|&ei| (entities[ei].prefix, ei));
+        let mut prefixes: Vec<Prefix> = Vec::new();
+        let mut pid_starts = Vec::new();
+        let mut entity_pid = vec![0; entities.len()];
+        for (at, &ei) in pid_entities.iter().enumerate() {
+            let p = entities[ei].prefix;
+            if prefixes.last() != Some(&p) {
+                pid_starts.push(at);
+                prefixes.push(p);
+            }
+            entity_pid[ei] = pid_starts.len() - 1;
+        }
+        pid_starts.push(pid_entities.len());
+
         // Stable keys, visibility masks, tiebreak ranks.
         let nm = monitors.len();
         let mask_words = nm.div_ceil(64);
@@ -412,6 +406,10 @@ impl<'w> RenderEngine<'w> {
             monitors,
             entities,
             num_static,
+            prefixes,
+            entity_pid,
+            pid_starts,
+            pid_entities,
             keys,
             ranks,
             masks,
@@ -437,7 +435,8 @@ impl<'w> RenderEngine<'w> {
 
     /// Advance an interval sweep (a cursor + sorted active set) so the
     /// active set reflects `day_off`. Shared by the per-worker scratch
-    /// and the incremental [`MonitorState`], which owns its own sweep.
+    /// and the seed of an incremental [`MonitorState`], which then
+    /// applies each day's deltas itself.
     fn sweep_active(&self, cursor: &mut usize, active: &mut Vec<usize>, day_off: usize) {
         if day_off + 1 < *cursor {
             // Backward query (rare: only under cross-worker stealing
@@ -639,52 +638,63 @@ impl<'w> RenderEngine<'w> {
         let mut state = MonitorState {
             day,
             day_off,
-            cursor: 0,
             active: Vec::new(),
-            cand: vec![Vec::new(); nm],
             vis: vec![0u64; self.entities.len() * self.mask_words],
-            patch: vec![Vec::new(); nm],
-            spare: Vec::new(),
+            winners: vec![NO_WINNER; self.prefixes.len() * nm],
+            touched: vec![Vec::new(); nm],
         };
-        self.sweep_active(&mut state.cursor, &mut state.active, day_off);
+        self.sweep_active(&mut 0, &mut state.active, day_off);
         let day_mul = Self::day_mul(day);
-        for ei in 0..self.num_static {
-            self.seed_entity(&mut state, ei, day, day_mul);
+        for ei in (0..self.num_static).chain(state.active.iter().copied()) {
+            if self.entity_announced(ei, day) {
+                for w in 0..self.mask_words {
+                    state.vis[ei * self.mask_words + w] = self.day_vis(ei, w, day_mul);
+                }
+            }
         }
-        let actives = std::mem::take(&mut state.active);
-        for &ei in &actives {
-            self.seed_entity(&mut state, ei, day, day_mul);
-        }
-        state.active = actives;
-        for buf in state.cand.iter_mut() {
-            buf.sort_unstable_by_key(|e| (e.0, e.1, e.2));
+        for pid in 0..self.prefixes.len() {
+            for m in 0..nm {
+                state.winners[pid * nm + m] = self.select(&state.vis, pid, m);
+            }
         }
         Some(state)
     }
 
-    /// Record one entity's day visibility into a fresh state: set the
-    /// vis bits and push its candidates (unsorted; the seed sorts).
-    fn seed_entity(&self, state: &mut MonitorState, ei: usize, day: Date, day_mul: u64) {
-        if !self.entity_announced(ei, day) {
-            return;
-        }
-        let nm = self.monitors.len();
-        let base_k = ei * nm;
-        let prefix = self.entities[ei].prefix;
-        for w in 0..self.mask_words {
-            let mut bits = self.masks[ei * self.mask_words + w];
-            let mut vis_word = 0u64;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let m = w * 64 + b;
-                if self.flicker_passes(self.keys[base_k + m], day_mul) {
-                    vis_word |= 1u64 << b;
-                    state.cand[m].push((prefix, self.ranks[base_k + m], ei));
-                }
+    /// Word `w` of entity `ei`'s visibility bits on the day of
+    /// `day_mul`, given it is announced: its stable mask, less the
+    /// monitors whose flicker draw fails.
+    fn day_vis(&self, ei: usize, w: usize, day_mul: u64) -> u64 {
+        let base_k = ei * self.monitors.len() + w * 64;
+        let mut bits = self.masks[ei * self.mask_words + w];
+        let mut vis_word = 0u64;
+        while bits != 0 {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if self.flicker_passes(self.keys[base_k + b], day_mul) {
+                vis_word |= 1u64 << b;
             }
-            state.vis[ei * self.mask_words + w] = vis_word;
         }
+        vis_word
+    }
+
+    /// Monitor `m`'s selected entity for prefix `pid` under `vis`: the
+    /// visible entity of least `(rank, entity)`, or [`NO_WINNER`].
+    fn select(&self, vis: &[u64], pid: usize, m: usize) -> usize {
+        let nm = self.monitors.len();
+        let bit = 1u64 << (m % 64);
+        let mut best = NO_WINNER;
+        let mut best_rank = u64::MAX;
+        // Entity order: a strict `<` keeps the lowest entity on ties.
+        for &ei in &self.pid_entities[self.pid_starts[pid]..self.pid_starts[pid + 1]] {
+            let rank = self.ranks[ei * nm + m];
+            if vis[ei * self.mask_words + m / 64] & bit != 0
+                && (best == NO_WINNER || rank < best_rank)
+            {
+                best = ei;
+                best_rank = rank;
+            }
+        }
+        best
     }
 
     /// Advance incremental state by exactly one day and report every
@@ -695,10 +705,10 @@ impl<'w> RenderEngine<'w> {
     /// The touched set per transition is the union of three sources:
     /// interval starts/ends from the CSR event index, announcement
     /// cycles (on-off / flap leases re-evaluated on both days), and
-    /// flicker bit changes (old-vs-new visibility mask XOR). Only
-    /// candidates at touched `(entity, monitor)` bits move; each
-    /// monitor's sorted candidate vector is patched by a linear merge
-    /// and winners are re-read only at touched prefixes.
+    /// flicker bit changes (old-vs-new visibility mask XOR). Each
+    /// flipped `(entity, monitor)` bit touches the entity's prefix at
+    /// that monitor, and winners are recomputed at touched prefixes
+    /// only.
     pub fn advance_state(
         &self,
         state: &mut MonitorState,
@@ -715,19 +725,18 @@ impl<'w> RenderEngine<'w> {
         for c in changes.iter_mut() {
             c.clear();
         }
-        for p in state.patch.iter_mut() {
-            p.clear();
-        }
 
         // Interval deltas scheduled at the new day: deactivations drop
         // every live bit, activations join the refresh pass below
-        // (their old mask is zero, so the XOR emits pure adds).
+        // (their old mask is zero, so the XOR only sets bits).
         let deltas = &self.events[self.event_starts[new_off]..self.event_starts[new_off + 1]];
         for d in deltas {
             if !d.add {
                 if let Ok(pos) = state.active.binary_search(&d.entity) {
                     state.active.remove(pos);
-                    self.retire_entity(state, d.entity);
+                    for w in 0..self.mask_words {
+                        self.set_vis(state, d.entity, w, 0);
+                    }
                 }
             }
         }
@@ -738,155 +747,98 @@ impl<'w> RenderEngine<'w> {
                 }
             }
         }
-        for ei in 0..self.num_static {
-            self.refresh_entity(state, ei, new_day, day_mul);
-        }
         let actives = std::mem::take(&mut state.active);
-        for &ei in &actives {
-            self.refresh_entity(state, ei, new_day, day_mul);
+        for ei in (0..self.num_static).chain(actives.iter().copied()) {
+            let announced = self.entity_announced(ei, new_day);
+            for w in 0..self.mask_words {
+                let new = if announced {
+                    self.day_vis(ei, w, day_mul)
+                } else {
+                    0
+                };
+                self.set_vis(state, ei, w, new);
+            }
         }
         state.active = actives;
 
-        // Patch each monitor's candidate vector and re-read winners at
-        // touched prefixes only.
-        for m in 0..nm {
-            if state.patch[m].is_empty() {
-                continue;
+        // Re-select each monitor's touched prefixes, in prefix order.
+        let MonitorState {
+            vis,
+            winners,
+            touched,
+            ..
+        } = state;
+        for (m, (touched, out)) in touched.iter_mut().zip(changes.iter_mut()).enumerate() {
+            touched.sort_unstable();
+            touched.dedup();
+            for &pid in touched.iter() {
+                let slot = pid * nm + m;
+                let new = self.select(vis, pid, m);
+                let old = std::mem::replace(&mut winners[slot], new);
+                let (old, new) = (held(old), held(new));
+                let origin_changed = match (old, new) {
+                    (Some(o), Some(n)) => self.entities[o].origin != self.entities[n].origin,
+                    (None, None) => false,
+                    _ => true,
+                };
+                if origin_changed {
+                    out.push(SelChange {
+                        prefix: self.prefixes[pid],
+                        old,
+                        new,
+                    });
+                }
             }
-            state.patch[m].sort_unstable_by_key(|e| (e.0, e.1, e.2));
-            let MonitorState {
-                cand, patch, spare, ..
-            } = state;
-            self.apply_patch(&mut cand[m], &patch[m], spare, &mut changes[m]);
+            touched.clear();
         }
         state.day = new_day;
         state.day_off = new_off;
-        state.cursor = new_off + 1;
         Some(new_day)
     }
 
-    /// Drop a deactivated entity's visibility bits into the patch.
-    fn retire_entity(&self, state: &mut MonitorState, ei: usize) {
-        let base_k = ei * self.monitors.len();
-        let prefix = self.entities[ei].prefix;
-        for w in 0..self.mask_words {
-            let mut diff = state.vis[ei * self.mask_words + w];
-            state.vis[ei * self.mask_words + w] = 0;
-            while diff != 0 {
-                let b = diff.trailing_zeros() as usize;
-                diff &= diff - 1;
-                let m = w * 64 + b;
-                state.patch[m].push((prefix, self.ranks[base_k + m], ei, false));
-            }
+    /// Store word `w` of entity `ei`'s visibility bits, touching the
+    /// entity's prefix at every monitor whose bit flips.
+    fn set_vis(&self, state: &mut MonitorState, ei: usize, w: usize, new: u64) {
+        let old = std::mem::replace(&mut state.vis[ei * self.mask_words + w], new);
+        let mut diff = old ^ new;
+        while diff != 0 {
+            let b = diff.trailing_zeros() as usize;
+            diff &= diff - 1;
+            state.touched[w * 64 + b].push(self.entity_pid[ei]);
         }
     }
 
-    /// Recompute one surviving entity's visibility bits for the new
-    /// day and push the XOR against the stored bits into the patch.
-    fn refresh_entity(&self, state: &mut MonitorState, ei: usize, day: Date, day_mul: u64) {
-        let announced = self.entity_announced(ei, day);
-        let base_k = ei * self.monitors.len();
-        let prefix = self.entities[ei].prefix;
-        for w in 0..self.mask_words {
-            let old = state.vis[ei * self.mask_words + w];
-            let new = if announced {
-                let mut bits = self.masks[ei * self.mask_words + w];
-                let mut vis_word = 0u64;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if self.flicker_passes(self.keys[base_k + w * 64 + b], day_mul) {
-                        vis_word |= 1u64 << b;
-                    }
-                }
-                vis_word
-            } else {
-                0
-            };
-            if old == new {
-                continue;
-            }
-            state.vis[ei * self.mask_words + w] = new;
-            let mut diff = old ^ new;
-            while diff != 0 {
-                let b = diff.trailing_zeros() as usize;
-                diff &= diff - 1;
-                let m = w * 64 + b;
-                let add = new & (1u64 << b) != 0;
-                state.patch[m].push((prefix, self.ranks[base_k + m], ei, add));
-            }
-        }
-    }
-
-    /// Splice one monitor's sorted patch into its sorted candidate
-    /// vector (via the spare buffer) and emit a [`SelChange`] for every
-    /// touched prefix whose selected origin differs.
-    fn apply_patch(
-        &self,
-        cand: &mut Vec<(Prefix, u64, usize)>,
-        patch: &[(Prefix, u64, usize, bool)],
-        spare: &mut Vec<(Prefix, u64, usize)>,
-        out: &mut Vec<SelChange>,
-    ) {
-        // Old winners per touched prefix, read before mutation. Patch
-        // entries are prefix-grouped (sorted), so this walks groups.
-        let mut old_winners: Vec<(Prefix, Option<usize>)> = Vec::new();
-        let mut i = 0;
-        while i < patch.len() {
-            let p = patch[i].0;
-            while i < patch.len() && patch[i].0 == p {
-                i += 1;
-            }
-            old_winners.push((p, winner_of(cand, p)));
-        }
-
-        splice(cand, patch, spare);
-        std::mem::swap(cand, spare);
-
-        for (p, old) in old_winners {
-            let new = winner_of(cand, p);
-            if old == new {
-                continue;
-            }
-            let origin_changed = match (old, new) {
-                (Some(o), Some(n)) => self.entities[o].origin != self.entities[n].origin,
-                _ => true,
-            };
-            if origin_changed {
-                out.push(SelChange {
-                    prefix: p,
-                    old,
-                    new,
-                });
-            }
-        }
-    }
-
-    /// Monitor `m`'s selected routes in incremental state: per prefix,
-    /// in prefix order, the entity of its minimum-rank candidate (the
-    /// lowest entity index on ties). Entity ids resolve to origins
-    /// through [`RenderEngine::entity_origin`].
-    pub(crate) fn monitor_routes<'s>(
-        &self,
+    /// The selected routes of incremental state, one row per prefix in
+    /// prefix order: the prefix and its `(monitor, entity)` holders in
+    /// monitor order (none when no monitor holds it). Entity ids
+    /// resolve to origins through [`RenderEngine::entity_origin`].
+    pub(crate) fn state_rows<'s>(
+        &'s self,
         state: &'s MonitorState,
-        m: usize,
-    ) -> impl Iterator<Item = (Prefix, usize)> + 's {
-        state.cand[m]
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|group| (group[0].0, group[0].2))
+    ) -> impl Iterator<Item = (Prefix, impl Iterator<Item = (usize, usize)> + 's)> + 's {
+        let nm = self.monitors.len();
+        self.prefixes.iter().enumerate().map(move |(pid, &p)| {
+            let row = &state.winners[pid * nm..(pid + 1) * nm];
+            (
+                p,
+                row.iter()
+                    .enumerate()
+                    .filter_map(|(m, &e)| held(e).map(|e| (m, e))),
+            )
+        })
     }
 
     /// Materialize the full per-monitor best-route view from
     /// incremental state: per monitor, the minimum-rank candidate of
     /// each prefix (the lowest entity index on ties), sorted by prefix.
     pub fn state_routes(&self, state: &MonitorState) -> Vec<Vec<(Prefix, Origin)>> {
-        (0..state.cand.len())
-            .map(|m| {
-                self.monitor_routes(state, m)
-                    .map(|(p, e)| (p, self.entity_origin(e).clone()))
-                    .collect()
-            })
-            .collect()
+        let mut routes = vec![Vec::new(); self.monitors.len()];
+        for (p, row) in self.state_rows(state) {
+            for (m, e) in row {
+                routes[m].push((p, self.entity_origin(e).clone()));
+            }
+        }
+        routes
     }
 }
 
@@ -1050,89 +1002,268 @@ mod tests {
         assert!(engine.seed_state(date("2018-04-01")).is_none());
     }
 
-    /// The element-wise merge [`splice`] replaced, kept as its oracle:
-    /// a patch entry equal to the held candidate under the cursor
-    /// removes it, and any other entry is inserted.
-    fn merge_oracle(
-        cand: &[(Prefix, u64, usize)],
-        patch: &[(Prefix, u64, usize, bool)],
-    ) -> Vec<(Prefix, u64, usize)> {
-        let mut out = Vec::new();
-        let (mut a, mut b) = (0, 0);
-        while a < cand.len() && b < patch.len() {
-            let ce = cand[a];
-            let pe = patch[b];
-            let pkey = (pe.0, pe.1, pe.2);
-            if pkey < ce {
-                out.push(pkey);
-                b += 1;
-            } else if pkey == ce {
-                a += 1;
-                b += 1;
-            } else {
-                out.push(ce);
-                a += 1;
+    /// The selection every state must hold, computed without the
+    /// engine's prefix index: per prefix id and monitor, the entity of
+    /// least `(rank, entity)` among the prefix's entities with a set
+    /// `vis` bit.
+    fn brute_winners(
+        engine: &RenderEngine<'_>,
+        by_prefix: &[Vec<usize>],
+        vis: &[u64],
+    ) -> Vec<usize> {
+        let nm = engine.monitors.len();
+        let mut table = Vec::with_capacity(by_prefix.len() * nm);
+        for members in by_prefix {
+            for m in 0..nm {
+                let best = members
+                    .iter()
+                    .filter(|&&ei| vis[ei * engine.mask_words + m / 64] >> (m % 64) & 1 == 1)
+                    .min_by_key(|&&ei| (engine.ranks[ei * nm + m], ei));
+                table.push(best.copied().unwrap_or(NO_WINNER));
             }
         }
-        out.extend_from_slice(&cand[a..]);
-        out.extend(patch[b..].iter().map(|pe| (pe.0, pe.1, pe.2)));
-        out
+        table
+    }
+
+    /// Advance a state from the span start by up to `days` days,
+    /// checking after every advance that the visibility bits equal a
+    /// fresh seed's, that the winner table is the brute-force
+    /// selection, and that each monitor's change list is exactly the
+    /// prefixes whose selected origin changed, in prefix order. Returns
+    /// each day's changes.
+    fn walk_checked(engine: &RenderEngine<'_>, days: usize) -> Vec<(Date, Vec<Vec<SelChange>>)> {
+        let nm = engine.monitors.len();
+        let mut by_prefix: std::collections::BTreeMap<Prefix, Vec<usize>> = Default::default();
+        for (ei, e) in engine.entities.iter().enumerate() {
+            by_prefix.entry(e.prefix).or_default().push(ei);
+        }
+        let prefixes: Vec<Prefix> = by_prefix.keys().copied().collect();
+        assert_eq!(engine.prefixes, prefixes, "prefix ids are not prefix order");
+        let by_prefix: Vec<Vec<usize>> = by_prefix.into_values().collect();
+        let mut state = engine.seed_state(engine.span.start).expect("span start");
+        assert_eq!(state.winners, brute_winners(engine, &by_prefix, &state.vis));
+        let mut walked = Vec::new();
+        let mut changes = Vec::new();
+        while walked.len() < days {
+            let before = state.winners.clone();
+            let Some(d) = engine.advance_state(&mut state, &mut changes) else {
+                break;
+            };
+            let fresh = engine.seed_state(d).expect("in span");
+            assert_eq!(state.vis, fresh.vis, "visibility bits differ on {d}");
+            assert_eq!(
+                state.winners, fresh.winners,
+                "advanced table differs on {d}"
+            );
+            assert_eq!(
+                state.winners,
+                brute_winners(engine, &by_prefix, &state.vis),
+                "winners differ on {d}"
+            );
+            assert_eq!(changes.len(), nm);
+            let origin = |e: Option<usize>| e.map(|e| engine.entity_origin(e));
+            for (m, got) in changes.iter().enumerate() {
+                let want: Vec<SelChange> = (0..engine.prefixes.len())
+                    .filter_map(|pid| {
+                        let old = held(before[pid * nm + m]);
+                        let new = held(state.winners[pid * nm + m]);
+                        (origin(old) != origin(new)).then_some(SelChange {
+                            prefix: engine.prefixes[pid],
+                            old,
+                            new,
+                        })
+                    })
+                    .collect();
+                assert_eq!(*got, want, "changes differ at monitor {m} on {d}");
+            }
+            walked.push((d, changes.clone()));
+        }
+        walked
+    }
+
+    /// The test world with extra MOAS entities: `(prefix, origin,
+    /// first day offset, last day offset)`.
+    fn with_moas(mut w: LeaseWorld, extra: &[(Prefix, Asn, i64, i64)]) -> LeaseWorld {
+        for &(prefix, second_origin, from, to) in extra {
+            w.moas.push(crate::scenario::MoasEvent {
+                prefix,
+                second_origin,
+                active: DateRange::new(w.span.start + from, w.span.start + to),
+            });
+        }
+        w
     }
 
     proptest::proptest! {
-        /// The splice writes what the element-wise merge writes, for
-        /// sorted candidates and sorted patches that remove held
-        /// candidates, insert new ones, and remove and re-add one
-        /// candidate in a single patch.
+        /// Random visibility flips (any flicker rate, masks of one or
+        /// two words, MOAS entities stacked on allocated prefixes with
+        /// equal or other origins and random lifetimes) never leave
+        /// the winner table or the change lists off the brute-force
+        /// selection.
         #[test]
-        fn splice_matches_the_elementwise_merge(
-            held in proptest::collection::vec((0u32..6, 0u64..4, 0usize..4), 0..40),
-            inserts in proptest::collection::vec((0u32..6, 0u64..4, 0usize..4), 0..20),
-            removes in proptest::collection::vec(0usize..1000, 0..10),
-            readds in proptest::collection::vec(0usize..1000, 0..3),
+        fn winner_table_matches_brute_force_under_random_flips(
+            seed in 0u64..1_000_000,
+            monitors in 1u16..80,
+            flicker in 0.0f64..0.7,
+            extra in proptest::collection::vec(
+                (0usize..40, proptest::any::<bool>(), 0i64..25, 0i64..15),
+                0..12,
+            ),
         ) {
-            let key = |(net, rank, ei): (u32, u64, usize)| {
-                (Prefix::new_unchecked_masked(net << 24, 8), rank, ei)
-            };
-            let mut cand: Vec<_> = held.into_iter().map(key).collect();
-            cand.sort_unstable();
-            cand.dedup();
-            let pick = |i: usize| cand[i * cand.len() / 1000];
-            let mut keys: Vec<_> = inserts.into_iter().map(key).collect();
-            if !cand.is_empty() {
-                keys.extend(removes.iter().map(|&i| pick(i)));
-                // Removed and added back: the key twice.
-                for &i in &readds {
-                    keys.extend([pick(i), pick(i)]);
-                }
-            }
-            keys.sort_unstable();
-            // The flag each entry would carry: the first entry of a held
-            // key removes it, every other entry inserts.
-            let patch: Vec<_> = keys
+            let w = world();
+            let extra: Vec<_> = extra
                 .iter()
-                .enumerate()
-                .map(|(i, &k)| {
-                    let first = i == 0 || keys[i - 1] != k;
-                    let add = !(first && cand.binary_search(&k).is_ok());
-                    (k.0, k.1, k.2, add)
+                .map(|&(a, same, from, len)| {
+                    let alloc = &w.allocations[a % w.allocations.len()];
+                    let origin = if same {
+                        alloc.asn
+                    } else {
+                        w.allocations[(a + 1) % w.allocations.len()].asn
+                    };
+                    (alloc.prefix, origin, from, from + len)
                 })
                 .collect();
-            let mut out = vec![key((9, 9, 9))];
-            splice(&cand, &patch, &mut out);
-            proptest::prop_assert_eq!(out, merge_oracle(&cand, &patch));
+            let w = with_moas(w, &extra);
+            let model = VisibilityModel {
+                num_monitors: monitors,
+                daily_flicker: flicker,
+                seed,
+            };
+            walk_checked(&RenderEngine::new(&w, &model), 30);
         }
     }
 
+    /// A prefix no entity of [`world`] announces, numbered from the
+    /// 203.0.113.0/24 documentation block.
+    fn fresh_prefix(w: &LeaseWorld, i: u32) -> Prefix {
+        let p = Prefix::new_unchecked_masked(0xCB00_7100 + (i << 8), 24);
+        let engine = RenderEngine::new(w, &VisibilityModel::default());
+        assert!(engine.prefixes.binary_search(&p).is_err(), "{p} is taken");
+        p
+    }
+
     #[test]
-    fn splice_removes_and_readds_one_candidate() {
-        let p = |net: u32| Prefix::new_unchecked_masked(net << 24, 8);
-        let cand = [(p(1), 0, 0), (p(2), 0, 1), (p(3), 0, 2)];
-        let patch = [(p(2), 0, 1, false), (p(2), 0, 1, true), (p(4), 0, 3, true)];
-        let mut out = Vec::new();
-        splice(&cand, &patch, &mut out);
-        assert_eq!(out, merge_oracle(&cand, &patch));
-        assert_eq!(out, [cand[0], cand[1], cand[2], (p(4), 0, 3)]);
+    fn winner_swap_between_equal_origins_emits_no_change() {
+        // Two entities of one prefix with one origin share every rank
+        // and every visibility draw, so the lower entity id wins while
+        // it lives. `retire` loses it on day 45 while the other stays;
+        // `handover` loses it on day 30 as the other activates. Both
+        // swap the winner at every monitor that sees both days, and
+        // neither changes the selected origin.
+        let w = world();
+        let asn = w.allocations[0].asn;
+        let (retire, handover) = (fresh_prefix(&w, 0), fresh_prefix(&w, 1));
+        let w = with_moas(
+            w,
+            &[
+                (retire, asn, 0, 44),
+                (retire, asn, 0, 89),
+                (handover, asn, 0, 29),
+                (handover, asn, 30, 89),
+            ],
+        );
+        let model = VisibilityModel {
+            daily_flicker: 0.3,
+            ..VisibilityModel::default()
+        };
+        let engine = RenderEngine::new(&w, &model);
+        let nm = engine.monitors.len();
+        let mut state = engine.seed_state(w.span.start).expect("in span");
+        let mut changes = Vec::new();
+        let mut swaps = 0;
+        loop {
+            let before = state.winners.clone();
+            let Some(d) = engine.advance_state(&mut state, &mut changes) else {
+                break;
+            };
+            for p in [retire, handover] {
+                let pid = engine.prefixes.binary_search(&p).expect("indexed");
+                for m in 0..nm {
+                    let (old, new) = (before[pid * nm + m], state.winners[pid * nm + m]);
+                    if old != new && old != NO_WINNER && new != NO_WINNER {
+                        swaps += 1;
+                        assert!(
+                            changes[m].iter().all(|c| c.prefix != p),
+                            "swap at {p} reported on {d}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(swaps > nm / 2, "only {swaps} swaps");
+        walk_checked(&engine, usize::MAX);
+    }
+
+    #[test]
+    fn two_entities_of_one_prefix_retire_and_activate_on_one_day() {
+        // `both` carries two entities of distinct origins live on days
+        // 10..=20: both activate on day 10 and both retire on day 21.
+        // `handover` moves from one origin to the other on day 30, the
+        // day the first entity retires and the second activates.
+        let w = world();
+        let (a, b) = (w.allocations[0].asn, w.allocations[1].asn);
+        assert_ne!(a, b);
+        let (both, handover) = (fresh_prefix(&w, 0), fresh_prefix(&w, 1));
+        let w = with_moas(
+            w,
+            &[
+                (both, a, 10, 20),
+                (both, b, 10, 20),
+                (handover, a, 0, 29),
+                (handover, b, 30, 89),
+            ],
+        );
+        // No flicker: the interval events are the only changes.
+        let model = VisibilityModel {
+            daily_flicker: 0.0,
+            ..VisibilityModel::default()
+        };
+        let engine = RenderEngine::new(&w, &model);
+        let walked = walk_checked(&engine, usize::MAX);
+        // `walked[i]` is the advance onto day offset `i + 1`.
+        let at = |off: usize, p: Prefix| -> Vec<SelChange> {
+            walked[off - 1]
+                .1
+                .iter()
+                .flat_map(|ch| ch.iter().filter(|c| c.prefix == p).copied())
+                .collect()
+        };
+        let origin = |e: Option<usize>| e.map(|e| engine.entity_origin(e).clone());
+        let (a, b) = (Some(Origin::Single(a)), Some(Origin::Single(b)));
+        let on = at(10, both);
+        assert!(!on.is_empty());
+        assert!(on.iter().all(|c| c.old.is_none() && c.new.is_some()));
+        let off = at(21, both);
+        assert!(!off.is_empty());
+        assert!(off.iter().all(|c| c.old.is_some() && c.new.is_none()));
+        for off in (11..=20).chain(22..90) {
+            assert!(at(off, both).is_empty(), "{both} changed on day {off}");
+        }
+        let moved = at(30, handover);
+        assert!(moved
+            .iter()
+            .any(|c| origin(c.old) == a && origin(c.new) == b));
+        assert!(moved
+            .iter()
+            .all(|c| origin(c.old) != b && origin(c.new) != a));
+    }
+
+    #[test]
+    fn a_world_without_monitors_selects_nothing() {
+        let w = world();
+        let model = VisibilityModel {
+            num_monitors: 0,
+            ..VisibilityModel::default()
+        };
+        let engine = RenderEngine::new(&w, &model);
+        let walked = walk_checked(&engine, usize::MAX);
+        assert_eq!(walked.len(), w.span.iter().count() - 1);
+        assert!(walked.iter().all(|(_, changes)| changes.is_empty()));
+        let state = engine.seed_state(w.span.start).expect("in span");
+        assert!(engine.state_routes(&state).is_empty());
+        assert!(engine
+            .state_rows(&state)
+            .all(|(_, mut holders)| holders.next().is_none()));
     }
 
     #[test]

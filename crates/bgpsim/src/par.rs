@@ -128,46 +128,52 @@ pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
     ranges
 }
 
-/// Run `f` once per contiguous range, one worker per range, and
-/// concatenate the per-range outputs in range order.
+/// Map `f` over every index of `ranges`, one worker per contiguous
+/// range, and concatenate the per-range outputs in range order. Each
+/// worker builds private state with `init(first)` from its range's
+/// first index (empty ranges build none) and calls `f` on the indices
+/// of its range in increasing order, so every range yields exactly one
+/// item per index.
 ///
 /// This is the fan-out primitive for *incremental* day sweeps: each
 /// worker seeds full state at its range start and patches forward, so
 /// unlike [`map_indexed`] the items inside a range are processed in
-/// order by one worker. Determinism contract: `f(range)` must be a
-/// pure function of the range (each item's output independent of which
-/// range contains it), which makes the concatenation byte-identical
-/// for any chunking — including the single-range sequential path.
+/// order by one worker. Determinism contract: each item's output must
+/// be independent of which range contains it, which makes the
+/// concatenation byte-identical for any chunking — including the
+/// single-range sequential path.
 ///
-/// Panics if `f` returns the wrong number of items for a range, or if
-/// a worker panics.
-pub fn map_chunked_with<T, F>(ranges: &[std::ops::Range<usize>], f: F) -> Vec<T>
+/// Panics in `init` or `f` propagate.
+pub fn map_chunked_with<T, S, I, F>(ranges: &[std::ops::Range<usize>], init: I, f: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
+    I: Fn(usize) -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
 {
+    let run = |r: std::ops::Range<usize>, out: &mut Vec<T>| {
+        if let Some(first) = r.clone().next() {
+            let mut state = init(first);
+            out.extend(r.map(|i| f(&mut state, i)));
+        }
+    };
     let total: usize = ranges.iter().map(ExactSizeIterator::len).sum();
+    let mut out = Vec::with_capacity(total);
     if ranges.len() <= 1 {
-        let mut out = Vec::with_capacity(total);
         for r in ranges {
-            let part = f(r.clone());
-            assert_eq!(part.len(), r.len(), "chunk produced a wrong item count");
-            out.extend(part);
+            run(r.clone(), &mut out);
         }
         return out;
     }
     let fanout = FanoutObs::start(total, ranges.len());
     let mut worker_pulls = vec![0usize; ranges.len()];
-    let mut out = Vec::with_capacity(total);
     std::thread::scope(|s| {
         let handles: Vec<_> = ranges
             .iter()
             .map(|r| {
-                let r = r.clone();
-                let f = &f;
+                let run = &run;
                 s.spawn(move || {
-                    let part = f(r.clone());
-                    assert_eq!(part.len(), r.len(), "chunk produced a wrong item count");
+                    let mut part = Vec::with_capacity(r.len());
+                    run(r.clone(), &mut part);
                     part
                 })
             })
@@ -177,8 +183,7 @@ where
         // index-ordered merge.
         for (w, h) in handles.into_iter().enumerate() {
             // Re-raise worker panics with their original payload so a
-            // failed chunk invariant reads the same at any thread
-            // count.
+            // failure reads the same at any thread count.
             let part = match h.join() {
                 Ok(p) => p,
                 Err(e) => std::panic::resume_unwind(e),
@@ -323,21 +328,45 @@ mod tests {
 
     #[test]
     fn chunked_matches_sequential_for_any_split() {
-        let work = |r: std::ops::Range<usize>| r.map(|i| i * 31 + 7).collect::<Vec<_>>();
-        let seq = map_chunked_with(&chunk_ranges(40, 1), work);
+        let work = |_: &mut (), i: usize| i * 31 + 7;
+        let seq = map_chunked_with(&chunk_ranges(40, 1), |_| (), work);
         assert_eq!(seq, (0..40).map(|i| i * 31 + 7).collect::<Vec<_>>());
         for threads in [2, 3, 4, 8] {
-            assert_eq!(map_chunked_with(&chunk_ranges(40, threads), work), seq);
+            assert_eq!(
+                map_chunked_with(&chunk_ranges(40, threads), |_| (), work),
+                seq
+            );
         }
         // Arbitrary (non-balanced) boundaries are also fine.
         let ranges = vec![0..1, 1..17, 17..18, 18..40];
-        assert_eq!(map_chunked_with(&ranges, work), seq);
+        assert_eq!(map_chunked_with(&ranges, |_| (), work), seq);
     }
 
     #[test]
-    #[should_panic(expected = "wrong item count")]
-    fn chunked_rejects_short_output() {
-        let _ = map_chunked_with(&chunk_ranges(10, 2), |_r| vec![0usize]);
+    fn chunked_state_starts_at_each_nonempty_range() {
+        // Each item sees the state its range's `init` built, advanced
+        // once per earlier index of the range; empty ranges build none.
+        let ranges = vec![0..3, 3..3, 3..4, 4..7];
+        let out = map_chunked_with(
+            &ranges,
+            |first| (first, 0usize),
+            |(first, calls), i| {
+                *calls += 1;
+                (*first, *calls, i)
+            },
+        );
+        assert_eq!(
+            out,
+            [
+                (0, 1, 0),
+                (0, 2, 1),
+                (0, 3, 2),
+                (3, 1, 3),
+                (4, 1, 4),
+                (4, 2, 5),
+                (4, 3, 6)
+            ]
+        );
     }
 
     #[test]

@@ -320,45 +320,38 @@ impl CollectorArchiveV2 {
         let encode_day = |i: usize, state: &MonitorState, changes: &[Vec<SelChange>]| -> Encoded {
             let rib = i
                 .is_multiple_of(rib_every)
-                .then(|| {
-                    let routes = (0..peers.len()).map(|m| engine.monitor_routes(state, m));
-                    encode_rib(&attrs, config, &peers, days[i], routes)
-                })
+                .then(|| encode_rib(&attrs, config, &peers, days[i], engine.state_rows(state)))
                 .transpose()?;
             let upd = (i > 0)
                 .then(|| encode_updates_delta(&attrs, &ranks, config, &peers, days[i], changes))
                 .transpose()?;
             Ok((rib, upd))
         };
-        let outside = |i: usize| Err(Mrt2Error::DayOutsideWorld(days[i]));
         let encoded: Vec<Encoded> = {
             let _pass = obs::span!("mrt_delta_pass");
-            crate::par::map_chunked_with(ranges, |r| {
-                let mut out: Vec<Encoded> = Vec::with_capacity(r.len());
-                if r.is_empty() {
-                    return out;
-                }
+            crate::par::map_chunked_with(
+                ranges,
                 // Seed at the chunk's predecessor day so the first
-                // in-chunk transition yields that day's update file.
-                let seed = r.start.saturating_sub(1);
-                let Some(mut state) = engine.seed_state(days[seed]) else {
-                    out.resize_with(r.len(), || outside(seed));
-                    return out;
-                };
-                let mut changes: Vec<Vec<SelChange>> = Vec::new();
-                if r.start > 0 && engine.advance_state(&mut state, &mut changes).is_none() {
-                    out.resize_with(r.len(), || outside(r.start));
-                    return out;
-                }
-                for i in r.clone() {
-                    out.push(encode_day(i, &state, &changes));
-                    if i + 1 < r.end && engine.advance_state(&mut state, &mut changes).is_none() {
-                        out.resize_with(r.len(), || outside(i + 1));
-                        break;
+                // in-chunk transition yields that day's update file; a
+                // day the world cannot serve is kept as `Err(index)`.
+                |first| {
+                    let seed = first.saturating_sub(1);
+                    (engine.seed_state(days[seed]).ok_or(seed), Vec::new())
+                },
+                |(walk, changes), i| {
+                    // Every day past the first is one transition from
+                    // the walk's day.
+                    if let Ok(state) = walk {
+                        if i > 0 && engine.advance_state(state, changes).is_none() {
+                            *walk = Err(i);
+                        }
                     }
-                }
-                out
-            })
+                    match walk {
+                        Ok(state) => encode_day(i, state, changes),
+                        Err(at) => Err(Mrt2Error::DayOutsideWorld(days[*at])),
+                    }
+                },
+            )
         };
         Self::assemble(peers, days, encoded)
     }
@@ -1011,48 +1004,43 @@ impl<'a> ObservationSweep<'a> {
 
 /// A RIB file: the peer table, then one record per prefix with an
 /// entry per peer holding a route to it, peers in index order.
-/// `routes` yields each peer's selected `(prefix, entity)` routes in
-/// prefix order; the records come from merging them, a linear scan over
-/// the peers' cursors for the least prefix.
-fn encode_rib<I>(
+/// `rows` yields, in prefix order, each prefix and its `(peer,
+/// entity)` holders in peer order; a prefix without holders gets no
+/// record.
+fn encode_rib<R>(
     attrs: &AttrTable<'_>,
     config: &ArchiveV2Config,
     peers: &[PeerEntry],
     day: Date,
-    routes: impl Iterator<Item = I>,
+    rows: impl Iterator<Item = (Prefix, R)>,
 ) -> Result<Bytes, Mrt2Error>
 where
-    I: Iterator<Item = (Prefix, usize)>,
+    R: Iterator<Item = (usize, usize)>,
 {
     let ts = midnight(day)?;
     let mut w = MrtWriter::new();
     w.peer_table(ts, config.collector_bgp_id, "drywells", peers)?;
-    let mut cursors: Vec<std::iter::Peekable<I>> = routes.map(Iterator::peekable).collect();
     let mut holders: Vec<u16> = Vec::new();
     let mut blobs = Vec::new();
-    for seq in 0.. {
-        let Some(prefix) = cursors
-            .iter_mut()
-            .filter_map(|c| c.peek().map(|r| r.0))
-            .min()
-        else {
-            break;
-        };
+    let mut seq = 0usize;
+    for (prefix, row) in rows {
+        holders.clear();
+        blobs.clear();
+        for (pi, e) in row {
+            holders.push(u16::try_from(pi).map_err(|_| Mrt2Error::TooLong {
+                field: "peer index",
+                len: pi,
+            })?);
+            blobs.push(attrs.blob(pi, peers[pi].asn, e)?);
+        }
+        if holders.is_empty() {
+            continue;
+        }
         let sequence = u32::try_from(seq).map_err(|_| Mrt2Error::TooLong {
             field: "RIB sequence",
             len: seq,
         })?;
-        holders.clear();
-        blobs.clear();
-        for (pi, cursor) in cursors.iter_mut().enumerate() {
-            if let Some((_, e)) = cursor.next_if(|r| r.0 == prefix) {
-                holders.push(u16::try_from(pi).map_err(|_| Mrt2Error::TooLong {
-                    field: "peer index",
-                    len: pi,
-                })?);
-                blobs.push(attrs.blob(pi, peers[pi].asn, e)?);
-            }
-        }
+        seq += 1;
         let entries = holders.iter().zip(&blobs).map(|(&pi, blob)| RibEntryView {
             peer_index: pi,
             originated_time: ts.saturating_sub(86_400),
@@ -1258,6 +1246,37 @@ mod tests {
         // Updates for every day but the first.
         assert_eq!(archive.update_dates().count() as i64, w.span.num_days() - 1);
         assert!(archive.total_bytes() > 10_000);
+    }
+
+    #[test]
+    fn a_world_without_monitors_archives_empty_days() {
+        let w = world();
+        let model = VisibilityModel {
+            num_monitors: 0,
+            ..VisibilityModel::default()
+        };
+        let archive = CollectorArchiveV2::generate_with_chunks(
+            &w,
+            &model,
+            w.span,
+            &ArchiveV2Config::default(),
+            &crate::par::chunk_ranges(w.span.iter().count(), 3),
+        )
+        .expect("archive encodes");
+        // Each RIB holds its (empty) peer table and no route; every
+        // update file is empty.
+        assert!(archive.peers().is_empty());
+        assert_eq!(
+            archive.rib_dates().count(),
+            w.span.iter().count().div_ceil(7)
+        );
+        for d in archive.rib_dates() {
+            let rib = archive.rib_bytes(d).expect("listed");
+            assert_eq!(records(rib).count(), 1, "routes in the {d} RIB");
+        }
+        for d in archive.update_dates() {
+            assert!(archive.update_bytes(d).expect("listed").is_empty());
+        }
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! [`obs::ProfileCollector`]. All wall-clock reads stay inside `obs`;
 //! this module only orchestrates.
 //!
-//! The report serializes to a small JSON document (`BENCH_PR10.json`)
-//! so CI and future PRs have a machine-readable perf trajectory, and
-//! [`check_regression`] compares a fresh run against a committed
-//! baseline with a generous ratio bound (catches asymptotic
-//! regressions, not timer jitter).
+//! The report serializes to a small JSON document (`BENCH_PR10.json`
+//! and its predecessors are the perf trajectory) so CI and later
+//! changes have a machine-readable record, and [`check_regression`]
+//! compares a fresh run against a committed quick-scale baseline
+//! (`BENCH_QUICK_BASELINE.json`) with a generous ratio bound (catches
+//! asymptotic regressions, not timer jitter).
 
 use crate::experiments;
 use crate::study::StudyConfig;
@@ -296,10 +297,16 @@ pub fn check_overhead(report: &BenchReport, max_pct: f64) -> Result<String, Stri
 }
 
 /// The quick-scale stages the CI regression guard compares against
-/// the committed baseline — the three pipeline stages the incremental
+/// the committed baseline: the three pipeline stages the incremental
 /// rendering work optimizes (a regression in any of them is exactly
-/// what the delta paths could silently cause).
-pub const GUARDED_STAGES: &[&str] = &["render_days", "mrt_encode", "delegation_pipeline"];
+/// what the delta paths could silently cause), and the query scan, the
+/// archive's other reader.
+pub const GUARDED_STAGES: &[&str] = &[
+    "render_days",
+    "mrt_encode",
+    "delegation_pipeline",
+    "query_scan",
+];
 
 /// Compare a fresh report's quick-scale wall times for every stage in
 /// [`GUARDED_STAGES`] against a committed baseline JSON. Returns a
@@ -466,9 +473,11 @@ mod tests {
             ("render_days", Duration::from_millis(30)),
             ("mrt_encode", Duration::from_millis(40)),
             ("delegation_pipeline", Duration::from_millis(50)),
+            ("query_scan", Duration::from_millis(60)),
         ];
         let baseline = r#"{"scales":{"quick":{
-            "render_days_ms": 20.0, "mrt_encode_ms": 30.0, "delegation_pipeline_ms": 40.0}}}"#;
+            "render_days_ms": 20.0, "mrt_encode_ms": 30.0, "delegation_pipeline_ms": 40.0,
+            "query_scan_ms": 50.0}}}"#;
         let summary = check_regression(&report, baseline, 2.0).expect("within bound");
         for stage in GUARDED_STAGES {
             assert!(summary.contains(stage), "{summary}");
@@ -476,17 +485,14 @@ mod tests {
         // Any single guarded stage over its bound fails the guard,
         // naming the offender.
         for (i, stage) in GUARDED_STAGES.iter().enumerate() {
-            let mut walls = [20.0f64, 30.0, 40.0];
+            let mut walls = [20.0f64, 30.0, 40.0, 50.0];
             walls[i] = 200.0;
             let mut r = fixed_report(10.0, 10.0);
-            r.scales[0].stages = vec![
-                ("render_days", Duration::from_secs_f64(walls[0] / 1e3)),
-                ("mrt_encode", Duration::from_secs_f64(walls[1] / 1e3)),
-                (
-                    "delegation_pipeline",
-                    Duration::from_secs_f64(walls[2] / 1e3),
-                ),
-            ];
+            r.scales[0].stages = GUARDED_STAGES
+                .iter()
+                .zip(walls)
+                .map(|(&stage, wall)| (stage, Duration::from_secs_f64(wall / 1e3)))
+                .collect();
             let err = check_regression(&r, baseline, 2.0).expect_err("over bound");
             assert!(err.contains(stage), "{err}");
         }

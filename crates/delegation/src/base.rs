@@ -211,7 +211,7 @@ pub fn reduce_days(days: &[ObservationDay]) -> Vec<ReducedDay> {
     let sp = obs::span!("reduce_days", days = days.len() as u64, unit = "days");
     sp.add_items(days.len() as u64);
     let ranges = bgpsim::par::chunk_ranges(days.len(), bgpsim::par::num_threads());
-    bgpsim::par::map_chunked_with(&ranges, |r| days[r].iter().map(ReducedDay::new).collect())
+    bgpsim::par::map_chunked_with(&ranges, |_| (), |_, i| ReducedDay::new(&days[i]))
 }
 
 /// Step (iv) on already-reduced pairs: the delegator of P' is the

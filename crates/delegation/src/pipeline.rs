@@ -281,9 +281,10 @@ pub fn walk_days(
     sweep_sp.add_items(n as u64);
 
     let ranges = bgpsim::par::chunk_ranges(n, bgpsim::par::num_threads());
-    let per_day: Vec<DayOutcome> = bgpsim::par::map_chunked_with(&ranges, |r| {
-        let mut rows = DayRows::new(input);
-        r.map(|i| {
+    let per_day: Vec<DayOutcome> = bgpsim::par::map_chunked_with(
+        &ranges,
+        |_| DayRows::new(input),
+        |rows, i| {
             let d = days_vec[i];
             let Some((pairs, fallback)) = rows.pairs(config, i, d) else {
                 return DayOutcome::Missing;
@@ -292,9 +293,8 @@ pub fn walk_days(
                 delegations: infer_from_pairs(&pairs),
                 fallback,
             }
-        })
-        .collect()
-    });
+        },
+    );
     drop(sweep_sp);
 
     let mut days: Vec<Vec<Delegation>> = Vec::with_capacity(n);

@@ -46,7 +46,7 @@ criterion:
 # Time the end-to-end pipeline stages (quick scale) and write a JSON
 # report; guard against regressions with the committed baseline.
 bench json="BENCH_PR10.local.json":
-    cargo run --release --bin repro -- bench --json {{ json }} --baseline BENCH_PR10.json --max-ratio 2.0
+    cargo run --release --bin repro -- bench --json {{ json }} --baseline BENCH_QUICK_BASELINE.json --max-ratio 2.0
 
 # Re-measure at paper scale and refresh the committed baseline.
 bench-full:
