@@ -7,8 +7,11 @@
 //! Reading goes through borrowed views: [`parse_message`] checks a
 //! message and returns a [`MessageView`], [`attributes()`] frames an
 //! attribute blob without interpreting it, and [`AsPathView`] reads an
-//! AS_PATH's ASNs and origin without allocating. Attributes this
-//! library does not interpret stay [`RawAttribute`]s.
+//! AS_PATH's ASNs and origin without allocating. [`as_path`] is the one
+//! walk of an attribute blob that both archive readers use: it checks
+//! the framing, finds the first well-formed AS_PATH and, in the same
+//! pass over that path's segments, its origin. Attributes this library
+//! does not interpret stay [`RawAttribute`]s.
 //!
 //! Writing has one attribute encoder, [`encode_path_attributes`]: the
 //! ORIGIN, AS_PATH and NEXT_HOP blob every simulated route carries, in
@@ -33,7 +36,7 @@ pub const TYPE_KEEPALIVE: u8 = 4;
 pub const MAX_MESSAGE: usize = 4096;
 
 /// Decode errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BgpError {
     /// Fewer bytes than the fixed header requires.
     Truncated,
@@ -183,14 +186,25 @@ fn check_prefixes(mut buf: &[u8]) -> Result<(), BgpError> {
 }
 
 /// The prefixes of a checked withdrawn-routes or NLRI section.
-fn prefixes(mut buf: &[u8]) -> impl Iterator<Item = Prefix> + Clone + '_ {
-    std::iter::from_fn(move || {
-        if buf.is_empty() {
+#[derive(Clone, Debug, Default)]
+pub struct Prefixes<'a>(&'a [u8]);
+
+impl Iterator for Prefixes<'_> {
+    type Item = Prefix;
+
+    fn next(&mut self) -> Option<Prefix> {
+        if self.0.is_empty() {
             return None;
         }
-        // A checked section never fails here; a failure ends the walk.
-        get_wire_prefix(&mut buf).ok()
-    })
+        match get_wire_prefix(&mut self.0) {
+            Ok(p) => Some(p),
+            // A checked section never fails here; a failure ends the walk.
+            Err(_) => {
+                self.0 = &[];
+                None
+            }
+        }
+    }
 }
 
 /// A big-endian u32 from four bytes, `None` for any other width.
@@ -210,16 +224,16 @@ pub struct RawAttribute<'a> {
 }
 
 /// Frame the next attribute off the front of `buf`.
+#[inline]
 fn next_attribute<'a>(buf: &mut &'a [u8]) -> Result<RawAttribute<'a>, BgpError> {
-    let flags = take_u8(buf).ok_or(BgpError::Truncated)?;
-    let type_code = take_u8(buf).ok_or(BgpError::Truncated)?;
+    let [flags, type_code, l0] = take_array(buf).ok_or(BgpError::Truncated)?;
     let len = if flags & 0x10 != 0 {
-        take_u16(buf).map(usize::from)
+        let l1 = take_u8(buf).ok_or(BgpError::Truncated)?;
+        u16::from_be_bytes([l0, l1])
     } else {
-        take_u8(buf).map(usize::from)
-    }
-    .ok_or(BgpError::Truncated)?;
-    let value = take(buf, len).ok_or(BgpError::Truncated)?;
+        u16::from(l0)
+    };
+    let value = take(buf, usize::from(len)).ok_or(BgpError::Truncated)?;
     Ok(RawAttribute {
         flags,
         type_code,
@@ -246,18 +260,16 @@ pub fn attributes(
     })
 }
 
-/// Check the framing of a whole path-attribute blob.
-pub fn check_attributes(buf: &[u8]) -> Result<(), BgpError> {
-    attributes(buf).try_for_each(|a| a.map(drop))
-}
-
-/// The AS_PATH of a path-attribute blob after checking the framing of
-/// the whole blob: the first well-formed type-2 attribute (a malformed
-/// one is skipped), or the empty path when there is none.
-pub fn as_path(buf: &[u8]) -> Result<AsPathView<'_>, BgpError> {
+/// One walk of a path-attribute blob: the framing of every attribute is
+/// checked (the first framing error is returned), and the AS_PATH is
+/// the first well-formed type-2 attribute (a malformed one is skipped),
+/// or the empty path when there is none. The view holds the path's
+/// origin, found while its segments were checked.
+#[inline]
+pub fn as_path(mut buf: &[u8]) -> Result<AsPathView<'_>, BgpError> {
     let mut found = None;
-    for a in attributes(buf) {
-        let a = a?;
+    while !buf.is_empty() {
+        let a = next_attribute(&mut buf)?;
         if found.is_none() && a.type_code == 2 {
             found = AsPathView::parse(a.value);
         }
@@ -282,6 +294,7 @@ impl<'a> SegmentView<'a> {
 
 /// Split the next segment off a non-empty AS_PATH value; `None` when
 /// the value is malformed here.
+#[inline]
 fn split_segment<'a>(v: &mut &'a [u8]) -> Option<SegmentView<'a>> {
     let set = match take_u8(v)? {
         1 => true,
@@ -298,17 +311,47 @@ fn split_segment<'a>(v: &mut &'a [u8]) -> Option<SegmentView<'a>> {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct AsPathView<'a> {
     value: &'a [u8],
+    /// The length of the origin's ASNs, a suffix of `value`: the whole
+    /// final set, or the last AS of a final sequence (`None` for no
+    /// segment or an empty final sequence).
+    origin_len: Option<u16>,
+    /// Whether the final segment is a set.
+    set: bool,
 }
 
 impl<'a> AsPathView<'a> {
     /// The view of an AS_PATH value, `None` unless every segment is a
-    /// set or sequence whose ASNs fit and no byte is left over.
+    /// set or sequence whose ASNs fit and no byte is left over. The
+    /// walk that checks the segments also keeps the origin.
+    #[inline]
     pub fn parse(value: &'a [u8]) -> Option<AsPathView<'a>> {
         let mut v = value;
+        let mut last = None;
         while !v.is_empty() {
-            split_segment(&mut v)?;
+            last = Some(split_segment(&mut v)?);
         }
-        Some(AsPathView { value })
+        let (origin_len, set) = match last {
+            Some(s) if s.set => (u16::try_from(s.asns.len()).ok(), true),
+            Some(s) if !s.asns.is_empty() => (Some(4), false),
+            _ => (None, false),
+        };
+        Some(AsPathView {
+            value,
+            origin_len,
+            set,
+        })
+    }
+
+    /// The origin's ASNs as one segment view.
+    fn origin_segment(self) -> Option<SegmentView<'a>> {
+        let at = self
+            .value
+            .len()
+            .checked_sub(usize::from(self.origin_len?))?;
+        Some(SegmentView {
+            set: self.set,
+            asns: self.value.get(at..)?,
+        })
     }
 
     /// The segments in order.
@@ -332,11 +375,11 @@ impl<'a> AsPathView<'a> {
     /// The origin: the last AS of a final sequence, or the whole final
     /// set; `None` for the empty path or an empty final sequence.
     pub fn origin(self) -> Option<Origin> {
-        let last = self.segments().last()?;
-        if last.set {
-            Some(Origin::Set(last.asns().collect()))
+        let o = self.origin_segment()?;
+        if o.set {
+            Some(Origin::Set(o.asns().collect()))
         } else {
-            last.asns().last().map(Origin::Single)
+            be_u32(o.asns).map(|a| Origin::Single(Asn(a)))
         }
     }
 
@@ -344,27 +387,24 @@ impl<'a> AsPathView<'a> {
     /// final set, or the last AS of a final sequence. `None` exactly
     /// when [`AsPathView::origin`] is.
     pub fn origin_asns(self) -> Option<impl Iterator<Item = Asn> + 'a> {
-        let last = self.segments().last()?;
-        let skip = if last.set {
-            0
-        } else {
-            (last.asns.len() / 4).checked_sub(1)?
-        };
-        Some(last.asns().skip(skip))
+        self.origin_segment().map(SegmentView::asns)
     }
 }
 
-/// A BGP UPDATE, borrowed: its three sections, each already checked.
+/// A BGP UPDATE, borrowed: its three sections, each already checked,
+/// and the AS_PATH found while its attributes were checked.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct UpdateView<'a> {
     withdrawn: &'a [u8],
     attributes: &'a [u8],
+    path: AsPathView<'a>,
     nlri: &'a [u8],
 }
 
 impl<'a> UpdateView<'a> {
     /// Check an UPDATE body (after the 19-byte header): the withdrawn
-    /// prefixes, the attribute framing and the NLRI prefixes.
+    /// prefixes, the attribute framing (one [`as_path`] walk) and the
+    /// NLRI prefixes.
     pub fn parse(mut buf: &'a [u8]) -> Result<UpdateView<'a>, BgpError> {
         let wlen = take_u16(&mut buf).ok_or(BgpError::Truncated)?;
         let withdrawn =
@@ -373,23 +413,24 @@ impl<'a> UpdateView<'a> {
         let alen = take_u16(&mut buf).ok_or(BgpError::Truncated)?;
         let attrs =
             take(&mut buf, usize::from(alen)).ok_or(BgpError::BadAttributes("attribute length"))?;
-        check_attributes(attrs)?;
+        let path = as_path(attrs)?;
         check_prefixes(buf)?;
         Ok(UpdateView {
             withdrawn,
             attributes: attrs,
+            path,
             nlri: buf,
         })
     }
 
     /// Withdrawn prefixes.
-    pub fn withdrawn(self) -> impl Iterator<Item = Prefix> + Clone + 'a {
-        prefixes(self.withdrawn)
+    pub fn withdrawn(self) -> Prefixes<'a> {
+        Prefixes(self.withdrawn)
     }
 
     /// Announced prefixes.
-    pub fn nlri(self) -> impl Iterator<Item = Prefix> + Clone + 'a {
-        prefixes(self.nlri)
+    pub fn nlri(self) -> Prefixes<'a> {
+        Prefixes(self.nlri)
     }
 
     /// The path attributes (framing already checked).
@@ -399,7 +440,7 @@ impl<'a> UpdateView<'a> {
 
     /// The AS_PATH the NLRI are announced with (see [`as_path`]).
     pub fn as_path(self) -> AsPathView<'a> {
-        as_path(self.attributes).unwrap_or_default()
+        self.path
     }
 }
 
@@ -620,7 +661,6 @@ mod tests {
         let mut cut = blob.clone();
         cut.pop();
         assert_eq!(as_path(&cut), Err(BgpError::Truncated));
-        assert_eq!(check_attributes(&cut), Err(BgpError::Truncated));
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! Real-world analogues (`bgpkit-parser`, `bgpdump`) flatten MRT's
 //! nested records — peer tables, per-peer RIB entries, multi-NLRI
 //! UPDATEs — into one element per `(prefix, peer)`: the shape every
-//! downstream analysis wants. [`ElemView`] is that flattening for the
-//! archive's two file kinds:
+//! downstream analysis wants. The flattening is [`crate::mrt2`]'s
+//! element cursor; [`ElemView`] is its element with the file's day and
+//! the peer resolved by the query's rule, for the archive's two file
+//! kinds:
 //!
 //! * RFC 6396 RIB files ([`crate::mrt2`]): each `RIB_IPV4_UNICAST`
 //!   entry becomes one [`ElemKind::Rib`] element, with the peer
@@ -16,14 +18,16 @@
 //!   [`ElemKind::Announce`], each withdrawn prefix an
 //!   [`ElemKind::Withdraw`].
 //!
-//! The scan reads files through the borrowed record cursor of
-//! [`crate::mrt2`] and its contract is: *validate every byte,
-//! materialize only survivors*. Every record of every file the day
-//! clause keeps is checked in full, and every RIB entry's attribute
-//! framing is walked, whether or not a row of it can match. Elements
-//! stay borrowed: kind, prefix and peer are judged on raw fields, the
-//! AS path is found only for an element that passed them, and only a
-//! row that passes every clause is formatted.
+//! The scan reads files through the borrowed record cursors of
+//! [`crate::mrt2`] and flattens each record with its element cursor
+//! ([`crate::mrt2::RecordView::elems`]). Its contract is: *validate
+//! every byte, materialize only survivors*. Every record of every file
+//! the day clause keeps is checked in full, and every RIB entry's
+//! attribute framing is walked, whether or not a row of it can match;
+//! the same walk finds the entry's AS path. Elements stay borrowed, and
+//! only a row that passes every clause is formatted. The query names a
+//! RIB entry's peer by the peer table's ASN and an update's by its
+//! `peer_as`.
 //!
 //! Scans run in one of two parse modes. *Strict* fails the query on
 //! the first error the owned decoders would report: a structural error
@@ -32,11 +36,19 @@
 //! accounts for every byte and record through
 //! [`crate::mrt2::LossyStats`] — per-reason skip counters plus the
 //! abandoned-tail bytes when a corrupt length field aborts a file's
-//! scan. Multi-file scans fan out through [`crate::par`] and merge in
-//! file-index order, so output is byte-identical at any worker count.
+//! scan.
+//!
+//! Scans split the kept files into contiguous ranges of about equal
+//! bytes: one range at one worker, a few per worker otherwise, fanned
+//! out through [`crate::par`]. Each range writes its rows into one
+//! buffer, and formats at most `limit` rows while it still validates
+//! and counts every element. The merge moves the first range's buffer
+//! in as the body and appends the others in order, so a one-worker
+//! scan allocates its rows once, and output is byte-identical at any
+//! worker count.
 
-use crate::bgp::{self, AsPathView};
-use crate::mrt2::{self, LossyStats, MrtRecordView, RecordReader, RecordView};
+use crate::bgp::AsPathView;
+use crate::mrt2::{self, Elem, LossyStats, MrtRecordView, PeerRef, RecordReader, RecordView};
 use crate::par;
 use crate::updates::CollectorArchiveV2;
 use bytes::Bytes;
@@ -47,35 +59,7 @@ use std::fmt;
 
 // --- elements ---------------------------------------------------------
 
-/// What kind of archive record an element came from.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ElemKind {
-    /// A RIB snapshot entry (`RIB_IPV4_UNICAST`).
-    Rib,
-    /// An announced NLRI from a BGP UPDATE.
-    Announce,
-    /// A withdrawn prefix from a BGP UPDATE.
-    Withdraw,
-}
-
-impl ElemKind {
-    const ALL: [ElemKind; 3] = [ElemKind::Rib, ElemKind::Announce, ElemKind::Withdraw];
-
-    /// The lowercase wire name used in filters and output rows.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ElemKind::Rib => "rib",
-            ElemKind::Announce => "announce",
-            ElemKind::Withdraw => "withdraw",
-        }
-    }
-}
-
-impl fmt::Display for ElemKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+pub use crate::mrt2::ElemKind;
 
 impl std::str::FromStr for ElemKind {
     type Err = FilterError;
@@ -90,7 +74,7 @@ impl std::str::FromStr for ElemKind {
 
 /// One flattened per-prefix element, borrowing the archive bytes: the
 /// unit every filter and output row operates on. Origin and path stay
-/// an undecoded [`AsPathView`] until a clause or an output row needs
+/// a borrowed [`AsPathView`] until a clause or an output row reads
 /// them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ElemView<'a> {
@@ -542,8 +526,9 @@ pub struct QueryOptions {
     pub format: OutputFormat,
     /// Skip damaged records (with accounting) instead of failing.
     pub lossy: bool,
-    /// Keep at most this many rows (applied after the deterministic
-    /// merge, so the same rows survive at any worker count).
+    /// Keep at most this many rows: the first ones in file order, so the
+    /// same rows survive at any worker count. A range stops formatting
+    /// rows once it holds this many, and still counts every match.
     pub limit: Option<usize>,
     /// Worker threads for the multi-file fan-out.
     pub threads: usize,
@@ -688,152 +673,182 @@ fn decode_error(day: Date, detail: impl fmt::Display) -> QueryError {
     }
 }
 
-/// One file's scan: the filter it applies, the rows that passed, and
-/// its accounting.
-struct FileScan<'q> {
-    filter: &'q Filter,
-    format: OutputFormat,
-    lossy: bool,
+/// One range's scan: the rows of its files in one buffer, and its
+/// accounting.
+struct RangeScan<'q> {
+    opts: &'q QueryOptions,
+    /// Whether the kind clause admits each [`ElemKind`], by its index.
+    kinds: [bool; 3],
+    /// The rows, behind the CSV header in the first range.
+    rows: String,
+    /// Rows that passed the filter.
+    matched: usize,
+    /// Rows formatted into `rows`: at most the row limit.
+    written: usize,
+    files: usize,
+    elems: usize,
+    stats: LossyStats,
+}
+
+/// What one file's scan needs besides the range it belongs to.
+struct FileScan {
     day: Date,
     /// The file's day as rows print it, formatted once.
     day_text: String,
     /// Peer ASNs by peer index; the file's `PEER_INDEX_TABLE` sets it.
     peers: Vec<Asn>,
-    rows: String,
-    nrows: usize,
-    elems: usize,
-    stats: LossyStats,
     /// Strict mode: the first RIB entry attribute blob that failed its
     /// framing. It fails the file unless a structural error in a later
     /// record does first.
-    bad_attributes: Option<bgp::BgpError>,
+    bad_attributes: Option<crate::bgp::BgpError>,
+    /// Lossy mode: the file's accounting.
+    stats: LossyStats,
 }
 
-impl<'q> FileScan<'q> {
-    fn new(file: &QueryFile, filter: &'q Filter, format: OutputFormat, lossy: bool) -> Self {
-        FileScan {
-            filter,
-            format,
-            lossy,
-            day: file.day,
-            day_text: file.day.to_string(),
-            peers: Vec::new(),
-            rows: String::new(),
-            nrows: 0,
+impl<'q> RangeScan<'q> {
+    fn new(opts: &'q QueryOptions, header: bool) -> Self {
+        let mut rows = String::new();
+        if header && opts.format == OutputFormat::Csv {
+            rows.push_str(CSV_HEADER);
+        }
+        RangeScan {
+            opts,
+            kinds: ElemKind::ALL.map(|k| opts.filter.admits_kind(k)),
+            rows,
+            matched: 0,
+            written: 0,
+            files: 0,
             elems: 0,
             stats: LossyStats::default(),
-            bad_attributes: None,
-        }
-    }
-
-    /// Write the row of an element that passed the clauses on raw
-    /// record fields, if it passes the origin and path clauses too.
-    fn keep(&mut self, elem: &ElemView<'_>) {
-        if self.filter.admits_path(elem.path) {
-            write_row(&mut self.rows, self.format, &self.day_text, elem);
-            self.nrows += 1;
         }
     }
 
     /// Count every element of one checked record and keep the rows
-    /// that pass the filter. Kind, prefix and peer are judged on raw
-    /// fields, once per record where the record shares them; only an
-    /// element that passes them has its AS path found. (The day clause
-    /// already pruned the file.) Each RIB entry's attribute framing is
-    /// walked whether or not the entry can match, so strict and lossy
-    /// mode judge every byte.
-    fn record(&mut self, rec: RecordView<'_>) {
-        let f = self.filter;
-        let day = self.day;
-        let elem = |kind, prefix, peer, timestamp, path| ElemView {
-            day,
-            timestamp,
-            kind,
-            prefix,
-            peer,
-            path,
+    /// that pass the filter (the day clause already pruned the file).
+    /// Every RIB entry's attribute framing is walked whether or not the
+    /// entry can match, so strict and lossy mode judge every byte.
+    fn record(&mut self, file: &mut FileScan, rec: RecordView<'_>) {
+        if let MrtRecordView::PeerIndexTable(t) = rec.record {
+            file.peers = t.peers().map(|p| p.asn).collect();
+            return;
+        }
+        rec.elems().for_each(|e| {
+            let path = match e.path {
+                Ok(path) => path,
+                Err(err) => return self.skip(file, err),
+            };
+            self.elems += 1;
+            if self.kinds[e.kind as usize] && self.opts.filter.admits_prefix(&e.prefix) {
+                self.keep(file, &e, path);
+            }
+        });
+    }
+
+    /// Account for a RIB entry whose attributes fail their framing.
+    #[cold]
+    fn skip(&self, file: &mut FileScan, err: crate::bgp::BgpError) {
+        if self.opts.lossy {
+            file.stats.skipped_bgp += 1;
+        } else {
+            file.bad_attributes.get_or_insert(err);
+        }
+    }
+
+    /// Judge an element that passed the kind and prefix clauses on the
+    /// peer, by the query's rule, and on the AS path, and keep its row
+    /// if it passes.
+    #[inline(never)]
+    fn keep(&mut self, file: &FileScan, e: &Elem<'_>, path: AsPathView<'_>) {
+        let f = &self.opts.filter;
+        let peer = match e.peer {
+            PeerRef::Index(i) => file.peers.get(usize::from(i)).copied(),
+            PeerRef::Session { asn, .. } => Some(asn),
         };
-        match rec.record {
-            MrtRecordView::PeerIndexTable(t) => {
-                self.peers = t.peers().map(|p| p.asn).collect();
-            }
-            MrtRecordView::RibIpv4Unicast(r) => {
-                let live = f.admits_kind(ElemKind::Rib) && f.admits_prefix(&r.prefix);
-                for entry in r.entries() {
-                    if let Err(e) = bgp::check_attributes(entry.attributes) {
-                        if self.lossy {
-                            self.stats.skipped_bgp += 1;
-                        } else {
-                            self.bad_attributes.get_or_insert(e);
-                        }
-                        continue;
-                    }
-                    self.elems += 1;
-                    let peer = self.peers.get(usize::from(entry.peer_index)).copied();
-                    if live && f.admits_peer(peer) {
-                        // The framing was just checked.
-                        let path = bgp::as_path(entry.attributes).unwrap_or_default();
-                        let t = entry.originated_time;
-                        self.keep(&elem(ElemKind::Rib, r.prefix, peer, t, path));
-                    }
-                }
-            }
-            MrtRecordView::Bgp4mpMessage(m) => {
-                let bgp::MessageView::Update(u) = m.message else {
-                    return;
-                };
-                let (peer, t) = (Some(m.peer_as), rec.timestamp);
-                let live = f.admits_peer(peer) && f.admits_kind(ElemKind::Withdraw);
-                for prefix in u.withdrawn() {
-                    self.elems += 1;
-                    if live && f.admits_prefix(&prefix) {
-                        let path = AsPathView::default();
-                        self.keep(&elem(ElemKind::Withdraw, prefix, peer, t, path));
-                    }
-                }
-                let live = f.admits_peer(peer) && f.admits_kind(ElemKind::Announce);
-                let mut path = None;
-                for prefix in u.nlri() {
-                    self.elems += 1;
-                    if live && f.admits_prefix(&prefix) {
-                        let path = *path.get_or_insert_with(|| u.as_path());
-                        self.keep(&elem(ElemKind::Announce, prefix, peer, t, path));
-                    }
-                }
-            }
-            MrtRecordView::Unknown { .. } => {}
+        if !(f.admits_peer(peer) && f.admits_path(path)) {
+            return;
         }
+        self.matched += 1;
+        if self.written < self.opts.limit.unwrap_or(usize::MAX) {
+            let elem = ElemView {
+                day: file.day,
+                timestamp: e.timestamp,
+                kind: e.kind,
+                prefix: e.prefix,
+                peer,
+                path,
+            };
+            write_row(&mut self.rows, self.opts.format, &file.day_text, &elem);
+            self.written += 1;
+        }
+    }
+
+    /// Scan one file into the range.
+    fn file(&mut self, file: &QueryFile) -> Result<(), QueryError> {
+        let mut scan = FileScan {
+            day: file.day,
+            day_text: file.day.to_string(),
+            peers: Vec::new(),
+            bad_attributes: None,
+            stats: LossyStats::default(),
+        };
+        if self.opts.lossy {
+            let mut reader = RecordReader::new(&file.bytes);
+            for rec in reader.by_ref() {
+                self.record(&mut scan, rec);
+            }
+            scan.stats.merge(&reader.stats());
+            scan.stats.emit();
+            self.stats.merge(&scan.stats);
+        } else {
+            for rec in mrt2::records(&file.bytes) {
+                self.record(&mut scan, rec.map_err(|e| decode_error(file.day, e))?);
+            }
+            if let Some(e) = scan.bad_attributes {
+                return Err(decode_error(file.day, e));
+            }
+        }
+        self.files += 1;
+        Ok(())
     }
 }
 
-fn scan_file<'q>(
-    file: &QueryFile,
-    filter: &'q Filter,
-    format: OutputFormat,
-    lossy: bool,
-) -> Result<FileScan<'q>, QueryError> {
-    let mut scan = FileScan::new(file, filter, format, lossy);
-    if lossy {
-        let mut reader = RecordReader::new(&file.bytes);
-        for rec in reader.by_ref() {
-            scan.record(rec);
-        }
-        scan.stats.merge(&reader.stats());
-        scan.stats.emit();
-    } else {
-        for rec in mrt2::records(&file.bytes) {
-            scan.record(rec.map_err(|e| decode_error(file.day, e))?);
-        }
-        if let Some(e) = scan.bad_attributes {
-            return Err(decode_error(file.day, e));
+/// Ranges per worker when a scan fans out over more than one.
+const RANGES_PER_WORKER: usize = 8;
+
+/// Split `files` into at most `parts` contiguous, non-empty ranges of
+/// about equal bytes: a range closes at the first file that brings the
+/// bytes so far to its share of the total.
+fn byte_ranges(files: &[&QueryFile], parts: usize) -> Vec<std::ops::Range<usize>> {
+    let parts = parts.clamp(1, files.len().max(1));
+    let total: u128 = files.iter().map(|f| f.bytes.len() as u128).sum();
+    let mut ranges = Vec::with_capacity(parts);
+    let (mut start, mut bytes) = (0, 0u128);
+    for (i, f) in files.iter().enumerate() {
+        bytes += f.bytes.len() as u128;
+        let closed = ranges.len() as u128 + 1;
+        if closed < parts as u128 && bytes * parts as u128 >= total * closed {
+            ranges.push(start..i + 1);
+            start = i + 1;
         }
     }
-    Ok(scan)
+    if start < files.len() {
+        ranges.push(start..files.len());
+    }
+    ranges
 }
 
-/// Run a query over `files`: prune by day, fan the survivors out over
-/// [`par::map_indexed`], merge per-file row blocks in file-index order
-/// (byte-identical at any worker count), then apply the row limit.
+/// The first `n` lines of `rows`.
+fn head_lines(rows: &str, n: usize) -> &str {
+    let end = rows.split_inclusive('\n').take(n).map(str::len).sum();
+    &rows[..end]
+}
+
+/// Run a query over `files`: prune by day, split the survivors into
+/// contiguous ranges of about equal bytes (one per scan at one worker,
+/// [`RANGES_PER_WORKER`] per worker otherwise), scan the ranges over
+/// [`par::map_indexed`], then merge them in order: the first range's
+/// buffer becomes the body and the others are appended, up to the row
+/// limit (byte-identical at any worker count).
 pub fn run_query(files: &[QueryFile], opts: &QueryOptions) -> Result<QueryOutput, QueryError> {
     let kept: Vec<&QueryFile> = files
         .iter()
@@ -845,41 +860,52 @@ pub fn run_query(files: &[QueryFile], opts: &QueryOptions) -> Result<QueryOutput
         threads = opts.threads,
         unit = "files"
     );
-    let scans = par::map_indexed(kept.len(), opts.threads, |i| {
-        scan_file(kept[i], &opts.filter, opts.format, opts.lossy)
+    // One worker scans one range, so its rows are allocated once.
+    // Several workers pull smaller ranges as they free up: under a
+    // filter that drops RIB rows an update byte costs more than a RIB
+    // byte, so equal bytes are not equal work.
+    let parts = match opts.threads {
+        0 | 1 => 1,
+        n => n * RANGES_PER_WORKER,
+    };
+    let ranges = byte_ranges(&kept, parts);
+    let scans = par::map_indexed(ranges.len(), opts.threads, |r| {
+        let mut scan = RangeScan::new(opts, r == 0);
+        for file in &kept[ranges[r].clone()] {
+            scan.file(file)?;
+        }
+        Ok(scan)
     });
 
     let mut stats = QueryStats {
         files_pruned: files.len() - kept.len(),
         ..QueryStats::default()
     };
-    let mut body = String::new();
-    if opts.format == OutputFormat::Csv {
-        body.push_str(CSV_HEADER);
-    }
     let budget = opts.limit.unwrap_or(usize::MAX);
+    let appended: usize = scans.iter().skip(1).flatten().map(|s| s.rows.len()).sum();
+    let mut body: Option<String> = None;
     for scan in scans {
         let scan = scan?;
-        stats.files_scanned += 1;
+        stats.files_scanned += scan.files;
         stats.elems_scanned += scan.elems;
-        stats.rows_matched += scan.nrows;
+        stats.rows_matched += scan.matched;
         stats.lossy.merge(&scan.stats);
-        let room = budget - stats.rows_emitted;
-        if room == 0 {
-            continue; // keep aggregating stats; the body is full
-        }
-        if scan.nrows <= room {
-            body.push_str(&scan.rows);
-            stats.rows_emitted += scan.nrows;
-        } else {
-            // The limit lands inside this file's block: take whole
-            // lines up to the budget.
-            for line in scan.rows.split_inclusive('\n').take(room) {
-                body.push_str(line);
+        // Each range formatted at most `budget` rows, so the first
+        // range's buffer is taken whole.
+        let take = scan.written.min(budget - stats.rows_emitted);
+        stats.rows_emitted += take;
+        match &mut body {
+            None => {
+                let mut first = scan.rows;
+                first.reserve_exact(appended);
+                body = Some(first);
             }
-            stats.rows_emitted += room;
+            Some(body) if take == scan.written => body.push_str(&scan.rows),
+            // The limit lands inside this range: take whole lines up to it.
+            Some(body) => body.push_str(head_lines(&scan.rows, take)),
         }
     }
+    let body = body.unwrap_or_else(|| RangeScan::new(opts, true).rows);
     span.add_items(stats.files_scanned as u64);
     obs::metrics::counter("query_rows_total").add(stats.rows_emitted as u64);
     obs::metrics::counter("query_files_scanned_total").add(stats.files_scanned as u64);
@@ -959,7 +985,7 @@ pub fn files_from_dir(dir: &std::path::Path) -> std::io::Result<Vec<QueryFile>> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bgp::Segment;
+    use crate::bgp::{self, Segment};
     use crate::mrt2::{Bgp4mpSession, MrtWriter, PeerEntry, RibEntryView};
     use nettypes::date::date;
     use nettypes::prefix::pfx;
@@ -1262,6 +1288,25 @@ mod tests {
         let a = run_query(&files, &QueryOptions::default()).expect("query runs");
         let b = run_query(&from_disk, &QueryOptions::default()).expect("query runs");
         assert_eq!(a.body, b.body);
+    }
+
+    #[test]
+    fn byte_ranges_are_contiguous_and_balanced() {
+        let file = |len: usize| QueryFile {
+            day: date("2018-01-01"),
+            kind: FileKind::Updates,
+            bytes: Bytes::from(vec![0; len]),
+        };
+        let files: Vec<QueryFile> = [90, 10, 10, 10, 30, 30, 20, 0, 0].map(file).into();
+        let kept: Vec<&QueryFile> = files.iter().collect();
+        assert_eq!(byte_ranges(&kept, 1), vec![0..9]);
+        // 200 bytes: the first range closes at 100, the second at 200.
+        assert_eq!(byte_ranges(&kept, 2), [0..2, 2..9]);
+        assert_eq!(byte_ranges(&kept, 4), [0..1, 1..2, 2..5, 5..9]);
+        // Never more ranges than files, and never an empty one.
+        assert_eq!(byte_ranges(&kept[..2], 8), [0..1, 1..2]);
+        assert_eq!(byte_ranges(&kept[7..], 2), [0..1, 1..2]);
+        assert!(byte_ranges(&[], 4).is_empty());
     }
 
     #[test]

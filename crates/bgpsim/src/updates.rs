@@ -15,11 +15,11 @@
 //! state and its per-`(prefix, origin)` monitor counts alive across
 //! the days of a walk.
 
-use crate::bgp::{self, AsPathView, MessageView, Segment};
+use crate::bgp::{self, Segment};
 use crate::engine::{MonitorState, RenderEngine, SelChange};
 use crate::mrt2::{
-    Bgp4mpSession, Mrt2Error, MrtRecordView, MrtWriter, PeerEntry, RecordReader, RecordView,
-    RibEntryView,
+    Bgp4mpSession, ElemKind, Mrt2Error, MrtRecordView, MrtWriter, PeerEntry, PeerRef, RecordReader,
+    RecordView, RibEntryView,
 };
 use crate::observe::{ObservationDay, RouteObservation, VisibilityModel};
 use crate::query::{parse_file_name, FileKind};
@@ -30,7 +30,9 @@ use nettypes::asn::{Asn, Origin};
 use nettypes::date::{Date, DateRange};
 use nettypes::prefix::Prefix;
 use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, Hasher};
 use std::io::Write as _;
 
 /// Errors from archive reconstruction.
@@ -501,7 +503,7 @@ impl CollectorArchiveV2 {
     pub fn sweep(&self) -> ObservationSweep<'_> {
         ObservationSweep {
             archive: self,
-            state: State::default(),
+            state: State::new(IdHash::random()),
             anchor: None,
             full_rebuilds: 0,
         }
@@ -548,6 +550,78 @@ impl Anchor {
 /// The empty slot of a peer row: no route.
 const NONE: u32 = u32::MAX;
 
+/// The hasher of the sweep's id maps: one folded 64×64→128-bit multiply
+/// per word written, keyed once per sweep from the standard library's
+/// random keys. The keys hashed come from archive files, which may be
+/// crafted. An unkeyed multiply hash leaves the low hash bits, the ones
+/// a table indexes by, a function of the low key bits alone, so a file
+/// could force collisions; folding the high half of a product with a
+/// secret multiplier into the low half leaves no such shortcut.
+#[derive(Clone, Copy)]
+struct IdHash {
+    multiplier: u64,
+    seed: u64,
+}
+
+impl IdHash {
+    fn random() -> IdHash {
+        let keys = RandomState::new();
+        IdHash {
+            multiplier: keys.hash_one(0u8) | 1,
+            seed: keys.hash_one(1u8),
+        }
+    }
+}
+
+impl BuildHasher for IdHash {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher {
+            multiplier: self.multiplier,
+            state: self.seed,
+        }
+    }
+}
+
+struct IdHasher {
+    multiplier: u64,
+    state: u64,
+}
+
+impl IdHasher {
+    fn mix(&mut self, word: u64) {
+        let m = u128::from(self.state ^ word) * u128::from(self.multiplier);
+        self.state = m as u64 ^ (m >> 64) as u64;
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
 /// The per-peer routing state and its aggregation, on dense ids.
 ///
 /// Prefixes and origins are interned per sweep, in first-seen order,
@@ -558,15 +632,14 @@ const NONE: u32 = u32::MAX;
 /// ([`State::announce`], [`State::withdraw`]) and RIB loads
 /// ([`State::load`]) alike. No output depends on id order: the served
 /// surface is read back in `(Prefix, Origin)` order.
-#[derive(Default)]
 struct State {
     peers: Vec<PeerEntry>,
     /// `(ip, asn) → peer index`, built once per peer table.
-    index_of: HashMap<(u32, Asn), usize>,
+    index_of: HashMap<(u32, Asn), usize, IdHash>,
     prefixes: Vec<Prefix>,
-    prefix_ids: HashMap<Prefix, u32>,
+    prefix_ids: HashMap<Prefix, u32, IdHash>,
     origins: Vec<Origin>,
-    origin_ids: HashMap<Origin, u32>,
+    origin_ids: HashMap<Origin, u32, IdHash>,
     /// Per peer, prefix id → origin id (or [`NONE`]); a row may be
     /// shorter than `prefixes`, the slots past its end being `NONE`.
     rows: Vec<Vec<u32>>,
@@ -624,6 +697,21 @@ fn next_id(len: usize) -> Option<u32> {
 }
 
 impl State {
+    /// An empty state whose id maps hash with `hash`.
+    fn new(hash: IdHash) -> State {
+        State {
+            peers: Vec::new(),
+            index_of: HashMap::with_hasher(hash),
+            prefixes: Vec::new(),
+            prefix_ids: HashMap::with_hasher(hash),
+            origins: Vec::new(),
+            origin_ids: HashMap::with_hasher(hash),
+            rows: Vec::new(),
+            surface: Surface::default(),
+            decoded: Vec::new(),
+        }
+    }
+
     /// The id of `p`, interning it; `None` once ids run out.
     fn prefix_id(&mut self, p: Prefix) -> Option<u32> {
         if let Some(&id) = self.prefix_ids.get(&p) {
@@ -678,57 +766,60 @@ impl State {
     /// Make the state equal the RIB in `bytes`: decode it into the
     /// decode rows, then diff each peer's row against the one held, so
     /// only the routes that differ are recounted. Undecodable records
-    /// and entries are skipped, as are entries past the peer table, and
-    /// a later entry for a peer and prefix wins (lossy, like real
-    /// pipelines); a later peer table starts the rows afresh. A RIB
-    /// with no peer table leaves the state as it was (`None`), and a
-    /// peer table other than the held one withdraws every route first.
+    /// and entries are skipped, as are entries past the peer table and
+    /// update messages, and a later entry for a peer and prefix wins
+    /// (lossy, like real pipelines); a later peer table starts the rows
+    /// afresh. A RIB with no peer table leaves the state as it was
+    /// (`None`); a peer table with no peers is a peer table. A peer
+    /// table other than the held one withdraws every route first.
     fn load(&mut self, bytes: &[u8]) -> Option<()> {
         let mut reader = RecordReader::new(bytes);
-        let mut peers: Vec<PeerEntry> = Vec::new();
+        let mut peers: Option<Vec<PeerEntry>> = None;
         let mut decoded = std::mem::take(&mut self.decoded);
         for rec in reader.by_ref() {
-            match rec.record {
-                MrtRecordView::PeerIndexTable(t) => {
-                    peers = t.peers().collect();
-                    if decoded.len() < peers.len() {
-                        decoded.resize_with(peers.len(), Vec::new);
-                    }
-                    for row in &mut decoded[..peers.len()] {
-                        row.clear();
-                    }
+            if let MrtRecordView::PeerIndexTable(t) = rec.record {
+                let table: Vec<PeerEntry> = t.peers().collect();
+                if decoded.len() < table.len() {
+                    decoded.resize_with(table.len(), Vec::new);
                 }
-                MrtRecordView::RibIpv4Unicast(r) => {
-                    let mut pid = None;
-                    for e in r.entries() {
-                        let pi = usize::from(e.peer_index);
-                        if pi >= peers.len() {
-                            continue;
-                        }
-                        let origin = bgp::as_path(e.attributes).ok().and_then(AsPathView::origin);
-                        let Some(oid) = origin.and_then(|o| self.origin_id(o)) else {
-                            continue;
-                        };
-                        let Some(id) = pid.or_else(|| self.prefix_id(r.prefix)) else {
-                            continue;
-                        };
-                        pid = Some(id);
-                        let row = &mut decoded[pi];
-                        let at = id as usize;
-                        if row.len() <= at {
-                            row.resize(at + 1, NONE);
-                        }
-                        row[at] = oid;
-                    }
+                for row in &mut decoded[..table.len()] {
+                    row.clear();
                 }
-                _ => {}
+                peers = Some(table);
+                continue;
             }
+            let held = peers.as_ref().map_or(0, Vec::len);
+            // The record's prefix id, interned by its first route.
+            let mut pid = None;
+            rec.elems().for_each(|e| {
+                let PeerRef::Index(pi) = e.peer else {
+                    return;
+                };
+                let pi = usize::from(pi);
+                if pi >= held {
+                    return;
+                }
+                let origin = e.path.ok().and_then(|path| path.origin());
+                let Some(oid) = origin.and_then(|o| self.origin_id(o)) else {
+                    return;
+                };
+                let Some(id) = pid.or_else(|| self.prefix_id(e.prefix)) else {
+                    return;
+                };
+                pid = Some(id);
+                let row = &mut decoded[pi];
+                let at = id as usize;
+                if row.len() <= at {
+                    row.resize(at + 1, NONE);
+                }
+                row[at] = oid;
+            });
         }
         reader.stats().emit();
-        if peers.is_empty() {
+        let Some(peers) = peers else {
             self.decoded = decoded;
             return None;
-        }
+        };
         let State {
             rows,
             origins,
@@ -743,11 +834,9 @@ impl State {
             }
             rows.clear();
             rows.resize_with(peers.len(), Vec::new);
-            self.index_of = peers
-                .iter()
-                .enumerate()
-                .map(|(i, p)| ((p.ip, p.asn), i))
-                .collect();
+            self.index_of.clear();
+            self.index_of
+                .extend(peers.iter().enumerate().map(|(i, p)| ((p.ip, p.asn), i)));
             self.peers = peers;
         }
         for (held, new) in rows.iter_mut().zip(&mut decoded) {
@@ -768,32 +857,42 @@ impl State {
     /// of an announcement whose AS_PATH has one. The sort is stable, so
     /// records with one timestamp keep file order. Peers are identified
     /// by (IP, ASN): multiple collector peers may share an ASN
-    /// (multi-session setups), but never an IP. Unknown peers and
-    /// undecodable records are skipped (lossy, like real pipelines).
+    /// (multi-session setups), but never an IP. Unknown peers,
+    /// undecodable records and RIB records are skipped (lossy, like real
+    /// pipelines).
     fn replay_updates(&mut self, bytes: &[u8]) {
         let mut reader = RecordReader::new(bytes);
         let mut records: Vec<RecordView<'_>> = reader.by_ref().collect();
         reader.stats().emit();
         records.sort_by_key(|r| r.timestamp);
         for rec in records {
-            let MrtRecordView::Bgp4mpMessage(m) = rec.record else {
-                continue;
-            };
-            let Some(&pi) = self.index_of.get(&(m.peer_ip, m.peer_as)) else {
-                continue;
-            };
-            let MessageView::Update(u) = m.message else {
-                continue;
-            };
-            for w in u.withdrawn() {
-                self.withdraw(pi, w);
-            }
-            let Some(oid) = u.as_path().origin().and_then(|o| self.origin_id(o)) else {
-                continue;
-            };
-            for p in u.nlri() {
-                self.announce(pi, p, oid);
-            }
+            // A record's elements share its peer and its path, so each
+            // is resolved once, by the first element that needs it.
+            let mut peer = None;
+            let mut origin = None;
+            rec.elems().for_each(|e| {
+                let PeerRef::Session { ip, asn } = e.peer else {
+                    return;
+                };
+                let index_of = &self.index_of;
+                let Some(pi) = *peer.get_or_insert_with(|| index_of.get(&(ip, asn)).copied())
+                else {
+                    return;
+                };
+                match e.kind {
+                    ElemKind::Withdraw => self.withdraw(pi, e.prefix),
+                    ElemKind::Announce => {
+                        let oid = *origin.get_or_insert_with(|| {
+                            let o = e.path.ok().and_then(|path| path.origin());
+                            o.and_then(|o| self.origin_id(o))
+                        });
+                        if let Some(oid) = oid {
+                            self.announce(pi, e.prefix, oid);
+                        }
+                    }
+                    ElemKind::Rib => {}
+                }
+            });
         }
     }
 
@@ -1149,6 +1248,7 @@ fn encode_updates_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bgp::MessageView;
     use crate::mrt2::records;
     use crate::scenario::WorldConfig;
     use crate::topology::TopologyConfig;
@@ -1276,6 +1376,18 @@ mod tests {
         }
         for d in archive.update_dates() {
             assert!(archive.update_bytes(d).expect("listed").is_empty());
+        }
+        // An empty peer table is a peer table: every day replays, with
+        // no monitor and no route, stepping and from a fresh sweep.
+        let mut sweep = archive.sweep();
+        for d in w.span.iter() {
+            let delta = sweep.advance(d).expect("day serves");
+            assert!(delta.changed.is_empty(), "{d}: {:?}", delta.changed);
+            assert_eq!(sweep.num_monitors(), 0, "{d}");
+            assert!(sweep.observation_day(d).routes.is_empty(), "{d}");
+            let (provenance, day) = served(&archive, d).expect("day serves");
+            assert_eq!(provenance, delta.provenance, "{d}");
+            assert!(day.routes.is_empty(), "{d}");
         }
     }
 

@@ -672,3 +672,67 @@ fn rib_without_a_peer_table_serves_no_day() {
         Ok(Provenance::Exact)
     );
 }
+
+#[test]
+fn empty_peer_table_serves_a_day_without_monitors() {
+    let peers = [peer(0)];
+    let archive = archive(
+        vec![
+            (
+                D0,
+                rib_file(&[
+                    Rec::Peers(&peers),
+                    Rec::Rib("10.0.0.0/16", vec![(0, single(1))]),
+                ]),
+            ),
+            // A table that lists no peer, and an entry past it.
+            (
+                D2,
+                rib_file(&[
+                    Rec::Peers(&[]),
+                    Rec::Rib("10.0.0.0/16", vec![(0, single(2))]),
+                ]),
+            ),
+            (
+                D4,
+                rib_file(&[
+                    Rec::Peers(&peers),
+                    Rec::Rib("10.1.0.0/16", vec![(0, single(3))]),
+                ]),
+            ),
+        ],
+        vec![
+            (
+                D1,
+                update_file(&[Upd {
+                    peer: peers[0],
+                    withdrawn: &[],
+                    announce: Some((single(4), &["10.0.0.0/16"])),
+                }]),
+            ),
+            // A message from a peer the empty table does not list.
+            (
+                D3,
+                update_file(&[Upd {
+                    peer: peers[0],
+                    withdrawn: &[],
+                    announce: Some((single(5), &["10.0.0.0/16"])),
+                }]),
+            ),
+        ],
+    );
+    let changed = check(&archive);
+    let served: Vec<Date> = changed.iter().map(|&(d, _)| d).collect();
+    assert_eq!(served, [date(D0), date(D1), date(D2), date(D3), date(D4)]);
+    let p = prefix("10.0.0.0/16");
+    assert_eq!(
+        changed[2].1,
+        [p],
+        "the empty table withdraws the held route"
+    );
+    assert!(changed[3].1.is_empty(), "{:?}", changed[3]);
+    let mut sweep = archive.sweep();
+    sweep.advance(date(D3)).expect("D3 serves");
+    assert_eq!(sweep.num_monitors(), 0);
+    assert_eq!(sweep.routes_for(p).count(), 0);
+}

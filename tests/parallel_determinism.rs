@@ -553,6 +553,135 @@ fn query_output_matches_the_owned_oracle_at_every_worker_count() {
 }
 
 #[test]
+fn range_merge_matches_the_per_file_oracle_at_every_limit() {
+    // The engine scans contiguous byte-balanced file ranges and merges
+    // them; the oracle scans and merges file by file. Every file
+    // boundary is a possible range boundary, so a limit at, just
+    // before and just after each one, and one inside the first file,
+    // covers a limit inside the first range and across every range
+    // boundary, at every worker count.
+    use bgpsim::query::{
+        files_from_archive_v2, run_query, Filter, OutputFormat, QueryError, QueryOptions,
+        CSV_HEADER,
+    };
+
+    let config = StudyConfig::quick_seeded(57);
+    let world = bgpsim::scenario::LeaseWorld::generate(&config.world);
+    let archive = CollectorArchiveV2::generate(
+        &world,
+        &config.visibility,
+        world.span,
+        &ArchiveV2Config::default(),
+    )
+    .expect("archive encodes");
+    let mut files = files_from_archive_v2(&archive);
+    let first = world.span.start;
+    files.retain(|f| f.day <= first + 9);
+    let n = files.len();
+    assert!(n > 8, "need a multi-file archive to exercise the merge");
+    let opts = |filter: &str, format, lossy, limit| QueryOptions {
+        filter: Filter::parse(filter).unwrap_or_else(|e| panic!("{filter:?}: {e}")),
+        format,
+        lossy,
+        limit,
+        threads: 1,
+    };
+    let check = |files: &[bgpsim::query::QueryFile], o: &QueryOptions| {
+        let want = query_oracle::run_query(files, o);
+        for threads in [1, 2, 4] {
+            let got = run_query(
+                files,
+                &QueryOptions {
+                    threads,
+                    ..o.clone()
+                },
+            );
+            let what = format!(
+                "{} {:?} lossy={} limit={:?} threads={threads}",
+                o.filter, o.format, o.lossy, o.limit
+            );
+            match (&got, &want) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(got.stats, want.stats, "{what}: stats differ");
+                    assert!(got.body == want.body, "{what}: body differs");
+                }
+                _ => assert_eq!(got.as_ref().err(), want.as_ref().err(), "{what}"),
+            }
+        }
+        want
+    };
+
+    // Rows per file, and the limits around every file boundary.
+    let per_file: Vec<usize> = files
+        .iter()
+        .map(|f| {
+            let out = query_oracle::run_query(
+                std::slice::from_ref(f),
+                &opts("", OutputFormat::Csv, false, None),
+            );
+            out.expect("oracle scans a clean file").stats.rows_matched
+        })
+        .collect();
+    assert!(per_file[0] > 2, "the first file has rows to cut inside");
+    let mut limits = vec![0, 1, per_file[0] / 2];
+    let mut rows = 0;
+    for &r in &per_file {
+        rows += r;
+        limits.extend([rows.saturating_sub(1), rows, rows + 1]);
+    }
+    limits.sort_unstable();
+    limits.dedup();
+    for format in [OutputFormat::Csv, OutputFormat::Jsonl] {
+        for &limit in &limits {
+            let out = check(&files, &opts("", format, false, Some(limit)))
+                .expect("oracle scans the clean archive");
+            assert_eq!(out.stats.rows_emitted, limit.min(rows));
+        }
+        let all = check(&files, &opts("", format, false, None)).expect("oracle scans");
+        assert_eq!(all.stats.rows_emitted, rows);
+    }
+
+    // Lossy over damaged RIB entries, an update record with a bad AFI
+    // and a file cut mid-record, with and without a limit.
+    let damaged = damaged_query_files(&files);
+    for limit in [None, Some(0), Some(per_file[0] / 2), Some(rows / 2)] {
+        for format in [OutputFormat::Csv, OutputFormat::Jsonl] {
+            let out = check(&damaged, &opts("", format, true, limit)).expect("lossy scans");
+            assert!(out.stats.lossy.skipped_bgp > 0, "{:?}", out.stats.lossy);
+        }
+    }
+
+    // Every file pruned: the body is the header alone.
+    let before = format!("days=..{}", first + -1);
+    for (format, header) in [(OutputFormat::Csv, CSV_HEADER), (OutputFormat::Jsonl, "")] {
+        let out = check(&files, &opts(&before, format, false, None)).expect("nothing to fail");
+        assert_eq!(out.body, header);
+        assert_eq!((out.stats.files_pruned, out.stats.files_scanned), (n, 0));
+    }
+
+    // Strict mode with two failing files at the two ends, so in
+    // different ranges at 2 and 4 workers: the lower file's error wins.
+    let mut two_bad = files.clone();
+    two_bad[0] = damaged[0].clone(); // the first RIB's damaged entry
+    let mut last = two_bad[n - 1].bytes.to_vec();
+    last[12 + 10] = 0xFF; // the first record's AFI
+    two_bad[n - 1].bytes = bytes::Bytes::from(last);
+    assert_ne!(two_bad[0].day, two_bad[n - 1].day);
+    for limit in [None, Some(1)] {
+        let err = check(&two_bad, &opts("", OutputFormat::Csv, false, limit))
+            .expect_err("strict mode fails");
+        let QueryError::Decode { day, .. } = err;
+        assert_eq!(day, files[0].day, "the lowest-index error wins");
+    }
+    // With the first file clean, the last file's error is the one.
+    two_bad[0] = files[0].clone();
+    let err =
+        check(&two_bad, &opts("", OutputFormat::Csv, false, None)).expect_err("strict mode fails");
+    let QueryError::Decode { day, .. } = err;
+    assert_eq!(day, files[n - 1].day);
+}
+
+#[test]
 fn served_query_rows_are_byte_identical_to_cli_engine_output() {
     // `GET /query` must stream exactly the bytes `repro query` prints:
     // the served route scans the in-memory archive while the CLI scans

@@ -7,10 +7,13 @@
 //! owned
 //! `PathAttribute`s, each element into an owned struct with its own
 //! path vector (cloned per NLRI), and each row is formatted through
-//! `Display` and `write!`. Files are scanned one by one, in order.
-//! Filter semantics are restated here from `Filter`'s public clauses,
-//! so a shortcut in the engine's clause evaluation shows up as a row
-//! or count difference.
+//! `Display` and `write!`. Files are scanned one by one, in order,
+//! and merged per file: each file's whole row block is appended while
+//! it fits under the row limit, and the block the limit lands in is cut
+//! at a line. Filter semantics are restated here from `Filter`'s public
+//! clauses, so a shortcut in the engine's clause evaluation shows up as
+//! a row or count difference, and the per-file merge is the reference
+//! for the engine's merge of contiguous file ranges.
 
 use crate::mrt_oracle::{
     self, AsPathSegment, BgpMessage, MrtRecord, PathAttribute, TimestampedRecord,
@@ -259,9 +262,19 @@ pub fn run_query(files: &[QueryFile], opts: &QueryOptions) -> Result<QueryOutput
         stats.rows_matched += scan.nrows;
         stats.lossy.merge(&scan.lossy);
         let room = budget - stats.rows_emitted;
-        for line in scan.rows.split_inclusive('\n').take(room) {
-            body.push_str(line);
-            stats.rows_emitted += 1;
+        if room == 0 {
+            continue; // keep aggregating stats; the body is full
+        }
+        if scan.nrows <= room {
+            body.push_str(&scan.rows);
+            stats.rows_emitted += scan.nrows;
+        } else {
+            // The limit lands inside this file's block: take whole
+            // lines up to the budget.
+            for line in scan.rows.split_inclusive('\n').take(room) {
+                body.push_str(line);
+            }
+            stats.rows_emitted += room;
         }
     }
     Ok(QueryOutput { body, stats })

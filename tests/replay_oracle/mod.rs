@@ -69,16 +69,17 @@ fn origin(attrs: &[PathAttribute]) -> Option<Origin> {
     }
 }
 
-/// Decode a RIB file; `None` when it has no peer table.
+/// Decode a RIB file; `None` when it has no peer table (a table that
+/// lists no peer is a peer table).
 fn load_rib(archive: &CollectorArchiveV2, d: Date) -> Option<(Vec<PeerEntry>, PeerRoutes)> {
     let (records, _) = mrt_oracle::decode_file_lossy(archive.rib_bytes(d)?);
-    let mut peers = Vec::new();
+    let mut peers = None;
     let mut routes: PeerRoutes = Vec::new();
     for rec in records {
         match rec.record {
             MrtRecord::PeerIndexTable(t) => {
                 routes = vec![BTreeMap::new(); t.peers.len()];
-                peers = t.peers;
+                peers = Some(t.peers);
             }
             MrtRecord::RibIpv4Unicast(r) => {
                 for e in r.entries {
@@ -94,7 +95,7 @@ fn load_rib(archive: &CollectorArchiveV2, d: Date) -> Option<(Vec<PeerEntry>, Pe
             _ => {}
         }
     }
-    (!peers.is_empty()).then_some((peers, routes))
+    Some((peers?, routes))
 }
 
 /// Apply one update file: records in timestamp order (stable), each
